@@ -461,7 +461,8 @@ def cmd_diagnose(args) -> int:
     for r in report.identities:
         status = "pass" if r.passed else ("FAIL" if r.passed is not None else "info")
         tol = "-" if r.tolerance is None else f"{r.tolerance:g}"
-        print(f"{r.name:34s} defect {r.max_defect:10.3e}  tol {tol:>8s}  {status}")
+        defect = "-" if r.max_defect is None else f"{r.max_defect:10.3e}"
+        print(f"{r.name:34s} defect {defect:>10s}  tol {tol:>8s}  {status}")
     if not report.passed:
         print("identity suite FAILED", file=sys.stderr)
         return EXIT_VALIDATION

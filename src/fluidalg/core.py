@@ -21,6 +21,18 @@ All arrays are float64 and are frozen (non-writeable) once an algebra is
 constructed, so algebra values are immutable and safely shareable between
 threads.  Evaluation is sequential with a fixed ascending-index summation
 order, which makes every operation bit-reproducible on a given platform.
+The sparse pair contraction accumulates its terms in canonical entry order
+through one ``np.bincount``.
+
+Two structures are detected once from the values and then used exactly:
+a metric that is exactly the identity (the metric solve is a copy of the
+right-hand side and its eigenvalues are exactly ones), and a linking
+matrix with one nonzero per row and column (a permutation with weights,
+applied as ``w * X[cols]``; its singular values are the sorted ``|w|``).
+For finite inputs both give the same bits as the dense operations they
+replace, the product ``L @ X`` and the Cholesky solve against ``I``; for
+the solve, the right-hand side must hold no ``-0.0``, as none built by the
+package does.
 """
 
 from __future__ import annotations
@@ -126,6 +138,8 @@ class TripleForm:
     """
 
     def __init__(self, dim: int, index, values, dense=None):
+        """``dense`` is an (n, n, n) array to keep alongside the entries,
+        or a bool saying whether to build one from them."""
         self.dim = int(dim)
         index = np.asarray(index, dtype=np.intp).reshape(-1, 3)
         values = np.asarray(values, dtype=float).reshape(-1)
@@ -152,6 +166,9 @@ class TripleForm:
         self.values = values
         self.index.setflags(write=False)
         self.values.setflags(write=False)
+        self.dense = None
+        if isinstance(dense, bool):
+            dense = self.to_dense() if dense else None
         if dense is not None:
             dense = np.ascontiguousarray(dense, dtype=float)
             dense.setflags(write=False)
@@ -189,11 +206,9 @@ class TripleForm:
             i, j, k, v = row
             index.append((int(i), int(j), int(k)))
             values.append(float(v))
-        form = cls(dim, np.array(index, dtype=np.intp).reshape(-1, 3),
-                   np.array(values, dtype=float))
-        if dim <= DENSE_DIM_LIMIT:
-            form = cls(dim, form.index, form.values, dense=form.to_dense())
-        return form
+        return cls(dim, np.array(index, dtype=np.intp).reshape(-1, 3),
+                   np.array(values, dtype=float),
+                   dense=dim <= DENSE_DIM_LIMIT)
 
     # -- queries ------------------------------------------------------
 
@@ -219,9 +234,10 @@ class TripleForm:
         if self.dense is not None:
             return self.dense
         out = np.zeros((self.dim,) * 3)
-        for (i, j, k), v in zip(self.index, self.values):
-            out[i, j, k] = out[j, k, i] = out[k, i, j] = v
-            out[j, i, k] = out[i, k, j] = out[k, j, i] = -v
+        i, j, k = self.index.T
+        v = self.values
+        out[i, j, k] = out[j, k, i] = out[k, i, j] = v
+        out[j, i, k] = out[i, k, j] = out[k, j, i] = -v
         return out
 
     # -- evaluation ---------------------------------------------------
@@ -252,19 +268,30 @@ class TripleForm:
         """Return b with ``b[m] = sum_ij T[i,j,m] X_i Y_j``.
 
         Uses the dense array when available (fixed ascending-index einsum),
-        otherwise accumulates over the canonical entries in sorted order.
+        otherwise accumulates over the canonical entries in sorted order:
+        one ``np.bincount`` adds the terms landing on k, then on i, then on
+        j, each in entry order.
         """
         if self.dense is not None:
             return np.einsum("ijm,i,j->m", self.dense, X, Y, optimize=False)
-        out = np.zeros(self.dim)
         if not self.values.size:
-            return out
+            return np.zeros(self.dim)
         i, j, k = self.index.T
         v = self.values
-        np.add.at(out, k, v * (X[i] * Y[j] - X[j] * Y[i]))
-        np.add.at(out, i, v * (X[j] * Y[k] - X[k] * Y[j]))
-        np.add.at(out, j, v * (X[k] * Y[i] - X[i] * Y[k]))
-        return out
+        Xi, Xj, Xk = X[i], X[j], X[k]
+        Yi, Yj, Yk = Y[i], Y[j], Y[k]
+        terms = np.concatenate((
+            v * (Xi * Yj - Xj * Yi),
+            v * (Xj * Yk - Xk * Yj),
+            v * (Xk * Yi - Xi * Yk),
+        ))
+        return np.bincount(self._targets, weights=terms, minlength=self.dim)
+
+    @cached_property
+    def _targets(self) -> np.ndarray:
+        # output slot of each term of the sparse contraction: k, i, j
+        i, j, k = self.index.T
+        return np.concatenate((k, i, j))
 
 
 class FluidAlgebra:
@@ -334,12 +361,37 @@ class FluidAlgebra:
     # construction, and right-hand sides are checked by the callers that
     # need the guarantee (non-finite inputs propagate as non-finite output)
 
+    # Structure detected once from the values; see the module docstring.
+    # (The blocked Cholesky solve against I keeps or clears the sign of a
+    # -0.0 depending on its row, so the copy matches it only without one.)
+
+    @cached_property
+    def _metric_is_identity(self) -> bool:
+        G = self.metric
+        return bool(np.count_nonzero(G) == self.dim
+                    and np.all(np.diagonal(G) == 1.0))
+
+    @cached_property
+    def _linking_permutation(self):
+        """``(cols, w)`` when row r of L has the single nonzero
+        ``L[r, cols[r]] = w[r]`` and ``cols`` is a permutation, else None."""
+        rows, cols = np.nonzero(self.linking)
+        if not (np.array_equal(rows, np.arange(self.dim))
+                and np.unique(cols).size == self.dim):
+            return None
+        return cols, self.linking[rows, cols]
+
     @cached_property
     def _linking_singular_values(self) -> np.ndarray:
+        perm = self._linking_permutation
+        if perm is not None:
+            return np.sort(np.abs(perm[1]))[::-1]
         return scipy.linalg.svdvals(self.linking)
 
     @cached_property
     def _metric_eigenvalues(self) -> np.ndarray:
+        if self._metric_is_identity:
+            return np.ones(self.dim)
         return scipy.linalg.eigvalsh(self.metric)
 
     # nonzeros of G and L, the terms of the double-double invariants
@@ -367,10 +419,22 @@ class FluidAlgebra:
         return float(ev[-1] / ev[0])
 
     def solve_metric(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve G x = rhs with the cached Cholesky factor."""
+        """Solve G x = rhs with the cached Cholesky factor (a copy of rhs
+        when G is the identity)."""
+        if self._metric_is_identity:
+            return np.array(rhs, dtype=float)
         return scipy.linalg.cho_solve(
             self._metric_factor, rhs, check_finite=False
         )
+
+    def apply_linking(self, X: np.ndarray) -> np.ndarray:
+        """The product L X (a weighted gather when L is a permutation)."""
+        perm = self._linking_permutation
+        if perm is not None:
+            cols, w = perm
+            # + 0.0 turns the -0.0 of a zero product into the +0.0 of a sum
+            return w * X[cols] + 0.0
+        return self.linking @ X
 
     def solve_linking(self, rhs: np.ndarray) -> np.ndarray:
         """Solve L x = rhs with the cached LU factor, warning once if L is
@@ -455,6 +519,18 @@ class ValidationReport:
         }
 
 
+def _antisymmetrize(A: np.ndarray) -> np.ndarray:
+    """Full antisymmetrization: signed permutation sum over the 6 orders / 6."""
+    return (
+        A
+        + A.transpose(1, 2, 0)
+        + A.transpose(2, 0, 1)
+        - A.transpose(1, 0, 2)
+        - A.transpose(0, 2, 1)
+        - A.transpose(2, 1, 0)
+    ) / 6.0
+
+
 def validate(alg: FluidAlgebra, tol: float = 1e-12) -> ValidationReport:
     """Check the three structural invariants, returning measured defects.
 
@@ -478,15 +554,9 @@ def validate(alg: FluidAlgebra, tol: float = 1e-12) -> ValidationReport:
         # defect = entrywise distance to the full antisymmetrization, which
         # is zero exactly when the tensor is fully antisymmetric
         T = tf.dense
-        antisym = (
-            T
-            + T.transpose(1, 2, 0)
-            + T.transpose(2, 0, 1)
-            - T.transpose(1, 0, 2)
-            - T.transpose(0, 2, 1)
-            - T.transpose(2, 1, 0)
-        ) / 6.0
-        defect = float(np.max(np.abs(T - antisym))) if T.size else 0.0
+        defect = 0.0
+        if T.size:
+            defect = float(np.max(np.abs(T - _antisymmetrize(T))))
     else:
         # canonical i < j < k entries cannot violate antisymmetry
         defect = 0.0
@@ -569,7 +639,7 @@ def helicity(alg: FluidAlgebra, X) -> float:
 def curl(alg: FluidAlgebra, X) -> np.ndarray:
     """Apply the curl operator D = G^-1 L, defined by (D X, Y) = <X, Y>."""
     X = alg.state(X, "X")
-    return alg.solve_metric(alg.linking @ X)
+    return alg.solve_metric(alg.apply_linking(X))
 
 
 def inverse_curl(alg: FluidAlgebra, Y) -> np.ndarray:

@@ -84,7 +84,7 @@ _FLOOR = 1e-300
 @dataclass
 class IdentityResult:
     name: str
-    max_defect: float
+    max_defect: float | None  # None when nothing was sampled
     tolerance: float | None
     passed: bool | None
 
@@ -104,9 +104,7 @@ class DiagnosticsReport:
 
     @property
     def passed(self) -> bool:
-        return all(
-            r.passed for r in self.identities if r.tolerance is not None
-        )
+        return all(r.passed for r in self.identities if r.passed is not None)
 
     def identity(self, name: str) -> IdentityResult:
         for r in self.identities:
@@ -222,8 +220,18 @@ def run_identity_suite(alg: FluidAlgebra, num_states: int = 20,
         jac_samples.append(
             g_norm(alg, jacobiator(alg, X, Y, Z)) / max(scale, _FLOOR)
         )
-    jac_samples = np.array(jac_samples) if jac_samples else np.zeros(1)
-    worst["jacobiator"] = float(np.max(jac_samples))
+    # with no triple drawn the Jacobiator has no sample: its statistics are
+    # None and the identity is neither passed nor failed
+    jac_stats = {"max": None, "mean": None, "median": None, "samples": 0}
+    if jac_samples:
+        jac_samples = np.array(jac_samples)
+        jac_stats = {
+            "max": float(np.max(jac_samples)),
+            "mean": float(np.mean(jac_samples)),
+            "median": float(np.median(jac_samples)),
+            "samples": int(jac_samples.size),
+        }
+    worst["jacobiator"] = jac_stats["max"]
 
     is_lie = alg.meta.get("kind") == "lie"
     identities = []
@@ -231,8 +239,11 @@ def run_identity_suite(alg: FluidAlgebra, num_states: int = 20,
         tol = _TOLERANCES[name]
         if name == "jacobiator" and is_lie:
             tol = _JACOBIATOR_LIE_TOL
-        passed = None if tol is None else bool(worst[name] <= tol)
-        identities.append(IdentityResult(name, float(worst[name]), tol, passed))
+        defect = worst[name]
+        passed = None if tol is None or defect is None else bool(defect <= tol)
+        identities.append(IdentityResult(
+            name, None if defect is None else float(defect), tol, passed
+        ))
 
     report = DiagnosticsReport(identities=identities)
     report.algebra_summary = {
@@ -241,11 +252,6 @@ def run_identity_suite(alg: FluidAlgebra, num_states: int = 20,
         "triple_entries": alg.triple.nnz,
         "metric_condition": alg.metric_condition,
         "linking_condition": alg.linking_condition,
-        "jacobiator_norm": {
-            "max": float(np.max(jac_samples)),
-            "mean": float(np.mean(jac_samples)),
-            "median": float(np.median(jac_samples)),
-            "samples": int(jac_samples.size),
-        },
+        "jacobiator_norm": jac_stats,
     }
     return report

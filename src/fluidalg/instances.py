@@ -24,11 +24,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (
+    DENSE_DIM_LIMIT,
     AlgebraFormatError,
     AlgebraValidationError,
     FluidAlgebra,
     TripleForm,
     make_rng,
+    _antisymmetrize,
     validate,
 )
 
@@ -266,35 +268,42 @@ def _frame(k: np.ndarray):
 
 # index of the (polarization, phase) slot within a representative's block
 _LOCAL_ORDER = [(1, "cos"), (1, "sin"), (2, "cos"), (2, "sin")]
-_LOCAL_PHASE = np.array([0, 1, 0, 1])  # 1 = sin
-_LOCAL_POL = np.array([1, 1, 2, 2])
 
 # polarization dets below this are geometric round-off of an exact zero
 _DET_NOISE = 1e-14
 
 
-def _trig_integral(phases, signs) -> float:
-    """Integral over the unit torus of a product of three trig factors.
+def _representative_triples(rep_arr: np.ndarray, K: int):
+    """Multisets r1 <= r2 <= r3 of representatives whose wavevectors admit
+    a signed zero sum, with the sign vectors (1, s2, s3) of
+    k1 + s2 k2 + s3 k3 = 0.
 
-    ``signs`` is the sign vector with sum_j signs[j] * k_j = 0.  Products
-    with an odd number of sine factors integrate to zero; with none the
-    value is 1/4, and with two it is -s_a s_b / 4 for the two sine slots.
+    A lookup table over the (2K+1)^3 lattice maps c = k1 + s k2 to the
+    representative of +-c and to the sign of that representative.  The
+    sign solution is unique: the other sign vectors would force one
+    wavevector to vanish, and k1 + k2 + k3 is lexicographically positive.
     """
-    sin_slots = [j for j, ph in enumerate(phases) if ph == 1]
-    if len(sin_slots) % 2 == 1:
-        return 0.0
-    if not sin_slots:
-        return 0.25
-    a, b = sin_slots
-    return -0.25 * signs[a] * signs[b]
-
-
-def _resolve_signs(k1, k2, k3):
-    """Find the sign triple (1, s2, s3) with k1 + s2 k2 + s3 k3 = 0."""
-    for s2, s3 in ((1, -1), (-1, 1), (-1, -1)):
-        if all(k1[m] + s2 * k2[m] + s3 * k3[m] == 0 for m in range(3)):
-            return (1, s2, s3)
-    return None
+    m = rep_arr.shape[0]
+    side = 2 * K + 1
+    rep_of = np.full((side,) * 3, -1, dtype=np.intp)
+    sign_of = np.zeros((side,) * 3, dtype=np.intp)
+    for sign in (1, -1):
+        cells = tuple((sign * rep_arr + K).T)
+        rep_of[cells] = np.arange(m)
+        sign_of[cells] = sign
+    r1, r2 = np.triu_indices(m)
+    found = []
+    for s in (1, -1):
+        c = rep_arr[r1] + s * rep_arr[r2]
+        inside = np.all(np.abs(c) <= K, axis=1)
+        cell = tuple((c[inside] + K).T)
+        a, b, r3 = r1[inside], r2[inside], rep_of[cell]
+        keep = r3 >= b  # the zero vector maps to -1
+        # k1 + s k2 = sigma k3, so the signs are (1, s, -sigma)
+        sigma = sign_of[cell][keep]
+        found.append((a[keep], b[keep], r3[keep],
+                      np.full(sigma.shape, s), -sigma))
+    return [np.concatenate(parts) for parts in zip(*found)]
 
 
 def build_torus_algebra(K: int, max_dim: int = 512):
@@ -318,7 +327,6 @@ def build_torus_algebra(K: int, max_dim: int = 512):
             f"{max_dim}; raise max_dim to build it anyway"
         )
     rep_arr = np.array(reps, dtype=int)
-    rep_index = {k: idx for idx, k in enumerate(reps)}
     e1 = np.zeros((m, 3))
     e2 = np.zeros((m, 3))
     for r, k in enumerate(reps):
@@ -334,83 +342,47 @@ def build_torus_algebra(K: int, max_dim: int = 512):
     # linking form: within mode k, in local order (c1, s1, c2, s2),
     # curl(c1) = -lam s2, curl(c2) = +lam s1, and symmetrically.
     L = np.zeros((dim, dim))
-    for r, k in enumerate(reps):
-        lam = 2.0 * np.pi * float(np.linalg.norm(k))
-        base = 4 * r
-        c1, s1, c2, s2 = base, base + 1, base + 2, base + 3
-        L[s2, c1] = L[c1, s2] = -lam
-        L[s1, c2] = L[c2, s1] = lam
+    lam = 2.0 * np.pi * np.linalg.norm(rep_arr, axis=1)
+    c1 = 4 * np.arange(m)
+    s1, c2, s2 = c1 + 1, c1 + 2, c1 + 3
+    L[s2, c1] = L[c1, s2] = -lam
+    L[s1, c2] = L[c2, s1] = lam
 
-    # triple tensor: iterate multisets r1 <= r2 <= r3 of representatives
-    # whose wavevectors admit a signed zero sum; each admits exactly one
-    # sign solution up to global flip.
-    pol_vecs = {}  # (rep, a) -> vector
-    for r in range(m):
-        pol_vecs[(r, 1)] = e1[r]
-        pol_vecs[(r, 2)] = e2[r]
+    # triple tensor: the entry at local slots (l1, l2, l3) of the
+    # representatives (r1, r2, r3) is amplitude * det * tri, where det is
+    # the determinant of the three polarization vectors and tri the
+    # integral of the three trig factors over the unit torus.  The product
+    # vanishes with an odd number of sine factors; with none it is 1/4, and
+    # with sines in slots a and b it is -s_a s_b / 4.
+    r1, r2, r3, sign2, sign3 = _representative_triples(rep_arr, K)
+    # the 8 polarization dets of each triple cover all of its local slots
+    pol = np.stack([e1, e2], axis=1)
+    choice = np.indices((2, 2, 2)).reshape(3, -1)
+    dets = np.linalg.det(np.stack(
+        [pol[r[:, None], a] for r, a in zip((r1, r2, r3), choice)], axis=-1
+    ))
 
-    index_rows = []
-    value_rows = []
+    # local slots 1 and 3 are sines; keep the slots with an even count
+    slots = np.indices((4, 4, 4)).reshape(3, -1)
+    slots = slots[:, (slots & 1).sum(axis=0) % 2 == 0]
+    l1, l2, l3 = slots
+    # repeated representatives take strictly increasing local slots
+    allowed = (((r1 != r2)[:, None] | (l2 > l1))
+               & ((r2 != r3)[:, None] | (l3 > l2)))
+    t, slot = np.nonzero(allowed)
+    l1, l2, l3 = slots[:, slot]
+    sign_product = (np.where(l2 & 1, sign2[t], 1)
+                    * np.where(l3 & 1, sign3[t], 1))
+    tri = np.where((l1 | l2 | l3) & 1, -0.25 * sign_product, 0.25)
+    det = dets[t, 4 * (l1 >> 1) + 2 * (l2 >> 1) + (l3 >> 1)]
+
     amplitude = 2.0 * np.sqrt(2.0)  # (sqrt 2)^3 from the field normalization
-    for r1 in range(m):
-        k1 = reps[r1]
-        for r2 in range(r1, m):
-            k2 = reps[r2]
-            candidates = set()
-            for s in (1, -1):
-                c = tuple(k1[mm] + s * k2[mm] for mm in range(3))
-                if c == (0, 0, 0):
-                    continue
-                if max(abs(x) for x in c) > K:
-                    continue
-                if c not in rep_index:
-                    c = tuple(-x for x in c)
-                candidates.add(rep_index[c])
-            for r3 in sorted(candidates):
-                if r3 < r2:
-                    continue
-                k3 = reps[r3]
-                signs = _resolve_signs(k1, k2, k3)
-                if signs is None:
-                    continue
-                for l1 in range(4):
-                    l2_start = l1 + 1 if r1 == r2 else 0
-                    for l2 in range(l2_start, 4):
-                        l3_start = l2 + 1 if r2 == r3 else 0
-                        for l3 in range(l3_start, 4):
-                            phases = (
-                                _LOCAL_PHASE[l1],
-                                _LOCAL_PHASE[l2],
-                                _LOCAL_PHASE[l3],
-                            )
-                            tri = _trig_integral(phases, signs)
-                            if tri == 0.0:
-                                continue
-                            det = float(
-                                np.linalg.det(
-                                    np.column_stack(
-                                        (
-                                            pol_vecs[(r1, _LOCAL_POL[l1])],
-                                            pol_vecs[(r2, _LOCAL_POL[l2])],
-                                            pol_vecs[(r3, _LOCAL_POL[l3])],
-                                        )
-                                    )
-                                )
-                            )
-                            if abs(det) <= _DET_NOISE:
-                                continue
-                            index_rows.append(
-                                (4 * r1 + l1, 4 * r2 + l2, 4 * r3 + l3)
-                            )
-                            value_rows.append(amplitude * det * tri)
+    keep = np.abs(det) > _DET_NOISE
+    index = np.stack([4 * r1[t] + l1, 4 * r2[t] + l2, 4 * r3[t] + l3],
+                     axis=1)[keep]
+    values = (amplitude * det * tri)[keep]
 
-    tf = TripleForm(
-        dim,
-        np.array(index_rows, dtype=np.intp).reshape(-1, 3),
-        np.array(value_rows, dtype=float),
-    )
-    if dim <= 64:
-        tf = TripleForm(dim, tf.index, tf.values, dense=tf.to_dense())
+    tf = TripleForm(dim, index, values, dense=dim <= DENSE_DIM_LIMIT)
     alg = FluidAlgebra(
         dim, tf, L, np.eye(dim), meta={"kind": "torus", "K": K}
     )
@@ -446,18 +418,6 @@ def beltrami_state(basis: TorusBasis) -> np.ndarray:
 
 class GenerationError(RuntimeError):
     """Random generation exhausted its retry budget."""
-
-
-def _antisymmetrize(A: np.ndarray) -> np.ndarray:
-    """Full antisymmetrization: signed permutation sum over the 6 orders / 6."""
-    return (
-        A
-        + A.transpose(1, 2, 0)
-        + A.transpose(2, 0, 1)
-        - A.transpose(1, 0, 2)
-        - A.transpose(0, 2, 1)
-        - A.transpose(2, 1, 0)
-    ) / 6.0
 
 
 def random_algebra(seed: int, n: int) -> FluidAlgebra:

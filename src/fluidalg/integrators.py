@@ -325,7 +325,10 @@ def integrate(alg: FluidAlgebra, X0, spec: IntegratorSpec,
     record.
 
     On numerical failure the partial trace is preserved and the result is
-    marked failed.
+    marked failed.  The last good state, at the start of the failed step,
+    ends the trace with the flag "numerical-failure", after the flags of
+    the steps since the last record: on a new record, or on the record
+    already taken at that time.
     """
     X = alg.state(X0, "X0")
     X_lo = zero_low = _zero_low(X)  # low words are never written in place
@@ -376,7 +379,14 @@ def integrate(alg: FluidAlgebra, X0, spec: IntegratorSpec,
         except NumericalFailure as exc:
             result.failed = True
             result.failure_message = str(exc)
-            _record(t, flag="numerical-failure")
+            flags = pending_flags + ["numerical-failure"]
+            if records[-1].t == t:
+                # the last good state is already recorded: flag that row
+                # rather than write a second one at the same time
+                last = records[-1]
+                last.flag = ",".join(filter(None, [last.flag, *flags]))
+            else:
+                _record(t, flag=",".join(flags))
             break
         result.steps = step + 1
         is_last = step == total_steps - 1

@@ -304,6 +304,27 @@ def test_diagnose_so3(tmp_path, capsys):
     assert jac["max_defect"] <= 1e-11
 
 
+def test_diagnose_without_jacobiator_triples_reports_no_sample(tmp_path):
+    cfg = write_config(
+        tmp_path / "cfg.json",
+        {
+            "instance": {"name": "rigid-body", "moments": [1, 2, 3]},
+            "diagnostics": {"num_states": 5, "num_triples": 0},
+        },
+    )
+    out = tmp_path / "out"
+    assert main(["diagnose", "--config", cfg, "--output", str(out)]) == 0
+    payload = json.loads((out / "diagnostics.json").read_text())
+    assert payload["algebra"]["jacobiator_norm"] == {
+        "max": None, "mean": None, "median": None, "samples": 0,
+    }
+    jac = [r for r in payload["identities"] if r["name"] == "jacobiator"][0]
+    assert jac["tolerance"] == 1e-11  # a Lie-kind instance
+    assert jac["max_defect"] is None
+    assert jac["passed"] is None
+    assert payload["passed"] is True
+
+
 def test_diagnose_random_reports_jacobiator(tmp_path):
     cfg = write_config(
         tmp_path / "cfg.json",

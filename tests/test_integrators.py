@@ -202,6 +202,36 @@ def test_numerical_failure_preserves_partial_trace():
     assert res.records[-1].flag == "numerical-failure"
 
 
+def test_numerical_failure_flags_the_recorded_state_once():
+    # the first step overflows, so the last good state is the t=0 record:
+    # it takes the flag, and no second row is written at t=0
+    alg = FluidAlgebra(3, [[0, 1, 2, 1e150]], np.eye(3), np.eye(3))
+    spec = IntegratorSpec(method="rk4", dt=1.0, t_end=5.0)
+    res = integrate(alg, [1e80, 1e80, 2e80], spec)
+    assert res.failed
+    times = [r.t for r in res.records]
+    assert all(a < b for a, b in zip(times, times[1:]))
+    assert res.records[-1].flag == "numerical-failure"
+
+
+def test_numerical_failure_keeps_pending_projection_flags():
+    # three projected steps each fail to project (one Newton iteration
+    # cannot meet the tolerance), then the fourth step overflows; the
+    # failure record carries the three unrecorded projection flags
+    alg = FluidAlgebra(3, [[0, 1, 2, 1e150]], np.eye(3), np.diag([1.0, 2.0, 3.0]))
+    spec = IntegratorSpec(
+        method="rk4-projected", dt=1.0, t_end=200.0, record_every=10,
+        projection=ProjectionSettings(max_iter=1, tol=1e-300),
+    )
+    res = integrate(alg, [1e-149, 2e-149, 0.5e-149], spec)
+    assert res.failed
+    assert res.steps == 3 and res.projection_failures == 3
+    assert [r.t for r in res.records] == [0.0, 3.0]
+    assert res.records[-1].flag == ",".join(
+        ["projection-failed"] * 3 + ["numerical-failure"]
+    )
+
+
 def test_spec_validation():
     with pytest.raises(ValueError):
         IntegratorSpec(method="euler", dt=1e-3, t_end=1.0)

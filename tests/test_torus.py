@@ -1,9 +1,11 @@
 """Spectral flat-torus instance: lattice, frames, spectrum, tensor oracle."""
 
 import itertools
+import json
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from fluidalg import (
     TorusSizeError,
@@ -15,8 +17,17 @@ from fluidalg import (
     g_norm,
     helicity,
     make_rng,
+    random_algebra,
+    rk4_step,
     validate,
 )
+from fluidalg.cli import main
+from fluidalg.instances import _DET_NOISE, _frame
+
+
+@pytest.fixture(scope="module")
+def torus_k2():
+    return build_torus_algebra(2)
 
 
 @pytest.fixture(scope="module")
@@ -181,3 +192,135 @@ def test_k2_uses_sparse_storage_and_validates():
 def test_rejects_bad_K():
     with pytest.raises(ValueError):
         build_torus_algebra(0)
+
+
+# ---------------------------------------------------------------------------
+# vectorized assembly and exact structured operators
+
+
+def oracle_entries(basis):
+    """Per-entry assembly: every multiset r1 <= r2 <= r3 of representatives
+    with a signed zero sum, each local slot with its own determinant."""
+    reps = [tuple(int(c) for c in k) for k in basis.reps]
+    frames = [_frame(np.array(k)) for k in reps]
+    amplitude = 2.0 * np.sqrt(2.0)
+    rows, vals = [], []
+    for r1, r2, r3 in itertools.combinations_with_replacement(range(len(reps)), 3):
+        k1, k2, k3 = reps[r1], reps[r2], reps[r3]
+        signs = next(
+            ((1, s2, s3) for s2 in (1, -1) for s3 in (1, -1)
+             if all(a + s2 * b + s3 * c == 0 for a, b, c in zip(k1, k2, k3))),
+            None,
+        )
+        if signs is None:
+            continue
+        for l1, l2, l3 in itertools.product(range(4), repeat=3):
+            if (r1 == r2 and l2 <= l1) or (r2 == r3 and l3 <= l2):
+                continue
+            # local slots 1 and 3 are sines; an odd number integrates to 0
+            sines = [s for s, l in zip(signs, (l1, l2, l3)) if l % 2]
+            if len(sines) % 2:
+                continue
+            tri = -0.25 * sines[0] * sines[1] if sines else 0.25
+            cols = [frames[r][l // 2] for r, l in ((r1, l1), (r2, l2), (r3, l3))]
+            det = float(np.linalg.det(np.column_stack(cols)))
+            if abs(det) <= _DET_NOISE:
+                continue
+            rows.append((4 * r1 + l1, 4 * r2 + l2, 4 * r3 + l3))
+            vals.append(amplitude * det * tri)
+    index = np.array(rows)
+    order = np.lexsort(index.T[::-1])
+    return index[order], np.array(vals)[order]
+
+
+@pytest.mark.parametrize("fixture", ["torus_k1", "torus_k2"])
+def test_vectorized_assembly_matches_per_entry_oracle(fixture, request):
+    alg, basis = request.getfixturevalue(fixture)
+    index, values = oracle_entries(basis)
+    assert np.array_equal(alg.triple.index, index)
+    assert np.array_equal(alg.triple.values, values)
+
+
+def test_identity_metric_solve_is_an_exact_copy(torus_k1):
+    alg, _ = torus_k1
+    assert alg._metric_is_identity
+    # no -0.0 in rhs: the blocked triangular solve keeps or clears the sign
+    # of a zero depending on its row; the right-hand sides of the package
+    # (contractions and linking products) never hold one
+    rhs = make_rng(63).standard_normal(alg.dim)
+    rhs[::5] = 0.0
+    out = alg.solve_metric(rhs)
+    assert out is not rhs
+    factor = scipy.linalg.cho_factor(np.eye(alg.dim), lower=True)
+    expected = scipy.linalg.cho_solve(factor, rhs)
+    assert np.array_equal(out, expected)
+    assert np.array_equal(np.signbit(out), np.signbit(expected))
+    assert np.array_equal(alg._metric_eigenvalues, np.ones(alg.dim))
+
+
+@pytest.mark.parametrize("fixture", ["torus_k1", "torus_k2"])
+def test_permutation_curl_is_the_dense_product_bitwise(fixture, request):
+    alg, basis = request.getfixturevalue(fixture)
+    assert alg._linking_permutation is not None
+    rng = make_rng(64)
+    # the Beltrami state has exact zeros, which the gather must not turn
+    # into -0.0 where the dense sum gives +0.0
+    for X in (rng.standard_normal(alg.dim), beltrami_state(basis),
+              -beltrami_state(basis)):
+        got = curl(alg, X)
+        expected = alg.solve_metric(alg.linking @ X)
+        assert np.array_equal(got, expected)
+        assert np.array_equal(np.signbit(got), np.signbit(expected))
+
+
+def test_permutation_singular_values_match_svd(torus_k2):
+    alg, _ = torus_k2
+    expected = scipy.linalg.svdvals(alg.linking)
+    got = alg._linking_singular_values
+    assert np.max(np.abs(got - expected) / expected) <= 1e-15
+
+
+def test_general_algebra_takes_the_dense_path():
+    alg = random_algebra(5, 7)
+    assert alg._linking_permutation is None
+    assert not alg._metric_is_identity
+    X = make_rng(65).standard_normal(alg.dim)
+    factor = scipy.linalg.cho_factor(alg.metric, lower=True)
+    expected = scipy.linalg.cho_solve(factor, alg.linking @ X)
+    assert np.array_equal(curl(alg, X), expected)
+    assert np.array_equal(alg._linking_singular_values,
+                          scipy.linalg.svdvals(alg.linking))
+
+
+def test_k4_builds_and_steps():
+    alg, _ = build_torus_algebra(4, max_dim=1456)
+    assert alg.dim == 1456
+    assert alg.triple.nnz == 493776
+    X = make_rng(66).standard_normal(alg.dim)
+    X /= g_norm(alg, X)
+    out = rk4_step(alg, X, 1e-3)
+    assert np.all(np.isfinite(out))
+    assert np.max(np.abs(out - X)) > 0.0
+
+
+def test_simulate_torus_k2_with_probe_is_byte_identical(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "instance": {"name": "torus", "K": 2},
+        "initial_state": {"seed": 5, "norm": 1.0},
+        "probe": {"seed": 6, "norm": 1.0},
+        "integrator": {"method": "rk4", "dt": 1e-3, "t_end": 0.01},
+    }))
+    outputs = []
+    for run in ("a", "b"):
+        out = tmp_path / run
+        assert main(["simulate", "--config", str(cfg), "--output",
+                     str(out)]) == 0
+        # summary.json differs only in the echoed output directory
+        summary = (out / "summary.json").read_text().replace(str(out), "OUT")
+        outputs.append((
+            (out / "trace.csv").read_bytes(),
+            (out / "state.csv").read_bytes(),
+            summary,
+        ))
+    assert outputs[0] == outputs[1]
