@@ -337,33 +337,19 @@ def _write_json(path, payload) -> None:
 
 
 def cmd_simulate(args) -> int:
-    try:
-        cfg = _load_config(args.config)
-        cfg = _apply_overrides(cfg, args.overrides)
-        cfg = _override_seeds(cfg, _seed_override())
-        spec = _integrator_spec(cfg)
-        output_dir = args.output or cfg.get("output_dir", ".")
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    cfg = _load_config(args.config)
+    cfg = _apply_overrides(cfg, args.overrides)
+    cfg = _override_seeds(cfg, _seed_override())
+    spec = _integrator_spec(cfg)
+    output_dir = args.output or cfg.get("output_dir", ".")
 
-    try:
-        alg, basis = _build_instance(cfg.get("instance"))
-        if "initial_state" not in cfg:
-            raise ConfigError('config needs "initial_state"')
-        X0 = _resolve_state(alg, basis, cfg["initial_state"], "initial_state")
-        probe = None
-        if cfg.get("probe") is not None:
-            probe = _resolve_state(alg, basis, cfg["probe"], "probe")
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (AlgebraValidationError, AlgebraFormatError, AlgebraDataError) as exc:
-        print(f"validation error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except OSError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    alg, basis = _build_instance(cfg.get("instance"))
+    if "initial_state" not in cfg:
+        raise ConfigError('config needs "initial_state"')
+    X0 = _resolve_state(alg, basis, cfg["initial_state"], "initial_state")
+    probe = None
+    if cfg.get("probe") is not None:
+        probe = _resolve_state(alg, basis, cfg["probe"], "probe")
 
     os.makedirs(output_dir, exist_ok=True)
     result = integrate(alg, X0, spec, probe=probe)
@@ -415,32 +401,18 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_diagnose(args) -> int:
-    try:
-        cfg = _load_config(args.config)
-        cfg = _override_seeds(cfg, _seed_override())
-        output_dir = args.output or cfg.get("output_dir", ".")
-        diag_cfg = cfg.get("diagnostics", {})
-        if not isinstance(diag_cfg, dict):
-            raise ConfigError('"diagnostics" must be an object')
-        num_states = int(diag_cfg.get("num_states", 20))
-        num_triples = int(diag_cfg.get("num_triples", 40))
-        seed = int(diag_cfg.get("seed", 2024))
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    cfg = _load_config(args.config)
+    cfg = _override_seeds(cfg, _seed_override())
+    output_dir = args.output or cfg.get("output_dir", ".")
+    diag_cfg = cfg.get("diagnostics", {})
+    if not isinstance(diag_cfg, dict):
+        raise ConfigError('"diagnostics" must be an object')
+    num_states = int(diag_cfg.get("num_states", 20))
+    num_triples = int(diag_cfg.get("num_triples", 40))
+    seed = int(diag_cfg.get("seed", 2024))
 
-    try:
-        alg, _ = _build_instance(cfg.get("instance"))
-        validate(alg).require()
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (AlgebraValidationError, AlgebraFormatError, AlgebraDataError) as exc:
-        print(f"validation error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except OSError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    alg, _ = _build_instance(cfg.get("instance"))
+    validate(alg).require()
 
     report = run_identity_suite(
         alg, num_states=num_states, seed=seed, num_triples=num_triples
@@ -476,6 +448,26 @@ def cmd_instances(_args) -> int:
     return EXIT_OK
 
 
+_COMMANDS = {
+    "simulate": cmd_simulate,
+    "diagnose": cmd_diagnose,
+    "instances": cmd_instances,
+}
+
+
+def _run(command, args) -> int:
+    """Run a subcommand, mapping configuration and file errors to exit 1
+    and algebra errors to exit 3, each with a one-line message."""
+    try:
+        return command(args)
+    except (ConfigError, OSError) as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except (AlgebraValidationError, AlgebraFormatError, AlgebraDataError) as exc:
+        print(f"validation error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -483,14 +475,10 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         code = exc.code
         return int(code) if code is not None else 0
-    if args.command == "simulate":
-        return cmd_simulate(args)
-    if args.command == "diagnose":
-        return cmd_diagnose(args)
-    if args.command == "instances":
-        return cmd_instances(args)
-    parser.print_usage(sys.stderr)
-    return EXIT_CONFIG
+    if args.command not in _COMMANDS:
+        parser.print_usage(sys.stderr)
+        return EXIT_CONFIG
+    return _run(_COMMANDS[args.command], args)
 
 
 def entry() -> None:

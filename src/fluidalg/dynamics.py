@@ -18,8 +18,8 @@ The companion operators implemented here:
 * ``circulation_defect`` -- residual functional that vanishes only on the
   Euler right-hand side (the uniqueness characterization).
 
-All functions are pure; they share the per-algebra matrix factorizations
-cached on the ``FluidAlgebra`` value.
+All functions are pure; they share the metric and linking inverses
+precomputed once per ``FluidAlgebra`` value.
 """
 
 from __future__ import annotations

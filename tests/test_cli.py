@@ -2,10 +2,14 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import fluidalg
 from fluidalg import save_algebra, random_algebra
 from fluidalg.cli import main
 
@@ -248,6 +252,45 @@ def test_corrupted_custom_file_is_validation_error(tmp_path):
                  str(tmp_path / "out")]) == 3
 
 
+@pytest.mark.parametrize("row", [
+    [0, 1.5, 2, 1.0],            # a float index is not truncated
+    [False, True, 2, 1.0],       # nor are bools taken as 0 and 1
+    [0, "1", 2, 1.0],
+    [0, 1, 2, "1.0"],
+])
+def test_custom_file_with_a_bad_triple_row_is_validation_error(
+        tmp_path, capsys, row):
+    alg_path = tmp_path / "bad.json"
+    alg_path.write_text(json.dumps({
+        "dim": 3,
+        "triple": [row],
+        "linking": np.eye(3).tolist(),
+        "metric": np.eye(3).tolist(),
+    }))
+    cfg = write_config(
+        tmp_path / "cfg.json",
+        {
+            "instance": {"name": "custom", "path": str(alg_path)},
+            "initial_state": [1.0, 0.0, 0.0],
+            "integrator": {"dt": 0.1, "t_end": 0.1},
+        },
+    )
+    assert main(["simulate", "--config", cfg, "--output",
+                 str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert err == f"validation error: bad triple entry {row!r}\n"
+
+
+def test_unwritable_output_is_config_error(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    cfg = rigid_config(tmp_path, t_end=0.01)
+    assert main(["simulate", "--config", cfg, "--output",
+                 str(blocker / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+
+
 def test_valid_custom_file_round_trips(tmp_path):
     alg = random_algebra(6, 4)
     alg_path = tmp_path / "alg.json"
@@ -357,3 +400,18 @@ def test_diagnose_corrupt_custom_exits_three(tmp_path):
     )
     assert main(["diagnose", "--config", cfg,
                  "--output", str(tmp_path / "out")]) == 3
+
+
+# ---------------------------------------------------------------------------
+# dependencies
+
+
+def test_cli_import_does_not_load_scipy():
+    # SciPy is a test-only oracle; the package runs on NumPy alone
+    code = "import sys, fluidalg.cli; print('scipy' in sys.modules)"
+    src = os.path.dirname(os.path.dirname(fluidalg.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=60, check=True,
+                          env={**os.environ, "PYTHONPATH": path})
+    assert done.stdout == "False\n"

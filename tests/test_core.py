@@ -1,12 +1,15 @@
 """Core forms, validation, curl pair, and the algebra file format."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from fluidalg import (
     AlgebraFormatError,
+    ConditioningWarning,
     FluidAlgebra,
     TripleForm,
     curl,
@@ -24,6 +27,7 @@ from fluidalg import (
     triple,
     validate,
 )
+from fluidalg.diagnostics import run_identity_suite
 
 
 def trivial_algebra(n=3):
@@ -90,6 +94,19 @@ def test_non_positive_metric_fails():
     G = np.diag([1.0, 1.0, -1.0])
     alg = FluidAlgebra(3, np.zeros((3, 3, 3)), np.eye(3), G)
     assert not validate(alg).passed
+
+
+def test_solves_refuse_a_singular_linking_or_indefinite_metric():
+    from fluidalg import AlgebraValidationError
+
+    Z = np.zeros((3, 3, 3))
+    singular = FluidAlgebra(3, Z, np.diag([1.0, 1.0, 0.0]), np.eye(3))
+    with pytest.warns(ConditioningWarning), \
+            pytest.raises(AlgebraValidationError, match="singular"):
+        inverse_curl(singular, np.ones(3))
+    indefinite = FluidAlgebra(3, Z, np.eye(3), np.diag([1.0, 1.0, -1.0]))
+    with pytest.raises(AlgebraValidationError, match="positive definite"):
+        curl(indefinite, np.ones(3))
 
 
 def test_shape_mismatch_is_structural_error():
@@ -216,6 +233,10 @@ def test_triple_form_rejects_bad_entries():
         TripleForm.from_entries(3, [[0, 1, 3, 1.0]])
     with pytest.raises(AlgebraFormatError):
         TripleForm.from_entries(3, [[0, 1, 2, 1.0], [0, 1, 2, 2.0]])
+    with pytest.raises(AlgebraFormatError):
+        TripleForm.from_entries(3, [[0, 1, 2 ** 70, 1.0]])
+    with pytest.raises(AlgebraFormatError):
+        TripleForm.from_entries(3, {"0": [0, 1, 2, 1.0]})
 
 
 # ---------------------------------------------------------------------------
@@ -324,6 +345,74 @@ def test_conditioning_warning_on_nearly_singular_linking():
 
 
 # ---------------------------------------------------------------------------
+# solves at the conditioning edge
+
+
+def _conditioned_algebra(seed, n, kappa_linking, kappa_metric):
+    """A random triple with rotated, geometrically spaced spectra: L
+    indefinite with condition number ``kappa_linking``, G positive definite
+    with condition number ``kappa_metric``."""
+    rng = make_rng(seed)
+
+    def rotated(spectrum):
+        Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        M = (Q * spectrum) @ Q.T
+        return (M + M.T) / 2.0
+
+    signs = np.where(np.arange(n) % 2, -1.0, 1.0)
+    L = rotated(signs * np.geomspace(1.0, 1.0 / kappa_linking, n))
+    G = rotated(np.geomspace(1.0, 1.0 / kappa_metric, n))
+    return FluidAlgebra(n, random_algebra(seed, n).triple, L, G)
+
+
+class _FactorizedAlgebra(FluidAlgebra):
+    """The same algebra, solved with SciPy's Cholesky and LU factorizations
+    (backward-stable solves, the oracle for the precomputed inverses)."""
+
+    def solve_metric(self, rhs):
+        factor = scipy.linalg.cho_factor(self.metric, lower=True)
+        return scipy.linalg.cho_solve(factor, rhs)
+
+    def solve_linking(self, rhs):
+        return scipy.linalg.lu_solve(scipy.linalg.lu_factor(self.linking), rhs)
+
+
+@pytest.mark.parametrize("kappa_linking, kappa_metric", [
+    (1.01e6, 10.0),  # just past CONDITION_WARN_THRESHOLD
+    (5e7, 10.0),     # within the LINKING_SV_RATIO limit of 1e8
+    (1.01e6, 1e9),   # within the METRIC_EIG_RATIO limit of 1e10
+])
+def test_inverses_at_the_conditioning_edge(kappa_linking, kappa_metric):
+    alg = _conditioned_algebra(30, 8, kappa_linking, kappa_metric)
+    assert validate(alg).passed
+    assert alg.linking_condition == pytest.approx(kappa_linking, rel=1e-6)
+    assert alg.metric_condition == pytest.approx(kappa_metric, rel=1e-6)
+    oracle = _FactorizedAlgebra(alg.dim, alg.triple, alg.linking, alg.metric)
+
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        report = run_identity_suite(alg, num_states=20, num_triples=5)
+        reference = run_identity_suite(oracle, num_states=20, num_triples=5)
+    assert [w.category for w in caught] == [ConditioningWarning]
+    # At these condition numbers several solve-dependent identities exceed
+    # their fixed tolerances with the factorizations too, by up to 12
+    # orders of magnitude; the inverses must pass every identity that the
+    # factorizations pass with a margin of 4.
+    for got, ref in zip(report.identities, reference.identities):
+        if ref.passed and ref.max_defect <= ref.tolerance / 4:
+            assert got.passed, got.name
+
+    eps = np.finfo(float).eps
+    rng = make_rng(31)
+    for _ in range(50):
+        X = rng.standard_normal(alg.dim)
+        for op, kappa in ((curl, kappa_metric), (inverse_curl, kappa_linking)):
+            got, expected = op(alg, X), op(oracle, X)
+            err = np.linalg.norm(got - expected)
+            assert err <= 10 * kappa * eps * np.linalg.norm(expected)
+
+
+# ---------------------------------------------------------------------------
 # file format
 
 
@@ -360,6 +449,15 @@ def test_load_rejects_unordered_entries(tmp_path):
     }
     path.write_text(json.dumps(payload))
     with pytest.raises(AlgebraFormatError):
+        load_algebra(path)
+
+
+def test_load_rejects_a_bool_dim(tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({
+        "dim": True, "triple": [], "linking": [[1.0]], "metric": [[1.0]],
+    }))
+    with pytest.raises(AlgebraFormatError, match="dim"):
         load_algebra(path)
 
 
