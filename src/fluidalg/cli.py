@@ -26,6 +26,7 @@ from .core import (
     AlgebraFormatError,
     AlgebraValidationError,
     FluidAlgebra,
+    _is_real,
     g_norm,
     load_algebra,
     make_rng,
@@ -217,6 +218,8 @@ _AXIS_PRESETS = {"axis1": 0, "axis2": 1, "axis3": 2}
 
 def _resolve_state(alg: FluidAlgebra, basis, form, label: str) -> np.ndarray:
     if isinstance(form, (list, tuple)):
+        if not all(_is_real(x) for x in form):
+            raise ConfigError(f"{label} coordinates must be numbers")
         state = np.asarray(form, dtype=float)
         if state.shape != (alg.dim,):
             raise ConfigError(

@@ -19,10 +19,15 @@ and :func:`two_product`.
 
 All arrays are float64 and are frozen (non-writeable) once an algebra is
 constructed, so algebra values are immutable and safely shareable between
-threads.  Evaluation is sequential with a fixed ascending-index summation
-order, which makes every operation bit-reproducible on a given platform.
-The sparse pair contraction accumulates its terms in canonical entry order
-through one ``np.bincount``.
+threads.  Evaluation is sequential, and each pair contraction has one
+kernel per storage kind of :class:`TripleForm`, with a fixed order of
+operations: ``einsum`` for the dense kind, one ``np.bincount`` in canonical
+entry order for the sparse kind, and, for the spectral kind of the torus,
+pocketfft (``numpy.fft``) on a fixed N^3 grid with N = 3K + 1, the
+smallest N at which the 3/2 rule removes all aliasing from the quadratic
+product (Orszag, J. Atmos. Sci. 1971).  Every operation is therefore
+bit-reproducible on one platform and NumPy version.  A spectral form stores
+no tensor; its canonical entries are materialized on demand.
 
 Two structures are detected once from the values and then used exactly:
 a metric that is exactly the identity (the metric solve is a copy of the
@@ -32,6 +37,8 @@ applied as ``w * X[cols]``; its singular values are the sorted ``|w|``).
 For finite inputs both give the same bits as the dense operations they
 replace, the products ``L @ X`` and ``I @ rhs``; for the latter, the
 right-hand side must hold no ``-0.0``, as none built by the package does.
+A linking solve with such a matrix is the scatter ``x[cols] = rhs / w``,
+one correctly rounded division per entry.
 
 Otherwise the metric and linking solves are products with the inverses
 of ``G`` and ``L``, precomputed once per algebra.  Their normwise backward
@@ -78,7 +85,7 @@ __all__ = [
     "DENSE_DIM_LIMIT",
 ]
 
-# Dense rank-3 storage up to this dimension; canonical sparse entries above.
+# Dense rank-3 storage up to this dimension; sparse or spectral above.
 DENSE_DIM_LIMIT = 64
 
 # Nondegeneracy thresholds for validation (relative to the largest
@@ -135,13 +142,50 @@ def _is_real(x) -> bool:
     return isinstance(x, numbers.Real) and not isinstance(x, bool)
 
 
+def _canonical_entries(dim: int, index, values):
+    """Check canonical ``i < j < k`` entries and return them sorted by
+    ``(i, j, k)`` as frozen arrays."""
+    index = np.asarray(index, dtype=np.intp).reshape(-1, 3)
+    values = np.asarray(values, dtype=float).reshape(-1)
+    if index.shape[0] != values.shape[0]:
+        raise AlgebraFormatError("sparse index/value length mismatch")
+    if index.size:
+        if index.min() < 0 or index.max() >= dim:
+            raise AlgebraFormatError("sparse entry index out of range")
+        i, j, k = index.T
+        if not (np.all(i < j) and np.all(j < k)):
+            raise AlgebraFormatError(
+                "sparse entries must satisfy i < j < k"
+            )
+    if not np.all(np.isfinite(values)):
+        raise AlgebraDataError("non-finite value in sparse entries")
+    order = np.lexsort((index[:, 2], index[:, 1], index[:, 0]))
+    index = index[order]
+    values = values[order]
+    if index.shape[0] > 1:
+        same = np.all(index[1:] == index[:-1], axis=1)
+        if same.any():
+            raise AlgebraFormatError("duplicate sparse entry")
+    index.setflags(write=False)
+    values.setflags(write=False)
+    return index, values
+
+
 class TripleForm:
-    """Fully antisymmetric rank-3 form with canonical sparse entries.
+    """Fully antisymmetric rank-3 form, in one of three storage kinds.
 
     The canonical representation is the list of entries ``(i, j, k, value)``
-    with ``i < j < k``; the other five index orders are implied by full
-    antisymmetry.  For dimensions up to ``DENSE_DIM_LIMIT`` a dense array is
-    kept alongside and used for pair contractions (the integrator hot path).
+    with ``i < j < k`` (``index`` and ``values``); the other five index
+    orders are implied by full antisymmetry.  The kind fixes how
+    :meth:`contract_pair`, the integrator hot path, is computed:
+
+    * ``"dense"`` -- for dimensions up to ``DENSE_DIM_LIMIT`` an (n, n, n)
+      array is kept alongside the entries and contracted by ``einsum``;
+    * ``"sparse"`` -- the canonical entries alone, contracted by one
+      ``np.bincount`` in entry order;
+    * ``"spectral"`` -- no stored tensor: a matrix-free operator computes
+      the contraction (:meth:`spectral`), and the canonical entries are
+      materialized on demand, on the first access to them.
 
     Evaluation through the canonical entries is grouped as a cofactor
     expansion along the first argument, which makes ``__call__`` *exactly*
@@ -153,31 +197,9 @@ class TripleForm:
         """``dense`` is an (n, n, n) array to keep alongside the entries,
         or a bool saying whether to build one from them."""
         self.dim = int(dim)
-        index = np.asarray(index, dtype=np.intp).reshape(-1, 3)
-        values = np.asarray(values, dtype=float).reshape(-1)
-        if index.shape[0] != values.shape[0]:
-            raise AlgebraFormatError("sparse index/value length mismatch")
-        if index.size:
-            if index.min() < 0 or index.max() >= self.dim:
-                raise AlgebraFormatError("sparse entry index out of range")
-            i, j, k = index.T
-            if not (np.all(i < j) and np.all(j < k)):
-                raise AlgebraFormatError(
-                    "sparse entries must satisfy i < j < k"
-                )
-        if not np.all(np.isfinite(values)):
-            raise AlgebraDataError("non-finite value in sparse entries")
-        order = np.lexsort((index[:, 2], index[:, 1], index[:, 0]))
-        index = index[order]
-        values = values[order]
-        if index.shape[0] > 1:
-            same = np.all(index[1:] == index[:-1], axis=1)
-            if same.any():
-                raise AlgebraFormatError("duplicate sparse entry")
-        self.index = index
-        self.values = values
-        self.index.setflags(write=False)
-        self.values.setflags(write=False)
+        self._index, self._values = _canonical_entries(self.dim, index, values)
+        self._entry_source = None
+        self.operator = None
         self.dense = None
         if isinstance(dense, bool):
             dense = self.to_dense() if dense else None
@@ -187,6 +209,26 @@ class TripleForm:
         self.dense = dense
 
     # -- constructors -------------------------------------------------
+
+    @classmethod
+    def spectral(cls, dim: int, operator, entries) -> "TripleForm":
+        """A form of the spectral kind, stored as no tensor at all.
+
+        ``operator(X, Y)`` returns the pair contraction; it must be exactly
+        antisymmetric in its arguments, as a pointwise cross product is.
+        ``entries()`` returns the canonical ``(index, values)``.  It is
+        called on the first access to the entries (``index``, ``values``,
+        ``nnz``, ``entry_list``, ``to_dense``, ``max_abs``, ``__call__``),
+        and never for a contraction.  Two threads making that first access
+        together may each compute the same entries.
+        """
+        form = cls.__new__(cls)
+        form.dim = int(dim)
+        form._index = form._values = None
+        form._entry_source = entries
+        form.operator = operator
+        form.dense = None
+        return form
 
     @classmethod
     def from_dense(cls, array) -> "TripleForm":
@@ -232,6 +274,31 @@ class TripleForm:
                    dense=dim <= DENSE_DIM_LIMIT)
 
     # -- queries ------------------------------------------------------
+
+    @property
+    def kind(self) -> str:
+        """The storage kind: ``"dense"``, ``"sparse"`` or ``"spectral"``."""
+        if self.dense is not None:
+            return "dense"
+        return "sparse" if self.operator is None else "spectral"
+
+    def _materialize(self):
+        # the entries are stored before the source is dropped, so a reader
+        # never finds neither
+        source = self._entry_source
+        if source is not None:
+            self._index, self._values = _canonical_entries(self.dim, *source())
+            self._entry_source = None
+
+    @property
+    def index(self) -> np.ndarray:
+        self._materialize()
+        return self._index
+
+    @property
+    def values(self) -> np.ndarray:
+        self._materialize()
+        return self._values
 
     @property
     def nnz(self) -> int:
@@ -288,13 +355,18 @@ class TripleForm:
     def contract_pair(self, X, Y) -> np.ndarray:
         """Return b with ``b[m] = sum_ij T[i,j,m] X_i Y_j``.
 
-        Uses the dense array when available (fixed ascending-index einsum),
-        otherwise accumulates over the canonical entries in sorted order:
-        one ``np.bincount`` adds the terms landing on k, then on i, then on
-        j, each in entry order.
+        One kernel per storage kind, each with a fixed order of operations:
+
+        * dense: ``einsum`` over the stored array, in ascending index order;
+        * sparse: one ``np.bincount`` over the canonical entries adds the
+          terms landing on k, then on i, then on j, each in entry order;
+        * spectral: the matrix-free operator (on the torus, pocketfft on a
+          fixed grid); it never materializes the entries.
         """
         if self.dense is not None:
             return np.einsum("ijm,i,j->m", self.dense, X, Y, optimize=False)
+        if self.operator is not None:
+            return self.operator(X, Y)
         if not self.values.size:
             return np.zeros(self.dim)
         i, j, k = self.index.T
@@ -465,9 +537,16 @@ class FluidAlgebra:
         return self.linking @ X
 
     def solve_linking(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve L x = rhs as the product with the cached inverse of L,
+        """Solve L x = rhs as the product with the cached inverse of L (a
+        scatter ``x[cols] = rhs / w`` when L is a weighted permutation),
         warning once if L is ill-conditioned."""
         self._warn_if_ill_conditioned()
+        perm = self._linking_permutation
+        if perm is not None:
+            cols, w = perm
+            x = np.empty(self.dim)
+            x[cols] = rhs / w
+            return x
         return self._linking_inverse @ rhs
 
     def _warn_if_ill_conditioned(self):
@@ -562,7 +641,8 @@ def validate(alg: FluidAlgebra, tol: float = 1e-12) -> ValidationReport:
 
     * full antisymmetry of the triple tensor (entrywise, against the dense
       array when one is stored; the canonical sparse layout is antisymmetric
-      by construction),
+      by construction, and so is a spectral form, whose entries are not
+      materialized here),
     * symmetry and nondegeneracy of the linking form (minimum singular
       value at least ``1e-8`` of the maximum),
     * symmetry and positive definiteness of the metric (minimum eigenvalue
@@ -575,7 +655,9 @@ def validate(alg: FluidAlgebra, tol: float = 1e-12) -> ValidationReport:
     report = ValidationReport()
 
     tf = alg.triple
-    t_scale = max(tf.max_abs(), 1.0)
+    # a spectral form keeps the unscaled threshold rather than building its
+    # entries (on the torus they are at most 1/sqrt(2) in any case)
+    t_scale = 1.0 if tf.kind == "spectral" else max(tf.max_abs(), 1.0)
     if tf.dense is not None:
         # defect = entrywise distance to the full antisymmetrization, which
         # is zero exactly when the tensor is fully antisymmetric
@@ -861,11 +943,19 @@ def load_algebra(path, tol: float = 1e-12, require_valid: bool = True) -> FluidA
     dim = payload["dim"]
     if not _is_index(dim) or dim < 1:
         raise AlgebraFormatError("dim must be a positive integer")
+    matrices = []
+    for name in ("linking", "metric"):
+        try:
+            matrices.append(np.asarray(payload[name], dtype=float))
+        except (TypeError, ValueError) as exc:
+            # ragged rows or non-numeric entries
+            raise AlgebraFormatError(
+                f"{name} must be a {dim} x {dim} matrix of numbers: {exc}"
+            ) from exc
     alg = FluidAlgebra(
         dim,
         payload["triple"],
-        np.asarray(payload["linking"], dtype=float),
-        np.asarray(payload["metric"], dtype=float),
+        *matrices,
         meta={"kind": "custom", "path": str(path)},
     )
     if require_valid:

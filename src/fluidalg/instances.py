@@ -18,6 +18,7 @@ time in the Euler ODE and nothing else.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 
@@ -255,7 +256,8 @@ def _frame(k: np.ndarray):
     """Orthonormal polarization pair: e1 = unit(k x u), e2 = unit(k) x e1.
 
     u is the first standard basis vector not parallel to k; the pair
-    (e1, e2, k/|k|) is right-handed.
+    (e1, e2, k/|k|) is right-handed.  :func:`_frames` computes the same
+    bits for all representatives at once.
     """
     kf = np.asarray(k, float)
     u = np.zeros(3)
@@ -263,6 +265,23 @@ def _frame(k: np.ndarray):
     e1 = np.cross(kf, u)
     e1 = e1 / np.linalg.norm(e1)
     e2 = np.cross(kf / np.linalg.norm(kf), e1)
+    return e1, e2
+
+
+def _frames(reps: np.ndarray):
+    """:func:`_frame` of each row of the (m, 3) integer array ``reps``.
+
+    The norms are of integer vectors, so their squares sum exactly in any
+    order; the crosses and quotients are the same operations as in
+    :func:`_frame`, which makes the bits equal.
+    """
+    kf = reps.astype(float)
+    on_x = (reps[:, 1] == 0) & (reps[:, 2] == 0)
+    u = np.zeros_like(kf)
+    u[np.arange(len(kf)), np.where(on_x, 1, 0)] = 1.0
+    e1 = np.cross(kf, u)
+    e1 = e1 / np.linalg.norm(e1, axis=1, keepdims=True)
+    e2 = np.cross(kf / np.linalg.norm(kf, axis=1, keepdims=True), e1)
     return e1, e2
 
 
@@ -306,54 +325,18 @@ def _representative_triples(rep_arr: np.ndarray, K: int):
     return [np.concatenate(parts) for parts in zip(*found)]
 
 
-def build_torus_algebra(K: int, max_dim: int = 512):
-    """Galerkin truncation of the torus fluid algebra at |k|_inf <= K.
+def _torus_entries(rep_arr: np.ndarray, e1: np.ndarray, e2: np.ndarray,
+                   K: int):
+    """Canonical ``(index, values)`` of the torus triple form, in closed
+    form from the selection rule k1 +- k2 +- k3 = 0.
 
-    Returns ``(algebra, basis)``.  The basis is L2-orthonormal so the
-    metric is the identity; the linking form couples the cos/sin pair
-    within each mode with weight 2 pi |k| (curl eigenvalues +-2 pi |k|);
-    the triple tensor is assembled in closed form from the selection rule
-    k1 +- k2 +- k3 = 0 and products of trigonometric integrals, stored as
-    canonical sparse entries sorted by (i, j, k).
+    The entry at local slots (l1, l2, l3) of the representatives
+    (r1, r2, r3) is amplitude * det * tri, where det is the determinant of
+    the three polarization vectors and tri the integral of the three trig
+    factors over the unit torus.  The product vanishes with an odd number
+    of sine factors; with none it is 1/4, and with sines in slots a and b
+    it is -s_a s_b / 4.
     """
-    if K < 1:
-        raise ValueError("K must be >= 1")
-    reps = _half_lattice(K)
-    m = len(reps)
-    dim = 4 * m
-    if dim > max_dim:
-        raise TorusSizeError(
-            f"torus truncation K={K} has dimension {dim}, above the cap "
-            f"{max_dim}; raise max_dim to build it anyway"
-        )
-    rep_arr = np.array(reps, dtype=int)
-    e1 = np.zeros((m, 3))
-    e2 = np.zeros((m, 3))
-    for r, k in enumerate(reps):
-        e1[r], e2[r] = _frame(np.array(k))
-
-    modes = [
-        TorusMode(k, pol, phase)
-        for k in reps
-        for (pol, phase) in _LOCAL_ORDER
-    ]
-    basis = TorusBasis(K=K, reps=rep_arr, e1=e1, e2=e2, modes=modes)
-
-    # linking form: within mode k, in local order (c1, s1, c2, s2),
-    # curl(c1) = -lam s2, curl(c2) = +lam s1, and symmetrically.
-    L = np.zeros((dim, dim))
-    lam = 2.0 * np.pi * np.linalg.norm(rep_arr, axis=1)
-    c1 = 4 * np.arange(m)
-    s1, c2, s2 = c1 + 1, c1 + 2, c1 + 3
-    L[s2, c1] = L[c1, s2] = -lam
-    L[s1, c2] = L[c2, s1] = lam
-
-    # triple tensor: the entry at local slots (l1, l2, l3) of the
-    # representatives (r1, r2, r3) is amplitude * det * tri, where det is
-    # the determinant of the three polarization vectors and tri the
-    # integral of the three trig factors over the unit torus.  The product
-    # vanishes with an odd number of sine factors; with none it is 1/4, and
-    # with sines in slots a and b it is -s_a s_b / 4.
     r1, r2, r3, sign2, sign3 = _representative_triples(rep_arr, K)
     # the 8 polarization dets of each triple cover all of its local slots
     pol = np.stack([e1, e2], axis=1)
@@ -380,9 +363,122 @@ def build_torus_algebra(K: int, max_dim: int = 512):
     keep = np.abs(det) > _DET_NOISE
     index = np.stack([4 * r1[t] + l1, 4 * r2[t] + l2, 4 * r3[t] + l3],
                      axis=1)[keep]
-    values = (amplitude * det * tri)[keep]
+    return index, (amplitude * det * tri)[keep]
 
-    tf = TripleForm(dim, index, values, dense=dim <= DENSE_DIM_LIMIT)
+
+class _SpectralContraction:
+    """The torus pair contraction by FFT, with no stored tensor.
+
+    Since ``T[i,j,m] = integral of (f_i x f_j) . f_m``, the contraction of
+    X and Y is the projection of the pointwise cross product of their
+    velocity fields onto the basis.  With ``A`` and ``B`` the cos and sin
+    vectors of representative k (``A = X_c1 e1 + X_c2 e2``, ``B`` from the
+    sin slots), the field's Fourier coefficient at k is ``(A - iB) / sqrt 2``.
+    Conversely, the cos and sin coordinates of a field w along polarization
+    e are ``sqrt 2 e . Re w^(k)`` and ``-sqrt 2 e . Im w^(k)``.
+
+    The fields are synthesized by ``irfftn`` on an N^3 grid, N = 3K + 1,
+    and the cross product is transformed back by ``rfftn``.  The product
+    holds wavenumbers up to 2K per axis; its aliases onto |k| <= K come
+    from N - 2K > K, so none reaches the coefficients read (the 3/2 rule,
+    Orszag 1971).  Swapping X and Y negates the cross product, and so
+    the result, bit for bit; X = Y gives exact zeros.
+    """
+
+    def __init__(self, reps: np.ndarray, e1: np.ndarray, e2: np.ndarray,
+                 K: int):
+        from numpy import fft  # loaded on the torus path only
+
+        self._irfftn, self._rfftn = fft.irfftn, fft.rfftn
+        n = 3 * K + 1
+        self._grid = (n, n, n)
+        self._half = (n, n, n // 2 + 1)  # the half spectrum of rfftn
+        self._size = n * n * (n // 2 + 1)
+        m = reps.shape[0]
+        # the half spectrum holds k when k_z >= 0, else -k, whose
+        # coefficient is the conjugate; in the plane k_z = 0 the synthesis
+        # needs -k as well, as the conjugate of k
+        flip = np.where(reps[:, 2] < 0, -1, 1)
+        self._out_pos = np.ravel_multi_index(
+            ((flip[:, None] * reps) % n).T, self._half)
+        plane = np.flatnonzero(reps[:, 2] == 0)
+        self._in_pos = np.concatenate((
+            self._out_pos,
+            np.ravel_multi_index(((-reps[plane]) % n).T, self._half)))
+        self._rows = np.concatenate((np.arange(m), plane))
+        # (re, im) signs of a stored coefficient against (A, B)
+        sign = np.ones((self._rows.size, 1, 2))
+        sign[:m, 0, 1] = -flip
+        self._sign = sign
+        frame = np.stack([e1, e2], axis=1)  # (m, polarization, 3)
+        self._synthesis = np.sqrt(0.5) * frame[self._rows].transpose(0, 2, 1)
+        self._projection = np.sqrt(2.0) * frame
+
+    def __call__(self, X, Y) -> np.ndarray:
+        m = self._projection.shape[0]
+        # [field, row, polarization, phase] -> stored (re, im) per component
+        Z = np.stack((X, Y)).reshape(2, m, 2, 2)[:, self._rows] * self._sign
+        coef = self._synthesis @ Z
+        F = np.zeros((2, 3, self._size, 2))
+        F[:, :, self._in_pos] = coef.transpose(0, 2, 1, 3)
+        uv = self._irfftn(F.view(complex).reshape((6,) + self._half),
+                          s=self._grid, axes=(1, 2, 3), norm="forward")
+        u, v = uv[:3], uv[3:]
+        w = u[[1, 2, 0]] * v[[2, 0, 1]] - u[[2, 0, 1]] * v[[1, 2, 0]]
+        W = self._rfftn(w, axes=(1, 2, 3), norm="forward").reshape(3, -1)
+        stored = np.ascontiguousarray(W[:, self._out_pos].T)
+        RI = stored.view(float).reshape(m, 3, 2) * self._sign[:m]
+        # [representative, polarization, phase] is the local slot order
+        return (self._projection @ RI).reshape(-1)
+
+
+def build_torus_algebra(K: int, max_dim: int = 512):
+    """Galerkin truncation of the torus fluid algebra at |k|_inf <= K.
+
+    Returns ``(algebra, basis)``.  The basis is L2-orthonormal so the
+    metric is the identity; the linking form couples the cos/sin pair
+    within each mode with weight 2 pi |k| (curl eigenvalues +-2 pi |k|).
+    The triple form is dense up to ``DENSE_DIM_LIMIT`` (K = 1), assembled
+    in closed form from the selection rule k1 +- k2 +- k3 = 0 and products
+    of trigonometric integrals.  Above it (K >= 2) it is of the spectral
+    kind: contractions run by FFT on a (3K+1)^3 grid, and the closed-form
+    entries are assembled only when first read.
+    """
+    if K < 1:
+        raise ValueError("K must be >= 1")
+    reps = _half_lattice(K)
+    m = len(reps)
+    dim = 4 * m
+    if dim > max_dim:
+        raise TorusSizeError(
+            f"torus truncation K={K} has dimension {dim}, above the cap "
+            f"{max_dim}; raise max_dim to build it anyway"
+        )
+    rep_arr = np.array(reps, dtype=int)
+    e1, e2 = _frames(rep_arr)
+
+    modes = [
+        TorusMode(k, pol, phase)
+        for k in reps
+        for (pol, phase) in _LOCAL_ORDER
+    ]
+    basis = TorusBasis(K=K, reps=rep_arr, e1=e1, e2=e2, modes=modes)
+
+    # linking form: within mode k, in local order (c1, s1, c2, s2),
+    # curl(c1) = -lam s2, curl(c2) = +lam s1, and symmetrically.
+    L = np.zeros((dim, dim))
+    lam = 2.0 * np.pi * np.linalg.norm(rep_arr, axis=1)
+    c1 = 4 * np.arange(m)
+    s1, c2, s2 = c1 + 1, c1 + 2, c1 + 3
+    L[s2, c1] = L[c1, s2] = -lam
+    L[s1, c2] = L[c2, s1] = lam
+
+    if dim <= DENSE_DIM_LIMIT:
+        tf = TripleForm(dim, *_torus_entries(rep_arr, e1, e2, K), dense=True)
+    else:
+        tf = TripleForm.spectral(
+            dim, _SpectralContraction(rep_arr, e1, e2, K),
+            functools.partial(_torus_entries, rep_arr, e1, e2, K))
     alg = FluidAlgebra(
         dim, tf, L, np.eye(dim), meta={"kind": "torus", "K": K}
     )

@@ -92,10 +92,11 @@ class IntegratorSpec:
             raise ValueError(
                 f"method must be one of {METHODS}, got {self.method!r}"
             )
-        if not self.dt > 0:
-            raise ValueError("dt must be > 0")
-        if self.t_end < 0:
-            raise ValueError("t_end must be >= 0")
+        if not (np.isfinite(self.dt) and self.dt > 0):
+            raise ValueError(f"dt must be finite and > 0, got {self.dt!r}")
+        if not (np.isfinite(self.t_end) and self.t_end >= 0):
+            raise ValueError(
+                f"t_end must be finite and >= 0, got {self.t_end!r}")
         if self.record_every < 1:
             raise ValueError("record_every must be >= 1")
 

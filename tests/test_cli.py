@@ -281,6 +281,69 @@ def test_custom_file_with_a_bad_triple_row_is_validation_error(
     assert err == f"validation error: bad triple entry {row!r}\n"
 
 
+@pytest.mark.parametrize("name", ["linking", "metric"])
+def test_custom_file_with_a_ragged_matrix_is_validation_error(
+        tmp_path, capsys, name):
+    payload = {
+        "dim": 3,
+        "triple": [[0, 1, 2, 1.0]],
+        "linking": np.eye(3).tolist(),
+        "metric": np.eye(3).tolist(),
+    }
+    payload[name][1] = [0.0, 1.0]
+    alg_path = tmp_path / "ragged.json"
+    alg_path.write_text(json.dumps(payload))
+    cfg = write_config(
+        tmp_path / "cfg.json",
+        {
+            "instance": {"name": "custom", "path": str(alg_path)},
+            "initial_state": [1.0, 0.0, 0.0],
+            "integrator": {"dt": 0.1, "t_end": 0.1},
+        },
+    )
+    assert main(["simulate", "--config", cfg, "--output",
+                 str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"validation error: {name} must be a 3 x 3 matrix")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_non_numeric_initial_state_is_config_error(tmp_path, capsys):
+    cfg = write_config(
+        tmp_path / "cfg.json",
+        {
+            "instance": {"name": "so3"},
+            "initial_state": [0, "a", 1],
+            "integrator": {"dt": 0.1, "t_end": 0.1},
+        },
+    )
+    assert main(["simulate", "--config", cfg, "--output",
+                 str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err == "config error: initial_state coordinates must be numbers\n"
+
+
+@pytest.mark.parametrize("key, value", [
+    ("dt", "Infinity"), ("dt", "NaN"), ("t_end", "Infinity"), ("t_end", "NaN"),
+])
+def test_non_finite_step_or_horizon_is_config_error(
+        tmp_path, capsys, key, value):
+    # JSON has no Infinity or NaN, but Python's json module reads them
+    spec = {"dt": "0.1", "t_end": "1.0", key: value}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(
+        '{"instance": {"name": "so3"}, "initial_state": [0, 1, 1], '
+        f'"integrator": {{"dt": {spec["dt"]}, "t_end": {spec["t_end"]}}}}}')
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(cfg), "--output",
+                 str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(
+        f"config error: bad integrator config: {key} must be finite")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_unwritable_output_is_config_error(tmp_path, capsys):
     blocker = tmp_path / "file"
     blocker.write_text("")
@@ -409,6 +472,17 @@ def test_diagnose_corrupt_custom_exits_three(tmp_path):
 def test_cli_import_does_not_load_scipy():
     # SciPy is a test-only oracle; the package runs on NumPy alone
     code = "import sys, fluidalg.cli; print('scipy' in sys.modules)"
+    src = os.path.dirname(os.path.dirname(fluidalg.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=60, check=True,
+                          env={**os.environ, "PYTHONPATH": path})
+    assert done.stdout == "False\n"
+
+
+def test_cli_import_does_not_load_numpy_fft():
+    # the FFT module is loaded by the torus spectral form only
+    code = "import sys, fluidalg.cli; print('numpy.fft' in sys.modules)"
     src = os.path.dirname(os.path.dirname(fluidalg.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     done = subprocess.run([sys.executable, "-c", code], capture_output=True,

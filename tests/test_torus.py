@@ -9,6 +9,7 @@ import scipy.linalg
 
 from fluidalg import (
     TorusSizeError,
+    TripleForm,
     beltrami_state,
     build_torus_algebra,
     curl,
@@ -16,13 +17,22 @@ from fluidalg import (
     euler_rhs,
     g_norm,
     helicity,
+    inverse_curl,
     make_rng,
     random_algebra,
     rk4_step,
+    run_identity_suite,
     validate,
 )
+from fluidalg import instances
 from fluidalg.cli import main
-from fluidalg.instances import _DET_NOISE, _frame
+from fluidalg.instances import (
+    _DET_NOISE,
+    _frame,
+    _frames,
+    _half_lattice,
+    _torus_entries,
+)
 
 
 @pytest.fixture(scope="module")
@@ -328,3 +338,96 @@ def test_simulate_torus_k2_with_probe_is_byte_identical(tmp_path):
             summary,
         ))
     assert outputs[0] == outputs[1]
+
+
+# ---------------------------------------------------------------------------
+# the spectral kind: FFT contraction, lazy entries, batched frames
+
+
+@pytest.mark.parametrize("K", [1, 2, 3, 4])
+def test_batched_frames_equal_the_per_representative_frame(K):
+    reps = np.array(_half_lattice(K))
+    e1, e2 = _frames(reps)
+    for r, k in enumerate(reps):
+        f1, f2 = _frame(k)
+        assert np.array_equal(e1[r], f1)
+        assert np.array_equal(e2[r], f2)
+
+
+@pytest.mark.parametrize("K", [2, 3, 4])
+def test_spectral_contraction_matches_the_stored_entries(K):
+    alg, _ = build_torus_algebra(K, max_dim=1456)
+    assert alg.triple.kind == "spectral"
+    stored = TripleForm(alg.dim, alg.triple.index, alg.triple.values)
+    assert stored.kind == "sparse"
+    rng = make_rng(70 + K)
+    for _ in range(5):
+        X, Y = rng.standard_normal((2, alg.dim))
+        got = alg.triple.contract_pair(X, Y)
+        expected = stored.contract_pair(X, Y)
+        bound = 1e-14 * np.max(np.abs(expected))
+        assert np.max(np.abs(got - expected)) <= bound
+
+
+def test_spectral_contraction_is_exactly_antisymmetric(torus_k2):
+    alg, basis = torus_k2
+    rng = make_rng(67)
+    for X, Y in [rng.standard_normal((2, alg.dim)) for _ in range(10)] + [
+            (beltrami_state(basis), rng.standard_normal(alg.dim))]:
+        b = alg.triple.contract_pair(X, Y)
+        assert np.array_equal(alg.triple.contract_pair(Y, X), -b)
+        assert not np.any(alg.triple.contract_pair(X, X))
+
+
+def test_spectral_identity_suite_passes_at_k2(torus_k2):
+    alg, _ = torus_k2
+    report = run_identity_suite(alg, num_states=10, num_triples=5)
+    assert report.passed
+    for name in ("transport-antisymmetry", "bracket-antisymmetry",
+                 "circulation-pairing-cancellation"):
+        assert report.identity(name).max_defect == 0.0
+
+
+@pytest.mark.parametrize("K", [1, 2, 3])
+def test_permutation_linking_solve_is_a_gather(K):
+    alg, _ = build_torus_algebra(K, max_dim=684)
+    assert alg._linking_permutation is not None
+    rng = make_rng(68)
+    rhs = rng.standard_normal(alg.dim)
+    got = alg.solve_linking(rhs)
+    expected = np.linalg.solve(alg.linking, rhs)
+    assert np.all(np.abs(got - expected) <= np.spacing(np.abs(expected)))
+    X = rng.standard_normal(alg.dim)
+    roundtrip = inverse_curl(alg, curl(alg, X))
+    assert np.all(np.abs(roundtrip - X) <= 2 * np.spacing(np.abs(X)))
+
+
+def test_simulate_k3_never_assembles_the_entries(tmp_path, monkeypatch):
+    calls = []
+
+    def assembly(*args):
+        calls.append(args)
+        return _torus_entries(*args)
+
+    monkeypatch.setattr(instances, "_torus_entries", assembly)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "instance": {"name": "torus", "K": 3, "max_dim": 684},
+        "initial_state": {"seed": 7, "norm": 1.0},
+        "probe": {"seed": 8, "norm": 1.0},
+        "integrator": {"method": "rk4", "dt": 1e-3, "t_end": 0.005},
+    }))
+    outputs = []
+    for run in ("a", "b"):
+        out = tmp_path / run
+        assert main(["simulate", "--config", str(cfg), "--output",
+                     str(out)]) == 0
+        outputs.append(((out / "trace.csv").read_bytes(),
+                        (out / "state.csv").read_bytes()))
+    assert calls == []
+    assert outputs[0] == outputs[1]
+    # the entries are assembled when first read, and only then
+    alg, _ = build_torus_algebra(3, max_dim=684)
+    assert alg.triple.nnz == 106264
+    assert alg.triple.values.shape == (106264,)
+    assert len(calls) == 1
