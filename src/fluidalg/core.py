@@ -21,22 +21,27 @@ All arrays are float64 and are frozen (non-writeable) once an algebra is
 constructed, so algebra values are immutable and safely shareable between
 threads.  Evaluation is sequential, and each pair contraction has one
 kernel per storage kind of :class:`TripleForm`, with a fixed order of
-operations: ``einsum`` for the dense kind, one ``np.bincount`` in canonical
-entry order for the sparse kind, and, for the spectral kind of the torus,
-pocketfft (``numpy.fft``) on a fixed N^3 grid with N = 3K + 1, the
-smallest N at which the 3/2 rule removes all aliasing from the quadratic
-product (Orszag, J. Atmos. Sci. 1971).  Every operation is therefore
-bit-reproducible on one platform and NumPy version.  A spectral form stores
-no tensor; its canonical entries are materialized on demand.
+operations: for the dense kind, the pair differences ``X_i Y_j - X_j Y_i``
+(i < j, in ``np.triu_indices`` order) times the packed rows ``T[i, j, :]``
+in one BLAS GEMV; one ``np.bincount`` in canonical entry order for the
+sparse kind; and, for the spectral kind of the torus, pocketfft
+(``numpy.fft``) on a fixed N^3 grid with N = 3K + 1, the smallest N at
+which the 3/2 rule removes all aliasing from the quadratic product
+(Orszag, J. Atmos. Sci. 1971).  Every operation is therefore
+bit-reproducible on one platform and NumPy version.  All three kernels are
+exactly antisymmetric, and the form is evaluated as
+``{X, Y, Z} = X . contract_pair(Y, Z)``.  A spectral form stores no tensor;
+its canonical entries are materialized on demand.
 
 Two structures are detected once from the values and then used exactly:
-a metric that is exactly the identity (the metric solve is a copy of the
-right-hand side and its eigenvalues are exactly ones), and a linking
-matrix with one nonzero per row and column (a permutation with weights,
-applied as ``w * X[cols]``; its singular values are the sorted ``|w|``).
-For finite inputs both give the same bits as the dense operations they
-replace, the products ``L @ X`` and ``I @ rhs``; for the latter, the
-right-hand side must hold no ``-0.0``, as none built by the package does.
+a metric that is exactly the identity (applied as a copy, the metric solve
+is a copy of the right-hand side and its eigenvalues are exactly ones),
+and a linking matrix with one nonzero per row and column (a permutation
+with weights, applied as ``w * X[cols]``; its singular values are the
+sorted ``|w|``).  For finite inputs both give the same bits as the dense
+operations they replace, the products ``L @ X``, ``I @ X`` and
+``I @ rhs``; for the identity, the input must hold no ``-0.0``, as none
+built by the package does.
 A linking solve with such a matrix is the scatter ``x[cols] = rhs / w``,
 one correctly rounded division per entry.
 
@@ -180,17 +185,19 @@ class TripleForm:
     :meth:`contract_pair`, the integrator hot path, is computed:
 
     * ``"dense"`` -- for dimensions up to ``DENSE_DIM_LIMIT`` an (n, n, n)
-      array is kept alongside the entries and contracted by ``einsum``;
+      array is kept alongside the entries; it is contracted through the
+      packed (n(n-1)/2, n) matrix of its rows ``T[i, j, :]`` with i < j,
+      cached once per form, by one BLAS GEMV;
     * ``"sparse"`` -- the canonical entries alone, contracted by one
       ``np.bincount`` in entry order;
     * ``"spectral"`` -- no stored tensor: a matrix-free operator computes
       the contraction (:meth:`spectral`), and the canonical entries are
       materialized on demand, on the first access to them.
 
-    Evaluation through the canonical entries is grouped as a cofactor
-    expansion along the first argument, which makes ``__call__`` *exactly*
-    antisymmetric under swapping the last two arguments and exactly zero
-    whenever two arguments are equal.
+    Every kind's contraction is *exactly* antisymmetric in its two
+    arguments, and ``__call__`` is ``X . contract_pair(Y, Z)``, so it
+    exactly negates when the last two arguments are swapped and is exactly
+    zero whenever two arguments are equal.
     """
 
     def __init__(self, dim: int, index, values, dense=None):
@@ -218,9 +225,9 @@ class TripleForm:
         antisymmetric in its arguments, as a pointwise cross product is.
         ``entries()`` returns the canonical ``(index, values)``.  It is
         called on the first access to the entries (``index``, ``values``,
-        ``nnz``, ``entry_list``, ``to_dense``, ``max_abs``, ``__call__``),
-        and never for a contraction.  Two threads making that first access
-        together may each compute the same entries.
+        ``nnz``, ``entry_list``, ``to_dense``, ``max_abs``), and never for a
+        contraction or an evaluation of the form.  Two threads making that
+        first access together may each compute the same entries.
         """
         form = cls.__new__(cls)
         form.dim = int(dim)
@@ -331,10 +338,12 @@ class TripleForm:
     # -- evaluation ---------------------------------------------------
 
     def __call__(self, X, Y, Z) -> float:
-        """Evaluate {X, Y, Z} through the canonical entries.
+        """Evaluate {X, Y, Z} as ``X . contract_pair(Y, Z)``.
 
         Returns exactly 0.0 when two arguments are equal, and exactly
-        negates when the last two arguments are swapped.
+        negates when the last two arguments are swapped, since every
+        kernel of :meth:`contract_pair` is exactly antisymmetric.  A
+        spectral form evaluates it without materializing its entries.
         """
         if (
             np.array_equal(X, Y)
@@ -342,29 +351,26 @@ class TripleForm:
             or np.array_equal(X, Z)
         ):
             return 0.0
-        if not self.values.size:
-            return 0.0
-        i, j, k = self.index.T
-        minors = (
-            X[i] * (Y[j] * Z[k] - Y[k] * Z[j])
-            + X[j] * (Y[k] * Z[i] - Y[i] * Z[k])
-            + X[k] * (Y[i] * Z[j] - Y[j] * Z[i])
-        )
-        return float(np.sum(self.values * minors))
+        return float(X @ self.contract_pair(Y, Z))
 
     def contract_pair(self, X, Y) -> np.ndarray:
         """Return b with ``b[m] = sum_ij T[i,j,m] X_i Y_j``.
 
-        One kernel per storage kind, each with a fixed order of operations:
+        One kernel per storage kind, each exactly antisymmetric in X and Y
+        (``contract_pair(Y, X)`` is ``-contract_pair(X, Y)`` bit for bit, and
+        ``contract_pair(X, X)`` is zero) and with a fixed order of operations:
 
-        * dense: ``einsum`` over the stored array, in ascending index order;
+        * dense: the pair differences ``X_i Y_j - X_j Y_i`` for i < j, in
+          ``np.triu_indices`` order, times the packed (n(n-1)/2, n) matrix
+          of the entries ``T[i, j, :]``, as one BLAS GEMV;
         * sparse: one ``np.bincount`` over the canonical entries adds the
           terms landing on k, then on i, then on j, each in entry order;
         * spectral: the matrix-free operator (on the torus, pocketfft on a
           fixed grid); it never materializes the entries.
         """
         if self.dense is not None:
-            return np.einsum("ijm,i,j->m", self.dense, X, Y, optimize=False)
+            iu, ju, packed = self._pairs
+            return (X[iu] * Y[ju] - X[ju] * Y[iu]) @ packed
         if self.operator is not None:
             return self.operator(X, Y)
         if not self.values.size:
@@ -379,6 +385,14 @@ class TripleForm:
             v * (Xk * Yi - Xi * Yk),
         ))
         return np.bincount(self._targets, weights=terms, minlength=self.dim)
+
+    @cached_property
+    def _pairs(self):
+        # index pairs i < j and the packed rows T[i, j, :] of the dense kernel
+        iu, ju = np.triu_indices(self.dim, 1)
+        packed = np.ascontiguousarray(self.dense[iu, ju, :])
+        packed.setflags(write=False)
+        return iu, ju, packed
 
     @cached_property
     def _targets(self) -> np.ndarray:
@@ -526,6 +540,13 @@ class FluidAlgebra:
         if self._metric_is_identity:
             return np.array(rhs, dtype=float)
         return self._metric_inverse @ rhs
+
+    def apply_metric(self, X: np.ndarray) -> np.ndarray:
+        """The product G X (a copy of X when G is the identity)."""
+        if self._metric_is_identity:
+            # + 0.0 turns a -0.0 into +0.0, so a zero norm stays +0.0
+            return X + 0.0
+        return self.metric @ X
 
     def apply_linking(self, X: np.ndarray) -> np.ndarray:
         """The product L X (a weighted gather when L is a permutation)."""
@@ -723,14 +744,14 @@ def linking(alg: FluidAlgebra, X, Y) -> float:
     """Evaluate the linking form <X, Y> = X^T L Y."""
     X = alg.state(X, "X")
     Y = alg.state(Y, "Y")
-    return float(X @ (alg.linking @ Y))
+    return float(X @ alg.apply_linking(Y))
 
 
 def metric_inner(alg: FluidAlgebra, X, Y) -> float:
     """Evaluate the metric inner product (X, Y) = X^T G Y."""
     X = alg.state(X, "X")
     Y = alg.state(Y, "Y")
-    return float(X @ (alg.metric @ Y))
+    return float(X @ alg.apply_metric(Y))
 
 
 def energy(alg: FluidAlgebra, X) -> float:
@@ -741,7 +762,7 @@ def energy(alg: FluidAlgebra, X) -> float:
 def helicity(alg: FluidAlgebra, X) -> float:
     """(X, D X) = X^T L X; the two expressions agree to round-off."""
     X = alg.state(X, "X")
-    return float(X @ (alg.linking @ X))
+    return float(X @ alg.apply_linking(X))
 
 
 def curl(alg: FluidAlgebra, X) -> np.ndarray:
@@ -753,13 +774,13 @@ def curl(alg: FluidAlgebra, X) -> np.ndarray:
 def inverse_curl(alg: FluidAlgebra, Y) -> np.ndarray:
     """Apply D' = L^-1 G, the inverse of the curl operator."""
     Y = alg.state(Y, "Y")
-    return alg.solve_linking(alg.metric @ Y)
+    return alg.solve_linking(alg.apply_metric(Y))
 
 
 def g_norm(alg: FluidAlgebra, v) -> float:
     """Metric norm sqrt(v^T G v) of a state vector."""
     v = alg.state(v, "v")
-    return float(np.sqrt(max(v @ (alg.metric @ v), 0.0)))
+    return float(np.sqrt(max(v @ alg.apply_metric(v), 0.0)))
 
 
 def g_dual_norm(alg: FluidAlgebra, r) -> float:

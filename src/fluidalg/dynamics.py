@@ -126,4 +126,4 @@ def circulation_defect(alg: FluidAlgebra, F, X) -> np.ndarray:
     DX = curl(alg, X)
     c = alg.triple.contract_pair(X, DX)
     # (F, D Z) = (L F) . Z  since D^T G = L;  {X, DX, D Z} = (L G^-1 c) . Z
-    return alg.linking @ F - alg.linking @ alg.solve_metric(c)
+    return alg.apply_linking(F) - alg.apply_linking(alg.solve_metric(c))

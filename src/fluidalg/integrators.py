@@ -137,6 +137,13 @@ class IntegrationResult:
         return len(self.records)
 
 
+# Overflow ends a step through the finiteness checks below, as a
+# NumericalFailure with a one-line message; NumPy's floating-point warnings
+# would only repeat it, so the public entry points silence them once, for
+# the whole call.
+_quiet = np.errstate(all="ignore")
+
+
 def _checked(stage: np.ndarray, label: str, t: float) -> np.ndarray:
     if not np.all(np.isfinite(stage)):
         raise NumericalFailure(f"non-finite value in {label} at t={t!r}", t)
@@ -174,6 +181,7 @@ def _rk4(alg: FluidAlgebra, X, X_lo, dt: float, t0: float):
     return _checked(X1, "step result", t0 + dt), X1_lo
 
 
+@_quiet
 def rk4_step(alg: FluidAlgebra, X, dt: float, t0: float = 0.0) -> np.ndarray:
     """One classical RK4 step of dX/dt = euler_rhs(X), in float64.
 
@@ -224,6 +232,7 @@ def _rk4_joint(alg: FluidAlgebra, X, X_lo, Z, Z_lo, dt: float, t0: float):
     )
 
 
+@_quiet
 def co_evolve_probe(alg: FluidAlgebra, X, Z, dt: float,
                     t0: float = 0.0) -> np.ndarray:
     """Advance the probe by one RK4 step of dZ/dt = D' T(X, D Z).
@@ -265,10 +274,10 @@ def project_to_invariants(alg: FluidAlgebra, X, E0: float, H0: float,
         return X
 
     DX = curl(alg, X)
-    GX = alg.metric @ X
-    GD = alg.metric @ DX
-    LX = alg.linking @ X
-    LD = alg.linking @ DX
+    GX = alg.apply_metric(X)
+    GD = alg.apply_metric(DX)
+    LX = alg.apply_linking(X)
+    LD = alg.apply_linking(DX)
     a = b = 0.0
     for _ in range(settings.max_iter):
         u = (1.0 + 2.0 * a) * X + (2.0 * b) * DX
@@ -311,6 +320,7 @@ def _plan_steps(dt: float, t_end: float):
     return n, t_end - n * dt
 
 
+@_quiet
 def integrate(alg: FluidAlgebra, X0, spec: IntegratorSpec,
               probe=None) -> IntegrationResult:
     """Advance X from t=0 to t=t_end, recording invariants along the way.

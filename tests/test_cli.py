@@ -173,7 +173,7 @@ def test_numerical_failure_flushes_partial_outputs(tmp_path):
     payload = {
         "dim": 3,
         "triple": [[0, 1, 2, big]],
-        "linking": np.eye(3).tolist(),
+        "linking": np.diag([1.0, 2.0, 3.0]).tolist(),
         "metric": np.eye(3).tolist(),
     }
     alg_path.write_text(json.dumps(payload))
@@ -191,6 +191,78 @@ def test_numerical_failure_flushes_partial_outputs(tmp_path):
     summary = json.loads((out / "summary.json").read_text())
     assert summary["failed"] is True
     assert "non-finite" in summary["failure_message"]
+
+
+def blowup_config(tmp_path, linking):
+    # a 1e150 triple form; from (1e80, 1e80, 2e80) the first RK4 stage
+    # overflows unless D X is parallel to X
+    alg_path = tmp_path / "blowup.json"
+    alg_path.write_text(json.dumps({
+        "dim": 3,
+        "triple": [[0, 1, 2, 1e150]],
+        "linking": linking,
+        "metric": np.eye(3).tolist(),
+    }))
+    return write_config(
+        tmp_path / "cfg.json",
+        {
+            "instance": {"name": "custom", "path": str(alg_path)},
+            "initial_state": [1e80, 1e80, 2e80],
+            "integrator": {"method": "rk4", "dt": 1.0, "t_end": 5.0},
+        },
+    )
+
+
+def run_cli(args, cwd):
+    """Run ``python -m fluidalg`` in a fresh process."""
+    src = os.path.dirname(os.path.dirname(fluidalg.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "fluidalg", *args],
+                          capture_output=True, text=True, timeout=120,
+                          cwd=cwd, env={**os.environ, "PYTHONPATH": path})
+
+
+def test_identity_curl_is_an_exact_equilibrium(tmp_path):
+    # with L = G = I, D X = X and {X, X, Z} = 0: the pair kernel returns
+    # exact zeros, so nothing overflows however large T and X are
+    from fluidalg import euler_rhs, load_algebra
+
+    cfg = blowup_config(tmp_path, np.eye(3).tolist())
+    alg = load_algebra(tmp_path / "blowup.json")
+    rhs = euler_rhs(alg, [1e80, 1e80, 2e80])
+    assert np.array_equal(rhs, np.zeros(3))
+    assert not np.any(np.signbit(rhs))
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", cfg, "--output", str(out)]) == 0
+    rows = read_rows(out / "state.csv")
+    assert len(rows) == 6
+    assert all(row["x2"] == "2e+80" for row in rows)
+
+
+def test_numerical_failure_prints_one_stderr_line(tmp_path):
+    cfg = blowup_config(tmp_path, np.diag([1.0, 2.0, 3.0]).tolist())
+    done = run_cli(["simulate", "--config", cfg, "--output", "out"],
+                   cwd=tmp_path)
+    assert done.returncode == 2
+    assert done.stderr.splitlines() == [
+        "numerical failure: non-finite value in stage 1 at t=0.0"
+    ]
+
+
+def test_diagnose_random32_repeats_byte_for_byte_in_fresh_processes(tmp_path):
+    cfg = write_config(tmp_path / "cfg.json", {
+        "instance": {"name": "random", "seed": 7, "n": 32},
+        "diagnostics": {"num_states": 20, "num_triples": 20},
+    })
+    runs = []
+    for out in ("a", "b"):
+        done = run_cli(["diagnose", "--config", cfg, "--output", out],
+                       cwd=tmp_path)
+        assert done.returncode == 0, done.stderr
+        runs.append((done.stdout,
+                     (tmp_path / out / "diagnostics.json").read_bytes()))
+    assert runs[0] == runs[1]
+    assert "triple-alternating" in runs[0][0]
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from fluidalg import (
     ConditioningWarning,
     FluidAlgebra,
     TripleForm,
+    build_torus_algebra,
     curl,
     energy,
     g_norm,
@@ -222,6 +223,71 @@ def test_dense_and_sparse_paths_agree():
         pair_dense = dense_form.contract_pair(X, Y)
         pair_sparse = sparse_form.contract_pair(X, Y)
         assert np.max(np.abs(pair_dense - pair_sparse)) <= 1e-13 * scale
+
+
+def _dense_algebra(n):
+    if n == "torus-k1":
+        return build_torus_algebra(1)[0]
+    return random_algebra(n, n)
+
+
+@pytest.mark.parametrize("n", [3, 6, 32, "torus-k1"])
+def test_dense_pair_kernel_is_exactly_antisymmetric(n):
+    alg = _dense_algebra(n)
+    form = alg.triple
+    assert form.kind == "dense"
+    rng = make_rng(16)
+    tmax = form.max_abs()
+    for _ in range(10):
+        X, Y = rng.standard_normal((2, alg.dim))
+        b = form.contract_pair(X, Y)
+        assert np.array_equal(form.contract_pair(Y, X), -b)
+        assert np.array_equal(form.contract_pair(X, X), np.zeros(alg.dim))
+        expected = np.einsum("ijm,i,j->m", form.dense, X, Y, optimize=False)
+        scale = tmax * np.linalg.norm(X) * np.linalg.norm(Y)
+        assert np.max(np.abs(b - expected)) <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("n", [6, 32, "torus-k1"])
+def test_dense_pair_kernel_ignores_alignment_and_strides(n):
+    alg = _dense_algebra(n)
+    m = alg.dim
+    rng = make_rng(17)
+    X, Y = rng.standard_normal((2, m))
+    b = alg.triple.contract_pair(X, Y)
+    # a view at offset 1 of a larger buffer: misaligned by 8 bytes
+    buf = np.empty(2 * m + 1)
+    Xm, Ym = buf[1:m + 1], buf[m + 1:]
+    Xm[:], Ym[:] = X, Y
+    assert Xm.ctypes.data % 16 == 8
+    assert np.array_equal(alg.triple.contract_pair(Xm, Ym), b)
+    # strided views
+    wide = np.zeros((2, 3 * m))
+    wide[0, ::3], wide[1, 1::3] = X, Y
+    assert np.array_equal(alg.triple.contract_pair(wide[0, ::3],
+                                                   wide[1, 1::3]), b)
+
+
+@pytest.mark.parametrize("kind", ["dense", "sparse", "spectral"])
+def test_triple_swap_is_exact_negation_for_every_kind(kind):
+    if kind == "spectral":
+        alg, _ = build_torus_algebra(2)
+    else:
+        alg = random_algebra(18, 7)
+        if kind == "sparse":
+            form = TripleForm(7, alg.triple.index, alg.triple.values)
+            alg = FluidAlgebra(7, form, alg.linking, alg.metric)
+    assert alg.triple.kind == kind
+    rng = make_rng(19)
+    for _ in range(10):
+        X, Y, Z = rng.standard_normal((3, alg.dim))
+        value = triple(alg, X, Y, Z)
+        assert value != 0.0
+        assert triple(alg, X, Z, Y) == -value
+        assert value == float(X @ alg.triple.contract_pair(Y, Z))
+    if kind == "spectral":
+        # evaluating the form never materializes its entries
+        assert alg.triple._entry_source is not None
 
 
 def test_triple_form_rejects_bad_entries():

@@ -1,8 +1,10 @@
 """Identity suite coverage and reporting."""
 
+import numpy as np
 
 from fluidalg import (
     IDENTITY_NAMES,
+    FluidAlgebra,
     build_torus_algebra,
     random_algebra,
     rigid_body,
@@ -74,3 +76,14 @@ def test_suite_is_deterministic():
     b = run_identity_suite(random_algebra(8, 5), num_states=10, seed=7)
     for ra, rb in zip(a.identities, b.identities):
         assert ra.max_defect == rb.max_defect
+
+
+def test_triple_alternating_reads_the_stored_array():
+    # the pair kernels are alternating by construction; the identity must
+    # still see a stored array that is not antisymmetric
+    T = random_algebra(13, 5).triple.to_dense().copy()
+    T[0, 0, 1] = 1e-3
+    alg = FluidAlgebra(5, T, np.eye(5), np.eye(5))
+    report = run_identity_suite(alg, num_states=5, num_triples=0)
+    result = report.identity("triple-alternating")
+    assert not result.passed and result.max_defect > 1e-6

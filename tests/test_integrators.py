@@ -61,7 +61,7 @@ def test_step_raises_on_overflow():
     T = np.zeros((3, 3, 3))
     T[0, 1, 2] = T[1, 2, 0] = T[2, 0, 1] = 1e155
     T[1, 0, 2] = T[0, 2, 1] = T[2, 1, 0] = -1e155
-    alg = FluidAlgebra(3, T, np.eye(3), np.eye(3))
+    alg = FluidAlgebra(3, T, np.diag([1.0, 2.0, 3.0]), np.eye(3))
     with pytest.raises(NumericalFailure):
         rk4_step(alg, np.array([1e80, 2e80, 0.0]), 1.0)
 
@@ -205,7 +205,8 @@ def test_numerical_failure_preserves_partial_trace():
 def test_numerical_failure_flags_the_recorded_state_once():
     # the first step overflows, so the last good state is the t=0 record:
     # it takes the flag, and no second row is written at t=0
-    alg = FluidAlgebra(3, [[0, 1, 2, 1e150]], np.eye(3), np.eye(3))
+    alg = FluidAlgebra(3, [[0, 1, 2, 1e150]], np.diag([1.0, 2.0, 3.0]),
+                       np.eye(3))
     spec = IntegratorSpec(method="rk4", dt=1.0, t_end=5.0)
     res = integrate(alg, [1e80, 1e80, 2e80], spec)
     assert res.failed

@@ -8,6 +8,7 @@ import pytest
 import scipy.linalg
 
 from fluidalg import (
+    FluidAlgebra,
     TorusSizeError,
     TripleForm,
     beltrami_state,
@@ -18,7 +19,9 @@ from fluidalg import (
     g_norm,
     helicity,
     inverse_curl,
+    linking,
     make_rng,
+    metric_inner,
     random_algebra,
     rk4_step,
     run_identity_suite,
@@ -281,6 +284,33 @@ def test_permutation_curl_is_the_dense_product_bitwise(fixture, request):
         expected = alg.solve_metric(alg.linking @ X)
         assert np.array_equal(got, expected)
         assert np.array_equal(np.signbit(got), np.signbit(expected))
+
+
+@pytest.mark.parametrize("fixture", ["torus_k1", "torus_k2"])
+def test_structured_operators_leave_diagnose_unchanged(fixture, request,
+                                                       monkeypatch):
+    alg, basis = request.getfixturevalue(fixture)
+    assert alg._metric_is_identity and alg._linking_permutation is not None
+    rng = make_rng(69)
+    X = rng.standard_normal(alg.dim)
+    for Y in (rng.standard_normal(alg.dim), beltrami_state(basis)):
+        assert metric_inner(alg, X, Y) == float(X @ (alg.metric @ Y))
+        assert linking(alg, X, Y) == float(X @ (alg.linking @ Y))
+        assert helicity(alg, Y) == float(Y @ (alg.linking @ Y))
+        assert g_norm(alg, Y) == float(np.sqrt(Y @ (alg.metric @ Y)))
+        assert np.array_equal(inverse_curl(alg, Y),
+                              alg.solve_linking(alg.metric @ Y))
+    # the identity-metric copy keeps a zero norm +0.0
+    zero = g_norm(alg, np.full(alg.dim, -0.0))
+    assert zero == 0.0 and not np.signbit(zero)
+    # the suite reports the same bytes with the dense products
+    fast = json.dumps(run_identity_suite(alg, 6, num_triples=3).to_dict())
+    monkeypatch.setattr(FluidAlgebra, "apply_metric",
+                        lambda self, v: self.metric @ v)
+    monkeypatch.setattr(FluidAlgebra, "apply_linking",
+                        lambda self, v: self.linking @ v)
+    dense = json.dumps(run_identity_suite(alg, 6, num_triples=3).to_dict())
+    assert fast == dense
 
 
 def test_permutation_singular_values_match_svd(torus_k2):
