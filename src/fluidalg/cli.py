@@ -32,7 +32,7 @@ from .core import (
     make_rng,
     validate,
 )
-from .diagnostics import run_identity_suite
+from .diagnostics import _check_sample, run_identity_suite
 from .instances import (
     TorusSizeError,
     beltrami_state,
@@ -410,9 +410,13 @@ def cmd_diagnose(args) -> int:
     diag_cfg = cfg.get("diagnostics", {})
     if not isinstance(diag_cfg, dict):
         raise ConfigError('"diagnostics" must be an object')
-    num_states = int(diag_cfg.get("num_states", 20))
-    num_triples = int(diag_cfg.get("num_triples", 40))
-    seed = int(diag_cfg.get("seed", 2024))
+    num_states = diag_cfg.get("num_states", 20)
+    num_triples = diag_cfg.get("num_triples", 40)
+    seed = diag_cfg.get("seed", 2024)
+    try:
+        _check_sample(num_states, num_triples, seed)
+    except ValueError as exc:
+        raise ConfigError(f"bad diagnostics config: {exc}") from exc
 
     alg, _ = _build_instance(cfg.get("instance"))
     validate(alg).require()

@@ -33,6 +33,22 @@ exactly antisymmetric, and the form is evaluated as
 ``{X, Y, Z} = X . contract_pair(Y, Z)``.  A spectral form stores no tensor;
 its canonical entries are materialized on demand.
 
+Every operator-layer entry point -- :meth:`TripleForm.contract_pair` and
+``__call__``, the four products of :class:`FluidAlgebra` with G, G^-1, L
+and L^-1, and the forms, curl pair and norms below -- takes one state of
+shape (n,) or a block of B states of shape (B, n), states along the last
+axis, and gives a block, row for row, the bits that each of its states
+gives alone.  Products are one GEMV per contiguous row (``np.matvec``,
+``np.vecmat``, whose bits for a 1-D operand are those of ``@``), inner
+products are ``np.vecdot`` (the bits of ``x @ y``), the sparse kernel
+offsets the slots of each row in one ``np.bincount``, and pocketfft
+transforms the fields of a block one at a time.  A GEMM over a block
+would be faster but rounds differently, so it is not used.  A kernel
+contracts a block in chunks of rows whose temporaries hold about 64 kB.
+The arguments of one call are all states or all blocks of one B; any
+other shape raises :class:`AlgebraFormatError` where the functions below
+check their arguments.
+
 Two structures are detected once from the values and then used exactly:
 a metric that is exactly the identity (applied as a copy, the metric solve
 is a copy of the right-hand side and its eigenvalues are exactly ones),
@@ -93,6 +109,14 @@ __all__ = [
 # Dense rank-3 storage up to this dimension; sparse or spectral above.
 DENSE_DIM_LIMIT = 64
 
+# Floats per temporary array when a kernel runs on a block of states,
+# which it does in chunks of rows: 64 kB stays in cache and below the size
+# that the C allocator maps fresh, and faults in, on every allocation.  At
+# n = 32 the identity suite ran 2.5x slower with its 50-row blocks
+# contracted in one piece than in 16-row chunks (2-core x86, one BLAS
+# thread).
+_BLOCK_TERMS = 1 << 13
+
 # Nondegeneracy thresholds for validation (relative to the largest
 # singular value / eigenvalue).  Chosen so that curl solves remain
 # trustworthy at double precision.
@@ -130,13 +154,60 @@ def make_rng(seed) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seed))
 
 
-def _as_state(dim: int, X, name: str = "state") -> np.ndarray:
+def _as_state(dim: int, X, name: str = "state", block: bool = False,
+              like=None) -> np.ndarray:
+    """``X`` as a float64 array of shape (dim,); with ``block``, a (B, dim)
+    block of states is taken too, and with ``like``, exactly the shape of
+    that array is."""
     X = np.asarray(X, dtype=float)
-    if X.shape != (dim,):
-        raise AlgebraFormatError(
-            f"{name} has shape {X.shape}, expected ({dim},)"
-        )
-    return X
+    if like is not None:
+        if X.shape == like.shape:
+            return X
+        expected = like.shape
+    else:
+        if X.shape == (dim,) or (block and X.ndim == 2
+                                 and X.shape[1] == dim):
+            return X
+        expected = f"({dim},) or (B, {dim})" if block else f"({dim},)"
+    raise AlgebraFormatError(f"{name} has shape {X.shape}, expected "
+                             f"{expected}")
+
+
+# BLAS takes a different path for a strided vector than for a contiguous
+# one, with other bits, and advanced indexing along the last axis of a
+# block gives strided rows; so the products below first make the rows
+# contiguous.  A state's bits then depend on its values alone.
+
+
+def _matvec(M: np.ndarray, X: np.ndarray) -> np.ndarray:
+    # M applied to each state along the last axis, one GEMV per row; for a
+    # contiguous 1-D X the bits are those of M @ X
+    return np.matvec(M, np.ascontiguousarray(X))
+
+
+def _dot(X: np.ndarray, Y: np.ndarray):
+    # the inner products of the rows, one BLAS dot each, with the bits of
+    # x @ y for contiguous 1-D x and y
+    return np.vecdot(np.ascontiguousarray(X), np.ascontiguousarray(Y))
+
+
+def _in_chunks(kernel, row_terms: int, *blocks):
+    """``kernel(*blocks)`` for states or (B, n) blocks, run on chunks of
+    rows whose temporaries hold about ``_BLOCK_TERMS`` floats when each
+    row takes ``row_terms`` of them."""
+    rows = blocks[0].shape[0] if blocks[0].ndim == 2 else 1
+    step = max(1, _BLOCK_TERMS // row_terms)
+    if rows <= step:
+        return kernel(*blocks)
+    return np.concatenate([
+        kernel(*(block[start:start + step] for block in blocks))
+        for start in range(0, rows, step)
+    ])
+
+
+def _scalars(v):
+    # a float for one state, the array of per-row values for a block
+    return float(v) if v.ndim == 0 else v
 
 
 def _is_index(x) -> bool:
@@ -221,8 +292,12 @@ class TripleForm:
     def spectral(cls, dim: int, operator, entries) -> "TripleForm":
         """A form of the spectral kind, stored as no tensor at all.
 
-        ``operator(X, Y)`` returns the pair contraction; it must be exactly
-        antisymmetric in its arguments, as a pointwise cross product is.
+        ``operator(X, Y)`` returns the pair contraction of two states, or
+        of two (B, dim) blocks row by row with the bits of each row alone;
+        it must be exactly antisymmetric in its arguments, as a pointwise
+        cross product is.  A block is given to it in chunks of
+        ``_BLOCK_TERMS // row_terms`` rows, with ``row_terms`` its
+        optional attribute (``dim`` without it).
         ``entries()`` returns the canonical ``(index, values)``.  It is
         called on the first access to the entries (``index``, ``values``,
         ``nnz``, ``entry_list``, ``to_dense``, ``max_abs``), and never for a
@@ -337,54 +412,88 @@ class TripleForm:
 
     # -- evaluation ---------------------------------------------------
 
-    def __call__(self, X, Y, Z) -> float:
+    def __call__(self, X, Y, Z):
         """Evaluate {X, Y, Z} as ``X . contract_pair(Y, Z)``.
 
-        Returns exactly 0.0 when two arguments are equal, and exactly
-        negates when the last two arguments are swapped, since every
-        kernel of :meth:`contract_pair` is exactly antisymmetric.  A
-        spectral form evaluates it without materializing its entries.
+        The arguments are single states (n,), giving a float, or (B, n)
+        blocks, giving the B values of the rows, each with the bits of its
+        row evaluated alone.  A row is exactly 0.0 when two of its
+        arguments are equal, and the value exactly negates when the last
+        two arguments are swapped, since every kernel of
+        :meth:`contract_pair` is exactly antisymmetric.  A spectral form
+        evaluates it without materializing its entries.
         """
-        if (
-            np.array_equal(X, Y)
-            or np.array_equal(Y, Z)
-            or np.array_equal(X, Z)
-        ):
-            return 0.0
-        return float(X @ self.contract_pair(Y, Z))
+        repeated = ((X == Y).all(axis=-1) | (Y == Z).all(axis=-1)
+                    | (X == Z).all(axis=-1))
+        value = np.where(repeated, 0.0,
+                         _dot(X, self.contract_pair(Y, Z)))
+        return _scalars(value)
 
     def contract_pair(self, X, Y) -> np.ndarray:
         """Return b with ``b[m] = sum_ij T[i,j,m] X_i Y_j``.
 
-        One kernel per storage kind, each exactly antisymmetric in X and Y
-        (``contract_pair(Y, X)`` is ``-contract_pair(X, Y)`` bit for bit, and
-        ``contract_pair(X, X)`` is zero) and with a fixed order of operations:
+        ``X`` and ``Y`` are single states (n,) or (B, n) blocks of one
+        shape; a block gives, row for row, the bits of its rows contracted
+        alone.  One kernel per storage kind, each exactly antisymmetric in
+        X and Y (``contract_pair(Y, X)`` is ``-contract_pair(X, Y)`` bit for
+        bit, and ``contract_pair(X, X)`` is zero) and with a fixed order of
+        operations:
 
         * dense: the pair differences ``X_i Y_j - X_j Y_i`` for i < j, in
           ``np.triu_indices`` order, times the packed (n(n-1)/2, n) matrix
-          of the entries ``T[i, j, :]``, as one BLAS GEMV;
-        * sparse: one ``np.bincount`` over the canonical entries adds the
-          terms landing on k, then on i, then on j, each in entry order;
+          of the entries ``T[i, j, :]``, as one BLAS GEMV per row;
+        * sparse: one ``np.bincount`` over the canonical entries, with the
+          slots of row r offset by r n, adds the terms landing on k, then
+          on i, then on j, each in entry order;
         * spectral: the matrix-free operator (on the torus, pocketfft on a
-          fixed grid); it never materializes the entries.
+          fixed grid, batched over the rows); it never materializes the
+          entries.
+
+        A block runs through the kernel in chunks of rows
+        (:func:`_in_chunks`).
         """
+        if X.ndim == 1:
+            return self._kernel(X, Y)
+        return _in_chunks(self._kernel, self._row_terms, X, Y)
+
+    def _kernel(self, X, Y) -> np.ndarray:
+        # the kind's kernel on one state or on a chunk of rows
         if self.dense is not None:
             iu, ju, packed = self._pairs
-            return (X[iu] * Y[ju] - X[ju] * Y[iu]) @ packed
+            # take, not X[..., iu], keeps the rows of a block contiguous:
+            # one GEMV per contiguous row has the bits of the 1-D kernel
+            Xi, Xj = X.take(iu, axis=-1), X.take(ju, axis=-1)
+            Yi, Yj = Y.take(iu, axis=-1), Y.take(ju, axis=-1)
+            return np.vecmat(Xi * Yj - Xj * Yi, packed)
         if self.operator is not None:
             return self.operator(X, Y)
         if not self.values.size:
-            return np.zeros(self.dim)
-        i, j, k = self.index.T
+            return np.zeros(X.shape)
+        i, j, k = self._columns
         v = self.values
-        Xi, Xj, Xk = X[i], X[j], X[k]
-        Yi, Yj, Yk = Y[i], Y[j], Y[k]
+        Xi, Xj, Xk = X.take(i, axis=-1), X.take(j, axis=-1), X.take(k, axis=-1)
+        Yi, Yj, Yk = Y.take(i, axis=-1), Y.take(j, axis=-1), Y.take(k, axis=-1)
         terms = np.concatenate((
             v * (Xi * Yj - Xj * Yi),
             v * (Xj * Yk - Xk * Yj),
             v * (Xk * Yi - Xi * Yk),
-        ))
-        return np.bincount(self._targets, weights=terms, minlength=self.dim)
+        ), axis=-1)
+        slots = self._targets
+        if X.ndim == 2:
+            # the slots of row r are offset by r n
+            slots = (slots + self.dim * np.arange(X.shape[0])[:, None]).ravel()
+        out = np.bincount(slots, weights=terms.ravel(), minlength=X.size)
+        return out.reshape(X.shape)
+
+    @cached_property
+    def _row_terms(self) -> int:
+        # floats per row in the largest temporaries of the kernel, or what
+        # the spectral operator gives instead
+        if self.dense is not None:
+            return max(1, len(self._pairs[0]))
+        if self.operator is not None:
+            return getattr(self.operator, "row_terms", self.dim)
+        return max(1, self._targets.size)
 
     @cached_property
     def _pairs(self):
@@ -395,9 +504,15 @@ class TripleForm:
         return iu, ju, packed
 
     @cached_property
+    def _columns(self):
+        # the index columns i, j, k of the entries, each contiguous, which
+        # halves the time of the gathers of the sparse contraction
+        return tuple(np.ascontiguousarray(c) for c in self.index.T)
+
+    @cached_property
     def _targets(self) -> np.ndarray:
         # output slot of each term of the sparse contraction: k, i, j
-        i, j, k = self.index.T
+        i, j, k = self._columns
         return np.concatenate((k, i, j))
 
 
@@ -534,19 +649,22 @@ class FluidAlgebra:
             return np.inf
         return float(ev[-1] / ev[0])
 
+    # The four products below take a state (n,) or a (B, n) block of
+    # states and give each row the bits of that row alone.
+
     def solve_metric(self, rhs: np.ndarray) -> np.ndarray:
         """Solve G x = rhs as the product with the cached inverse of G (a
         copy of rhs when G is the identity)."""
         if self._metric_is_identity:
             return np.array(rhs, dtype=float)
-        return self._metric_inverse @ rhs
+        return _matvec(self._metric_inverse, rhs)
 
     def apply_metric(self, X: np.ndarray) -> np.ndarray:
         """The product G X (a copy of X when G is the identity)."""
         if self._metric_is_identity:
             # + 0.0 turns a -0.0 into +0.0, so a zero norm stays +0.0
             return X + 0.0
-        return self.metric @ X
+        return _matvec(self.metric, X)
 
     def apply_linking(self, X: np.ndarray) -> np.ndarray:
         """The product L X (a weighted gather when L is a permutation)."""
@@ -554,8 +672,8 @@ class FluidAlgebra:
         if perm is not None:
             cols, w = perm
             # + 0.0 turns the -0.0 of a zero product into the +0.0 of a sum
-            return w * X[cols] + 0.0
-        return self.linking @ X
+            return w * X.take(cols, axis=-1) + 0.0
+        return _matvec(self.linking, X)
 
     def solve_linking(self, rhs: np.ndarray) -> np.ndarray:
         """Solve L x = rhs as the product with the cached inverse of L (a
@@ -565,10 +683,10 @@ class FluidAlgebra:
         perm = self._linking_permutation
         if perm is not None:
             cols, w = perm
-            x = np.empty(self.dim)
-            x[cols] = rhs / w
+            x = np.empty(np.shape(rhs))
+            x[..., cols] = rhs / w
             return x
-        return self._linking_inverse @ rhs
+        return _matvec(self._linking_inverse, rhs)
 
     def _warn_if_ill_conditioned(self):
         if self._conditioning_warned:
@@ -583,8 +701,11 @@ class FluidAlgebra:
                 stacklevel=3,
             )
 
-    def state(self, X, name: str = "state") -> np.ndarray:
-        return _as_state(self.dim, X, name)
+    def state(self, X, name: str = "state", block: bool = False,
+              like=None) -> np.ndarray:
+        """``X`` checked as one state (n,); see :func:`_as_state` for
+        ``block`` and ``like``."""
+        return _as_state(self.dim, X, name, block, like)
 
     def __repr__(self):
         tag = self.meta.get("kind", "custom")
@@ -732,61 +853,69 @@ def validate(alg: FluidAlgebra, tol: float = 1e-12) -> ValidationReport:
 # the three forms and the curl pair
 
 
-def triple(alg: FluidAlgebra, X, Y, Z) -> float:
+# Each function below takes single states (n,) or (B, n) blocks of states
+# with one B, and gives for a block the values of its rows, each with the
+# bits of that row evaluated alone: a product is one GEMV per row and an
+# inner product is ``np.vecdot``, which has the bits of ``x @ y``.
+
+
+def triple(alg: FluidAlgebra, X, Y, Z):
     """Evaluate the alternating form {X, Y, Z}."""
-    X = alg.state(X, "X")
-    Y = alg.state(Y, "Y")
-    Z = alg.state(Z, "Z")
+    X = alg.state(X, "X", block=True)
+    Y = alg.state(Y, "Y", like=X)
+    Z = alg.state(Z, "Z", like=X)
     return alg.triple(X, Y, Z)
 
 
-def linking(alg: FluidAlgebra, X, Y) -> float:
+def linking(alg: FluidAlgebra, X, Y):
     """Evaluate the linking form <X, Y> = X^T L Y."""
-    X = alg.state(X, "X")
-    Y = alg.state(Y, "Y")
-    return float(X @ alg.apply_linking(Y))
+    X = alg.state(X, "X", block=True)
+    Y = alg.state(Y, "Y", like=X)
+    return _scalars(_dot(X, alg.apply_linking(Y)))
 
 
-def metric_inner(alg: FluidAlgebra, X, Y) -> float:
+def metric_inner(alg: FluidAlgebra, X, Y):
     """Evaluate the metric inner product (X, Y) = X^T G Y."""
-    X = alg.state(X, "X")
-    Y = alg.state(Y, "Y")
-    return float(X @ alg.apply_metric(Y))
+    X = alg.state(X, "X", block=True)
+    Y = alg.state(Y, "Y", like=X)
+    return _scalars(_dot(X, alg.apply_metric(Y)))
 
 
-def energy(alg: FluidAlgebra, X) -> float:
+def energy(alg: FluidAlgebra, X):
     """(X, X); nonnegative, zero only at X = 0."""
     return metric_inner(alg, X, X)
 
 
-def helicity(alg: FluidAlgebra, X) -> float:
+def helicity(alg: FluidAlgebra, X):
     """(X, D X) = X^T L X; the two expressions agree to round-off."""
-    X = alg.state(X, "X")
-    return float(X @ alg.apply_linking(X))
+    X = alg.state(X, "X", block=True)
+    return _scalars(_dot(X, alg.apply_linking(X)))
 
 
 def curl(alg: FluidAlgebra, X) -> np.ndarray:
     """Apply the curl operator D = G^-1 L, defined by (D X, Y) = <X, Y>."""
-    X = alg.state(X, "X")
+    X = alg.state(X, "X", block=True)
     return alg.solve_metric(alg.apply_linking(X))
 
 
 def inverse_curl(alg: FluidAlgebra, Y) -> np.ndarray:
     """Apply D' = L^-1 G, the inverse of the curl operator."""
-    Y = alg.state(Y, "Y")
+    Y = alg.state(Y, "Y", block=True)
     return alg.solve_linking(alg.apply_metric(Y))
 
 
-def g_norm(alg: FluidAlgebra, v) -> float:
+def g_norm(alg: FluidAlgebra, v):
     """Metric norm sqrt(v^T G v) of a state vector."""
-    v = alg.state(v, "v")
-    return float(np.sqrt(max(v @ alg.apply_metric(v), 0.0)))
+    v = alg.state(v, "v", block=True)
+    return _scalars(np.sqrt(np.maximum(_dot(v, alg.apply_metric(v)),
+                                       0.0)))
 
 
-def g_dual_norm(alg: FluidAlgebra, r) -> float:
+def g_dual_norm(alg: FluidAlgebra, r):
     """Dual metric norm sqrt(r^T G^-1 r) of a linear functional."""
-    r = alg.state(r, "r")
-    return float(np.sqrt(max(r @ alg.solve_metric(r), 0.0)))
+    r = alg.state(r, "r", block=True)
+    return _scalars(np.sqrt(np.maximum(_dot(r, alg.solve_metric(r)),
+                                       0.0)))
 
 
 # ---------------------------------------------------------------------------

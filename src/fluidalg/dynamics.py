@@ -19,7 +19,9 @@ The companion operators implemented here:
   Euler right-hand side (the uniqueness characterization).
 
 All functions are pure; they share the metric and linking inverses
-precomputed once per ``FluidAlgebra`` value.
+precomputed once per ``FluidAlgebra`` value.  Each takes single states
+(n,) or (B, n) blocks of states with one B, and gives a block the rows it
+gives each of its states alone, bit for bit (see :mod:`fluidalg.core`).
 """
 
 from __future__ import annotations
@@ -59,7 +61,7 @@ def _finite(v: np.ndarray, label: str) -> np.ndarray:
 
 def euler_rhs(alg: FluidAlgebra, X) -> np.ndarray:
     """Right-hand side of the Euler ODE: V with (V, Z) = {X, D X, Z}."""
-    X = alg.state(X, "X")
+    X = alg.state(X, "X", block=True)
     DX = curl(alg, X)
     c = alg.triple.contract_pair(X, DX)
     return _finite(alg.solve_metric(c), "Euler right-hand side")
@@ -72,7 +74,7 @@ def euler_rhs_info(alg: FluidAlgebra, X) -> RhsEvaluation:
 
 def vorticity_rhs(alg: FluidAlgebra, Y) -> np.ndarray:
     """Evolution of a vorticity state: W with (W, Z) = {D'Y, Y, D Z}."""
-    Y = alg.state(Y, "Y")
+    Y = alg.state(Y, "Y", block=True)
     X = inverse_curl(alg, Y)
     b = alg.triple.contract_pair(X, Y)
     # {X, Y, D Z} = b . (D Z) = (D^T b) . Z, and G^-1 D^T = G^-1 L G^-1,
@@ -83,16 +85,16 @@ def vorticity_rhs(alg: FluidAlgebra, Y) -> np.ndarray:
 
 def transport(alg: FluidAlgebra, X, Z) -> np.ndarray:
     """Infinitesimal transport of Z by X: t with (t, W) = {X, Z, D W}."""
-    X = alg.state(X, "X")
-    Z = alg.state(Z, "Z")
+    X = alg.state(X, "X", block=True)
+    Z = alg.state(Z, "Z", like=X)
     b = alg.triple.contract_pair(X, Z)
     return _finite(curl(alg, alg.solve_metric(b)), "transport value")
 
 
 def induced_bracket(alg: FluidAlgebra, X, Y) -> np.ndarray:
     """Bracket [X, Y] defined through the linking form: <[X,Y], Z> = {X,Y,Z}."""
-    X = alg.state(X, "X")
-    Y = alg.state(Y, "Y")
+    X = alg.state(X, "X", block=True)
+    Y = alg.state(Y, "Y", like=X)
     b = alg.triple.contract_pair(X, Y)
     return alg.solve_linking(b)
 
@@ -103,9 +105,9 @@ def jacobiator(alg: FluidAlgebra, X, Y, Z) -> np.ndarray:
     Its norm is the Jacobi defect: identically zero on algebras built from
     a Lie algebra with invariant pairing, generically nonzero otherwise.
     """
-    X = alg.state(X, "X")
-    Y = alg.state(Y, "Y")
-    Z = alg.state(Z, "Z")
+    X = alg.state(X, "X", block=True)
+    Y = alg.state(Y, "Y", like=X)
+    Z = alg.state(Z, "Z", like=X)
     return (
         induced_bracket(alg, induced_bracket(alg, X, Y), Z)
         + induced_bracket(alg, induced_bracket(alg, Y, Z), X)
@@ -121,8 +123,8 @@ def circulation_defect(alg: FluidAlgebra, F, X) -> np.ndarray:
     is invertible the residual detects any perturbation of F.  Both pairings
     are deterministic, so at F = euler_rhs(X) the residual is exactly zero.
     """
-    F = alg.state(F, "F")
-    X = alg.state(X, "X")
+    F = alg.state(F, "F", block=True)
+    X = alg.state(X, "X", like=F)
     DX = curl(alg, X)
     c = alg.triple.contract_pair(X, DX)
     # (F, D Z) = (L F) . Z  since D^T G = L;  {X, DX, D Z} = (L G^-1 c) . Z

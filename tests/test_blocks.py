@@ -1,0 +1,127 @@
+"""Blocks of states: every operator-layer entry point takes one state (n,)
+or a (B, n) block, and a block gives each row the bits of that row alone."""
+
+import numpy as np
+import pytest
+
+from fluidalg import (
+    AlgebraFormatError,
+    build_torus_algebra,
+    curl,
+    energy,
+    g_dual_norm,
+    g_norm,
+    helicity,
+    inverse_curl,
+    linking,
+    make_rng,
+    metric_inner,
+    random_algebra,
+    triple,
+)
+from fluidalg.dynamics import (
+    circulation_defect,
+    euler_rhs,
+    induced_bracket,
+    jacobiator,
+    transport,
+    vorticity_rhs,
+)
+
+
+# name -> (f(alg, *states), number of state arguments)
+ENTRY_POINTS = {
+    "TripleForm.contract_pair": (lambda a, X, Y: a.triple.contract_pair(X, Y), 2),
+    "TripleForm.__call__": (lambda a, X, Y, Z: a.triple(X, Y, Z), 3),
+    "FluidAlgebra.apply_metric": (lambda a, X: a.apply_metric(X), 1),
+    "FluidAlgebra.solve_metric": (lambda a, X: a.solve_metric(X), 1),
+    "FluidAlgebra.apply_linking": (lambda a, X: a.apply_linking(X), 1),
+    "FluidAlgebra.solve_linking": (lambda a, X: a.solve_linking(X), 1),
+    "curl": (curl, 1),
+    "inverse_curl": (inverse_curl, 1),
+    "triple": (triple, 3),
+    "linking": (linking, 2),
+    "metric_inner": (metric_inner, 2),
+    "energy": (energy, 1),
+    "helicity": (helicity, 1),
+    "g_norm": (g_norm, 1),
+    "g_dual_norm": (g_dual_norm, 1),
+    "euler_rhs": (euler_rhs, 1),
+    "vorticity_rhs": (vorticity_rhs, 1),
+    "transport": (transport, 2),
+    "induced_bracket": (induced_bracket, 2),
+    "jacobiator": (jacobiator, 3),
+    "circulation_defect": (circulation_defect, 2),
+}
+
+# the entry points that check the shapes of their arguments
+CHECKED = [name for name in ENTRY_POINTS
+           if not name.startswith(("TripleForm.", "FluidAlgebra."))]
+
+SCALAR_VALUED = {"TripleForm.__call__", "triple", "linking", "metric_inner",
+                 "energy", "helicity", "g_norm", "g_dual_norm"}
+
+
+def bits(x):
+    return np.asarray(x, dtype=float).tobytes()
+
+
+# 40 rows cross the chunks of rows that every kernel here runs at once
+@pytest.mark.parametrize("rows", [0, 1, 7, 40])
+@pytest.mark.parametrize("name", list(ENTRY_POINTS))
+def test_block_rows_have_the_bits_of_single_states(kind_algebra, name, rows):
+    alg = kind_algebra
+    f, nargs = ENTRY_POINTS[name]
+    blocks = make_rng(31).standard_normal((nargs, rows, alg.dim))
+    got = f(alg, *blocks)
+    assert isinstance(got, np.ndarray)
+    expected_shape = (rows,) if name in SCALAR_VALUED else (rows, alg.dim)
+    assert got.shape == expected_shape
+    for r in range(rows):
+        one = f(alg, *(block[r] for block in blocks))
+        if name in SCALAR_VALUED:
+            assert isinstance(one, float)
+        assert bits(got[r]) == bits(one), (name, r)
+
+
+def test_repeated_arguments_give_exact_zero_rows(kind_algebra):
+    alg = kind_algebra
+    rng = make_rng(32)
+    X, Y, Z = rng.standard_normal((3, 5, alg.dim))
+    Y[0] = X[0]
+    Z[1] = Y[1]
+    Z[2] = X[2]
+    values = triple(alg, X, Y, Z)
+    assert bits(values[:3]) == bits(np.zeros(3))
+    for r in range(5):
+        assert bits(values[r]) == bits(triple(alg, X[r], Y[r], Z[r]))
+    assert np.all(values[3:] != 0.0)
+
+
+@pytest.mark.parametrize("name", CHECKED)
+def test_bad_block_shapes_raise_format_error(name):
+    f, nargs = ENTRY_POINTS[name]
+    alg = random_algebra(3, 6)
+    good = np.ones((4, 6))
+    for bad in (np.ones((4, 7)), np.ones((2, 4, 6)), np.ones(()),
+                np.ones((3, 6))):
+        if bad.shape == (3, 6) and nargs == 1:
+            continue  # another B is a mismatch only beside a (4, 6) block
+        for slot in range(nargs):
+            args = [good] * nargs
+            args[slot] = bad
+            with pytest.raises(AlgebraFormatError):
+                f(alg, *args)
+    # a single state beside a block is a mismatch as well
+    if nargs > 1:
+        with pytest.raises(AlgebraFormatError):
+            f(alg, good, *[good[0]] * (nargs - 1))
+
+
+def test_spectral_blocks_at_n13_have_the_bits_of_single_states():
+    # K = 4 transforms on a 13^3 grid, besides the 7^3 and 10^3 of K = 2, 3
+    alg = build_torus_algebra(4, max_dim=1456)[0]
+    X, Y = make_rng(33).standard_normal((2, 3, alg.dim))
+    got = alg.triple.contract_pair(X, Y)
+    for r in range(3):
+        assert bits(got[r]) == bits(alg.triple.contract_pair(X[r], Y[r]))

@@ -520,6 +520,31 @@ def test_diagnose_random_reports_jacobiator(tmp_path):
     assert jac["passed"] is None
 
 
+@pytest.mark.parametrize("key, raw", [
+    ("num_states", '"abc"'),
+    ("num_states", "null"),
+    ("num_states", "1e400"),
+    ("seed", "-1"),
+    ("num_states", "2.7"),
+    ("num_states", "true"),
+    ("seed", "1.5"),
+    ("num_triples", "-3"),
+    ("num_states", "0"),
+])
+def test_bad_diagnostics_sample_is_config_error(tmp_path, capsys, key, raw):
+    # raw JSON text: 1e400 reads as an infinite float
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"instance": {"name": "so3"}, '
+                   f'"diagnostics": {{"{key}": {raw}}}}}')
+    out = tmp_path / "out"
+    assert main(["diagnose", "--config", str(cfg), "--output",
+                 str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: bad diagnostics config: {key} ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_diagnose_corrupt_custom_exits_three(tmp_path):
     alg_path = tmp_path / "corrupt.json"
     payload = {

@@ -433,14 +433,16 @@ def _conditioned_algebra(seed, n, kappa_linking, kappa_metric):
 
 class _FactorizedAlgebra(FluidAlgebra):
     """The same algebra, solved with SciPy's Cholesky and LU factorizations
-    (backward-stable solves, the oracle for the precomputed inverses)."""
+    (backward-stable solves, the oracle for the precomputed inverses).  A
+    (B, n) block of right-hand sides is solved as B columns."""
 
     def solve_metric(self, rhs):
         factor = scipy.linalg.cho_factor(self.metric, lower=True)
-        return scipy.linalg.cho_solve(factor, rhs)
+        return scipy.linalg.cho_solve(factor, rhs.T).T
 
     def solve_linking(self, rhs):
-        return scipy.linalg.lu_solve(scipy.linalg.lu_factor(self.linking), rhs)
+        factor = scipy.linalg.lu_factor(self.linking)
+        return scipy.linalg.lu_solve(factor, rhs.T).T
 
 
 @pytest.mark.parametrize("kappa_linking, kappa_metric", [

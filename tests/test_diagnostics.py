@@ -1,10 +1,12 @@
 """Identity suite coverage and reporting."""
 
 import numpy as np
+import pytest
 
 from fluidalg import (
     IDENTITY_NAMES,
     FluidAlgebra,
+    TripleForm,
     build_torus_algebra,
     random_algebra,
     rigid_body,
@@ -87,3 +89,179 @@ def test_triple_alternating_reads_the_stored_array():
     report = run_identity_suite(alg, num_states=5, num_triples=0)
     result = report.identity("triple-alternating")
     assert not result.passed and result.max_defect > 1e-6
+
+
+# ---------------------------------------------------------------------------
+# the suite on blocks of states against its per-sample loop
+
+
+def _per_sample_suite(alg, num_states, seed, num_triples):
+    """The identity suite as a loop over single samples: the reference
+    for the suite on blocks, which must report the same bits."""
+    from fluidalg import (curl, g_dual_norm, g_norm, inverse_curl, linking,
+                          make_rng, metric_inner, triple)
+    from fluidalg.diagnostics import (_FLOOR, _JACOBIATOR_LIE_TOL,
+                                      _TOLERANCES, DiagnosticsReport,
+                                      IdentityResult)
+    from fluidalg.dynamics import (circulation_defect, euler_rhs,
+                                   induced_bracket, jacobiator, transport,
+                                   vorticity_rhs)
+
+    def dense_triple(X, Y, Z):
+        T = alg.triple.dense
+        if T is not None:
+            n = alg.dim
+            return float((T.reshape(n * n, n) @ Z) @ np.outer(X, Y).ravel())
+        return alg.triple(X, Y, Z)
+
+    rng = make_rng(seed)
+    n = alg.dim
+    states = [rng.standard_normal(n) for _ in range(num_states)]
+    t_max = max(alg.triple.max_abs(), _FLOOR)
+    l_max = max(float(np.max(np.abs(alg.linking))), _FLOOR)
+    worst = {name: 0.0 for name in IDENTITY_NAMES}
+
+    def bump(name, defect, scale):
+        worst[name] = max(worst[name], defect / max(scale, _FLOOR))
+
+    for idx, X in enumerate(states):
+        Y = states[(idx + 1) % len(states)]
+        Z = states[(idx + 2) % len(states)]
+        nx, ny, nz = g_norm(alg, X), g_norm(alg, Y), g_norm(alg, Z)
+        bump("triple-alternating", abs(dense_triple(X, X, Z)),
+             t_max * nx * nx * nz)
+        DX = curl(alg, X)
+        bump("curl-defining-relation",
+             abs(metric_inner(alg, DX, Y) - linking(alg, X, Y)),
+             l_max * nx * ny)
+        bump("curl-self-adjoint",
+             abs(metric_inner(alg, DX, Y) - metric_inner(alg, X, curl(alg, Y))),
+             l_max * nx * ny)
+        bump("curl-inverse-roundtrip",
+             g_norm(alg, inverse_curl(alg, DX) - X), nx)
+        V = euler_rhs(alg, X)
+        rhs_scale = t_max * nx * g_norm(alg, DX)
+        bump("energy-orthogonality", abs(metric_inner(alg, V, X)),
+             rhs_scale * nx)
+        bump("helicity-orthogonality", abs(metric_inner(alg, V, DX)),
+             rhs_scale * g_norm(alg, DX))
+        a = curl(alg, V)
+        b = transport(alg, X, DX)
+        c = vorticity_rhs(alg, DX)
+        ref = max(g_norm(alg, a), g_norm(alg, b), g_norm(alg, c))
+        if ref > 0.0:
+            bump("transport-equality",
+                 max(g_norm(alg, a - b), g_norm(alg, a - c)), ref)
+        bump("transport-antisymmetry",
+             g_norm(alg, transport(alg, X, Z) + transport(alg, Z, X)),
+             t_max * nx * nz)
+        br = induced_bracket(alg, X, Y)
+        bump("bracket-antisymmetry",
+             g_norm(alg, br + induced_bracket(alg, Y, X)), t_max * nx * ny)
+        bump("bracket-triple-compatibility",
+             abs(linking(alg, br, Z) - triple(alg, X, Y, Z)),
+             t_max * nx * ny * nz)
+        DZ = curl(alg, Z)
+        cancel = triple(alg, X, DX, DZ) + triple(alg, X, DZ, DX)
+        bump("circulation-pairing-cancellation", abs(cancel), 1.0)
+        bump("circulation-defect-zero",
+             g_dual_norm(alg, circulation_defect(alg, V, X)),
+             t_max * nx * g_norm(alg, DX))
+
+    jac_samples = []
+    for _ in range(num_triples):
+        X, Y, Z = (rng.standard_normal(n) for _ in range(3))
+        scale = t_max * g_norm(alg, X) * g_norm(alg, Y) * g_norm(alg, Z)
+        jac_samples.append(
+            g_norm(alg, jacobiator(alg, X, Y, Z)) / max(scale, _FLOOR))
+    jac_stats = {"max": None, "mean": None, "median": None, "samples": 0}
+    if jac_samples:
+        jac_samples = np.array(jac_samples)
+        jac_stats = {
+            "max": float(np.max(jac_samples)),
+            "mean": float(np.mean(jac_samples)),
+            "median": float(np.median(jac_samples)),
+            "samples": int(jac_samples.size),
+        }
+    worst["jacobiator"] = jac_stats["max"]
+
+    identities = []
+    for name in IDENTITY_NAMES:
+        tol = _TOLERANCES[name]
+        if name == "jacobiator" and alg.meta.get("kind") == "lie":
+            tol = _JACOBIATOR_LIE_TOL
+        defect = worst[name]
+        passed = None if tol is None or defect is None else bool(defect <= tol)
+        identities.append(IdentityResult(
+            name, None if defect is None else float(defect), tol, passed))
+    report = DiagnosticsReport(identities=identities)
+    report.algebra_summary = {
+        "dim": alg.dim,
+        "kind": alg.meta.get("kind", "custom"),
+        "triple_entries": alg.triple.nnz,
+        "metric_condition": alg.metric_condition,
+        "linking_condition": alg.linking_condition,
+        "jacobiator_norm": jac_stats,
+    }
+    return report
+
+
+def _hexed(value):
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, dict):
+        return {k: _hexed(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_hexed(v) for v in value]
+    return value
+
+
+@pytest.mark.parametrize("with_triples", [False, True])
+def test_block_suite_reports_the_bits_of_the_per_sample_loop(kind_algebra,
+                                                             with_triples):
+    alg = kind_algebra
+    # 60 states and 55 triples cross the 50-row blocks, and the neighbours
+    # wrap around the sample; the blocks do not depend on the kind, so the
+    # two slowest algebras (a contraction takes about 1 ms) draw fewer
+    num_states, num_triples = (60, 55) if alg.dim < 70 else (12, 5)
+    num_triples *= with_triples
+    got = run_identity_suite(alg, num_states=num_states, seed=11,
+                             num_triples=num_triples).to_dict()
+    expected = _per_sample_suite(alg, num_states, 11, num_triples).to_dict()
+    assert _hexed(got) == _hexed(expected)
+
+
+def test_block_suite_contracts_once_per_block(monkeypatch):
+    calls = []
+    contract = TripleForm.contract_pair
+
+    def counted(self, X, Y):
+        calls.append(np.shape(X))
+        return contract(self, X, Y)
+
+    monkeypatch.setattr(TripleForm, "contract_pair", counted)
+    run_identity_suite(random_algebra(7, 32), num_states=200, num_triples=200)
+    assert len(calls) < 100
+    assert max(shape[0] for shape in calls) == 50
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"num_states": 1}, {"num_states": 2.0}, {"num_states": True},
+    {"num_triples": -1}, {"num_triples": False}, {"seed": -1},
+    {"seed": 1.5}, {"seed": None},
+])
+def test_suite_rejects_bad_sample_sizes_and_seeds(kwargs):
+    with pytest.raises(ValueError):
+        run_identity_suite(so3(), **kwargs)
+
+
+def test_a_nan_defect_fails_its_identity(monkeypatch):
+    # a NaN defect is kept by the maximum over the samples, not passed over
+    import fluidalg.diagnostics as diagnostics
+
+    monkeypatch.setattr(diagnostics, "linking",
+                        lambda alg, X, Y: np.full(len(X), np.nan))
+    report = run_identity_suite(so3(), num_states=60, num_triples=0)
+    result = report.identity("curl-defining-relation")
+    assert np.isnan(result.max_defect) and result.passed is False
+    assert not report.passed
