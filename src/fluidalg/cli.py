@@ -26,6 +26,7 @@ from .core import (
     AlgebraFormatError,
     AlgebraValidationError,
     FluidAlgebra,
+    _is_index,
     _is_real,
     g_norm,
     load_algebra,
@@ -169,6 +170,24 @@ def _override_seeds(cfg: dict, seed) -> dict:
     return cfg
 
 
+def _number(section: str, key: str, value, least, integer: bool = False,
+            strict: bool = False):
+    """The config field ``key`` of ``section``, checked: with ``integer``
+    an ``int`` >= ``least``, otherwise a finite real number >= ``least``,
+    or > ``least`` when ``strict``, returned as a float.  ``bool`` is not
+    a number here."""
+    if integer and _is_index(value) and value >= least:
+        return value
+    # abs(...) <= max rejects infinities, NaN and ints past the float range
+    if (not integer and _is_real(value) and abs(value) <= sys.float_info.max
+            and (value > least if strict else value >= least)):
+        return float(value)
+    expected = (f"an integer >= {least}" if integer
+                else f"finite and {'>' if strict else '>='} {least}")
+    raise ConfigError(
+        f"bad {section} config: {key} must be {expected}, got {value!r}")
+
+
 def _build_instance(spec) -> tuple:
     """Returns (algebra, torus_basis_or_None)."""
     if not isinstance(spec, dict) or "name" not in spec:
@@ -182,7 +201,8 @@ def _build_instance(spec) -> tuple:
         ):
             raise ConfigError('rigid-body needs "moments": [I1, I2, I3]')
         try:
-            return rigid_body(*moments), None
+            return rigid_body(*(_number("instance", "moments", m, 0,
+                                        strict=True) for m in moments)), None
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
     if name == "so3":
@@ -190,18 +210,21 @@ def _build_instance(spec) -> tuple:
     if name == "torus":
         if "K" not in spec:
             raise ConfigError('torus needs "K"')
+        K = _number("instance", "K", spec["K"], 1, integer=True)
+        max_dim = _number("instance", "max_dim", spec.get("max_dim", 512), 1,
+                          integer=True)
         try:
-            alg, basis = build_torus_algebra(
-                int(spec["K"]), max_dim=int(spec.get("max_dim", 512))
-            )
+            alg, basis = build_torus_algebra(K, max_dim=max_dim)
         except (TorusSizeError, ValueError) as exc:
             raise ConfigError(str(exc)) from exc
         return alg, basis
     if name == "random":
         if "seed" not in spec or "n" not in spec:
             raise ConfigError('random needs "seed" and "n"')
+        seed = _number("instance", "seed", spec["seed"], 0, integer=True)
+        n = _number("instance", "n", spec["n"], 1, integer=True)
         try:
-            return random_algebra(int(spec["seed"]), int(spec["n"])), None
+            return random_algebra(seed, n), None
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
     if name == "custom":
@@ -244,8 +267,8 @@ def _resolve_state(alg: FluidAlgebra, basis, form, label: str) -> np.ndarray:
     if isinstance(form, dict):
         if "seed" not in form:
             raise ConfigError(f"{label} object form needs a \"seed\"")
-        norm = float(form.get("norm", 1.0))
-        rng = make_rng(int(form["seed"]))
+        norm = _number(label, "norm", form.get("norm", 1.0), 0, strict=True)
+        rng = make_rng(_number(label, "seed", form["seed"], 0, integer=True))
         state = rng.standard_normal(alg.dim)
         current = g_norm(alg, state)
         if current == 0.0:
@@ -267,17 +290,21 @@ def _integrator_spec(cfg: dict) -> IntegratorSpec:
     try:
         return IntegratorSpec(
             method=section.get("method", "rk4"),
-            dt=float(section["dt"]),
-            t_end=float(section["t_end"]),
-            record_every=int(section.get("record_every", 1)),
+            dt=_number("integrator", "dt", section["dt"], 0, strict=True),
+            t_end=_number("integrator", "t_end", section["t_end"], 0),
+            record_every=_number("integrator", "record_every",
+                                 section.get("record_every", 1), 1,
+                                 integer=True),
             projection=ProjectionSettings(
-                max_iter=int(proj.get("max_iter", 10)),
-                tol=float(proj.get("tol", 1e-12)),
+                max_iter=_number("integrator.projection", "max_iter",
+                                 proj.get("max_iter", 10), 1, integer=True),
+                tol=_number("integrator.projection", "tol",
+                            proj.get("tol", 1e-12), 0, strict=True),
             ),
         )
     except KeyError as exc:
         raise ConfigError(f"integrator config missing {exc}") from exc
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"bad integrator config: {exc}") from exc
 
 

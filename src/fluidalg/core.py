@@ -349,10 +349,11 @@ class TripleForm:
                 raise AlgebraFormatError(f"bad triple entry {row!r}")
         try:
             index = np.array([row[:3] for row in entries], dtype=np.intp)
+            values = np.array([row[3] for row in entries], dtype=float)
         except OverflowError as exc:
-            raise AlgebraFormatError("sparse entry index out of range") from exc
-        return cls(dim, index.reshape(-1, 3),
-                   np.array([row[3] for row in entries], dtype=float),
+            raise AlgebraFormatError(
+                "sparse entry index or value out of range") from exc
+        return cls(dim, index.reshape(-1, 3), values,
                    dense=dim <= DENSE_DIM_LIMIT)
 
     # -- queries ------------------------------------------------------
@@ -730,10 +731,6 @@ class CheckResult:
 @dataclass
 class ValidationReport:
     checks: list = field(default_factory=list)
-    antisymmetry_defect: float = 0.0
-    linking_symmetry_defect: float = 0.0
-    linking_singular_values: tuple = (0.0, 0.0)  # (min, max)
-    metric_eigenvalues: tuple = (0.0, 0.0)  # (min, max)
 
     @property
     def passed(self) -> bool:
@@ -810,7 +807,6 @@ def validate(alg: FluidAlgebra, tol: float = 1e-12) -> ValidationReport:
     else:
         # canonical i < j < k entries cannot violate antisymmetry
         defect = 0.0
-    report.antisymmetry_defect = defect
     report.checks.append(
         CheckResult("triple-antisymmetry", defect, tol * t_scale,
                     defect <= tol * t_scale)
@@ -819,13 +815,11 @@ def validate(alg: FluidAlgebra, tol: float = 1e-12) -> ValidationReport:
     L = alg.linking
     l_scale = max(float(np.max(np.abs(L))), 1.0)
     sym_defect = float(np.max(np.abs(L - L.T)))
-    report.linking_symmetry_defect = sym_defect
     report.checks.append(
         CheckResult("linking-symmetry", sym_defect, tol * l_scale,
                     sym_defect <= tol * l_scale)
     )
     sv = alg._linking_singular_values
-    report.linking_singular_values = (float(sv[-1]), float(sv[0]))
     threshold = LINKING_SV_RATIO * float(sv[0])
     report.checks.append(
         CheckResult("linking-nondegenerate", float(sv[-1]), threshold,
@@ -840,7 +834,6 @@ def validate(alg: FluidAlgebra, tol: float = 1e-12) -> ValidationReport:
                     g_sym <= tol * g_scale)
     )
     ev = alg._metric_eigenvalues
-    report.metric_eigenvalues = (float(ev[0]), float(ev[-1]))
     g_threshold = METRIC_EIG_RATIO * float(ev[-1])
     report.checks.append(
         CheckResult("metric-positive-definite", float(ev[0]), g_threshold,
@@ -1012,15 +1005,19 @@ def dd_values(alg: FluidAlgebra, form: str, hi, X, X_lo, Y=None, Y_lo=None):
     ``sum M_ij (X + X_lo)_ri (Y + Y_lo)_rj - hi[r]``.
 
     The terms run over the nonzeros of ``M``, found once per algebra, and
-    all R rows are evaluated together.  Each leading term ``M_ij X_i Y_j``
-    is split exactly into two floats by two TwoProducts, ``q + eq``.  The
-    leading parts ``q`` are summed by a pairwise TwoSum cascade; every
-    rounding error on the way (``eq``, the cascade's TwoSum errors, the
-    low words' contributions) is a unit roundoff u below the terms and is
-    summed in plain float64, so its own error is of order u^2.  This is
-    the scheme of Dot2 in Ogita, Rump & Oishi: the result is as accurate as
-    a float64 evaluation in twice the precision.  A non-finite ``hi[r]``,
-    or terms past the float range, give a zero low word.
+    the R rows are evaluated together, in batches of rows.  Each leading
+    term ``M_ij X_i Y_j`` is split exactly into two floats by two
+    TwoProducts, ``q + eq``.  The leading parts ``q`` are summed by a
+    pairwise TwoSum cascade; every rounding error on the way (``eq``, the
+    cascade's TwoSum errors, the low words' contributions) is a unit
+    roundoff u below the terms and is summed in plain float64, pairwise
+    alongside the cascade, so its own error is of order u^2.  This is the
+    scheme of Dot2 in Ogita, Rump & Oishi: the result is as accurate as a
+    float64 evaluation in twice the precision.  Every operation is
+    elementwise, so a row gets the bits that it gets alone, whatever batch
+    it falls in (a NumPy row sum would not: it orders a one-row batch
+    differently).  A non-finite ``hi[r]``, or terms past the float range,
+    give a zero low word.
     """
     rows, cols, vals = {
         "metric": alg._metric_nonzeros, "linking": alg._linking_nonzeros,
@@ -1039,12 +1036,12 @@ def dd_values(alg: FluidAlgebra, form: str, hi, X, X_lo, Y=None, Y_lo=None):
         with np.errstate(all="ignore"):
             p, ep = two_product(a, b)
             q, eq = two_product(vals, p)
-            err = (eq + vals * (ep + a * b_lo + a_lo * (b + b_lo))).sum(axis=1)
+            err = eq + vals * (ep + a * b_lo + a_lo * (b + b_lo))
             while q.shape[1] > 1:
                 q, e = two_sum(q[:, 0::2], q[:, 1::2])
-                err += e.sum(axis=1)
+                err = err[:, 0::2] + err[:, 1::2] + e
             d, ed = two_sum(q[:, 0], -h)
-            lo = d + (ed + err)
+            lo = d + (ed + err[:, 0])
             lo[~(np.isfinite(h) & np.isfinite(lo))] = 0.0
         out.extend(map(DoubleDouble, hi[chunk], lo.tolist()))
     return out
@@ -1072,13 +1069,12 @@ def save_algebra(alg: FluidAlgebra, path) -> None:
         fh.write("\n")
 
 
-def load_algebra(path, tol: float = 1e-12, require_valid: bool = True) -> FluidAlgebra:
+def load_algebra(path) -> FluidAlgebra:
     """Load an algebra from the JSON format written by :func:`save_algebra`.
 
     Triple rows are checked by :meth:`TripleForm.from_entries`; entries
-    violating ``i < j < k`` are rejected.  With ``require_valid``
-    the full invariant validation runs and failures raise
-    :class:`AlgebraValidationError`.
+    violating ``i < j < k`` are rejected.  The full invariant validation
+    runs, and failures raise :class:`AlgebraValidationError`.
     """
     with open(path) as fh:
         try:
@@ -1095,19 +1091,23 @@ def load_algebra(path, tol: float = 1e-12, require_valid: bool = True) -> FluidA
         raise AlgebraFormatError("dim must be a positive integer")
     matrices = []
     for name in ("linking", "metric"):
+        # ragged rows leave lists among the entries, a bool or a string
+        # would convert to a float, and an int past the float range
+        # overflows
+        M = np.asarray(payload[name], dtype=object)
         try:
-            matrices.append(np.asarray(payload[name], dtype=float))
-        except (TypeError, ValueError) as exc:
-            # ragged rows or non-numeric entries
-            raise AlgebraFormatError(
-                f"{name} must be a {dim} x {dim} matrix of numbers: {exc}"
-            ) from exc
+            if all(map(_is_real, M.flat)):
+                matrices.append(M.astype(float))
+                continue
+        except OverflowError:
+            pass
+        raise AlgebraFormatError(
+            f"{name} must be a {dim} x {dim} matrix of numbers")
     alg = FluidAlgebra(
         dim,
         payload["triple"],
         *matrices,
         meta={"kind": "custom", "path": str(path)},
     )
-    if require_valid:
-        validate(alg, tol=tol).require()
+    validate(alg).require()
     return alg

@@ -26,31 +26,18 @@ gives each of its states alone, bit for bit (see :mod:`fluidalg.core`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .core import FluidAlgebra, curl, inverse_curl
 
 __all__ = [
-    "RhsEvaluation",
     "euler_rhs",
-    "euler_rhs_info",
     "vorticity_rhs",
     "transport",
     "induced_bracket",
     "jacobiator",
     "circulation_defect",
 ]
-
-
-@dataclass
-class RhsEvaluation:
-    """One right-hand-side evaluation plus its operation counts."""
-
-    value: np.ndarray
-    solves: int
-    contractions: int
 
 
 def _finite(v: np.ndarray, label: str) -> np.ndarray:
@@ -65,11 +52,6 @@ def euler_rhs(alg: FluidAlgebra, X) -> np.ndarray:
     DX = curl(alg, X)
     c = alg.triple.contract_pair(X, DX)
     return _finite(alg.solve_metric(c), "Euler right-hand side")
-
-
-def euler_rhs_info(alg: FluidAlgebra, X) -> RhsEvaluation:
-    """As :func:`euler_rhs`, reporting solve/contraction counts."""
-    return RhsEvaluation(value=euler_rhs(alg, X), solves=2, contractions=1)
 
 
 def vorticity_rhs(alg: FluidAlgebra, Y) -> np.ndarray:

@@ -460,14 +460,16 @@ def build_torus_algebra(K: int, max_dim: int = 512):
     """
     if K < 1:
         raise ValueError("K must be >= 1")
-    reps = _half_lattice(K)
-    m = len(reps)
-    dim = 4 * m
+    # four modes for each of the ((2K+1)^3 - 1) / 2 representatives,
+    # counted before the lattice is enumerated
+    dim = 2 * ((2 * K + 1) ** 3 - 1)
     if dim > max_dim:
         raise TorusSizeError(
             f"torus truncation K={K} has dimension {dim}, above the cap "
             f"{max_dim}; raise max_dim to build it anyway"
         )
+    reps = _half_lattice(K)
+    m = len(reps)
     rep_arr = np.array(reps, dtype=int)
     e1, e2 = _frames(rep_arr)
 

@@ -13,11 +13,13 @@ error becomes the next low word.  From a zero low word the high word is the
 plain float64 RK4 step bit for bit.  This keeps the state's rounding from
 random-walking over many steps, so the invariants drift at the RK4
 truncation order even where that drift is below one ulp of their values.
-Records carry the invariants of ``X + X_lo`` as double-doubles.
 
 A probe field Z can be co-evolved with dZ/dt = D' T(X, D Z), using the same
 RK4 stages and stage-consistent X values, to measure the invariance of the
-probe linking <X, Z> numerically.
+probe linking <X, Z> numerically.  There is one step, :func:`_rk4`; with
+a probe it advances the (2, n) stack of X over Z through the same stages
+and update.  A run records copies of the carried states and evaluates all
+records once, at its end (:func:`_trace_records`).
 
 A single integration is sequential; separate integrations are independent
 and may run concurrently.
@@ -144,18 +146,9 @@ class IntegrationResult:
 _quiet = np.errstate(all="ignore")
 
 
-def _checked(stage: np.ndarray, label: str, t: float) -> np.ndarray:
-    if not np.all(np.isfinite(stage)):
+def _check_finite(X: np.ndarray, label: str, t: float) -> None:
+    if not np.all(np.isfinite(X)):
         raise NumericalFailure(f"non-finite value in {label} at t={t!r}", t)
-    return stage
-
-
-def _stage_rhs(alg, X, label: str, t: float) -> np.ndarray:
-    try:
-        return euler_rhs(alg, X)
-    except FloatingPointError as exc:
-        raise NumericalFailure(f"non-finite value in {label} at t={t!r}",
-                               t) from exc
 
 
 def _zero_low(X: np.ndarray) -> np.ndarray:
@@ -164,21 +157,48 @@ def _zero_low(X: np.ndarray) -> np.ndarray:
     return np.full(X.shape, -0.0)
 
 
-def _compensated_add(X, X_lo, inc):
-    """Kahan update of the state ``X + X_lo`` by ``inc``: (high, low) words."""
-    return two_sum(X, inc + X_lo)
+def _probe_rhs(alg: FluidAlgebra, X, Z) -> np.ndarray:
+    # dZ/dt = D' T(X, D Z); since T(X, W) = G^-1 D^T contract(X, W) and
+    # D' D = id, this collapses to a single metric solve.
+    b = alg.triple.contract_pair(X, curl(alg, Z))
+    return alg.solve_metric(b)
 
 
-def _rk4(alg: FluidAlgebra, X, X_lo, dt: float, t0: float):
-    """Compensated RK4 step of the state ``X + X_lo``; stages see ``X``."""
-    k1 = _stage_rhs(alg, X, "stage 1", t0)
-    k2 = _stage_rhs(alg, X + 0.5 * dt * k1, "stage 2", t0)
-    k3 = _stage_rhs(alg, X + 0.5 * dt * k2, "stage 3", t0)
-    k4 = _stage_rhs(alg, X + dt * k3, "stage 4", t0)
-    X1, X1_lo = _compensated_add(
-        X, X_lo, (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    )
-    return _checked(X1, "step result", t0 + dt), X1_lo
+def _rhs(alg: FluidAlgebra, X, probe: bool, label: str, t: float):
+    """The stage derivative at ``X``: the Euler right-hand side, or with
+    ``probe``, that of the velocity ``X[0]`` stacked over that of its probe
+    ``X[1]``, which sees the velocity at the same stage."""
+    V = X[0] if probe else X
+    try:
+        dV = euler_rhs(alg, V)
+    except FloatingPointError as exc:
+        raise NumericalFailure(f"non-finite value in {label} at t={t!r}",
+                               t) from exc
+    # np.array, not np.stack, which costs 4x as much on small states
+    return np.array((dV, _probe_rhs(alg, V, X[1]))) if probe else dV
+
+
+def _rk4(alg: FluidAlgebra, X, X_lo, dt: float, t0: float,
+         probe: bool = False):
+    """Compensated RK4 step of the state ``X + X_lo``; stages see ``X``.
+
+    With ``probe``, ``X`` and ``X_lo`` stack the velocity over its probe.
+    The probe stages see the velocity at its stage-consistent values, which
+    makes the probe linking drift a pure order-4 integrator error, and the
+    elementwise update gives each row the bits of its own step.
+    """
+    k1 = _rhs(alg, X, probe, "stage 1", t0)
+    k2 = _rhs(alg, X + 0.5 * dt * k1, probe, "stage 2", t0)
+    k3 = _rhs(alg, X + 0.5 * dt * k2, probe, "stage 3", t0)
+    k4 = _rhs(alg, X + dt * k3, probe, "stage 4", t0)
+    X1, X1_lo = two_sum(X, (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                        + X_lo)
+    if probe:
+        _check_finite(X1[0], "step result", t0 + dt)
+        _check_finite(X1[1], "probe step result", t0 + dt)
+    else:
+        _check_finite(X1, "step result", t0 + dt)
+    return X1, X1_lo
 
 
 @_quiet
@@ -192,46 +212,6 @@ def rk4_step(alg: FluidAlgebra, X, dt: float, t0: float = 0.0) -> np.ndarray:
     return _rk4(alg, X, _zero_low(X), dt, t0)[0]
 
 
-def _probe_rhs(alg: FluidAlgebra, X, Z) -> np.ndarray:
-    # dZ/dt = D' T(X, D Z); since T(X, W) = G^-1 D^T contract(X, W) and
-    # D' D = id, this collapses to a single metric solve.
-    b = alg.triple.contract_pair(X, curl(alg, Z))
-    return alg.solve_metric(b)
-
-
-def _rk4_joint(alg: FluidAlgebra, X, X_lo, Z, Z_lo, dt: float, t0: float):
-    """Compensated RK4 step of the coupled (velocity, probe) system.
-
-    The probe stages see the velocity at its stage-consistent values, which
-    is what makes the probe linking drift a pure order-4 integrator error.
-    Both fields are carried as high and low words, as in :func:`_rk4`;
-    returns ``(X1, X1_lo, Z1, Z1_lo)``.
-    """
-    k1x = _stage_rhs(alg, X, "stage 1", t0)
-    k1z = _probe_rhs(alg, X, Z)
-    x2 = X + 0.5 * dt * k1x
-    k2x = _stage_rhs(alg, x2, "stage 2", t0)
-    k2z = _probe_rhs(alg, x2, Z + 0.5 * dt * k1z)
-    x3 = X + 0.5 * dt * k2x
-    k3x = _stage_rhs(alg, x3, "stage 3", t0)
-    k3z = _probe_rhs(alg, x3, Z + 0.5 * dt * k2z)
-    x4 = X + dt * k3x
-    k4x = _stage_rhs(alg, x4, "stage 4", t0)
-    k4z = _probe_rhs(alg, x4, Z + dt * k3z)
-    X1, X1_lo = _compensated_add(
-        X, X_lo, (dt / 6.0) * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
-    )
-    Z1, Z1_lo = _compensated_add(
-        Z, Z_lo, (dt / 6.0) * (k1z + 2.0 * k2z + 2.0 * k3z + k4z)
-    )
-    return (
-        _checked(X1, "step result", t0 + dt),
-        X1_lo,
-        _checked(Z1, "probe step result", t0 + dt),
-        Z1_lo,
-    )
-
-
 @_quiet
 def co_evolve_probe(alg: FluidAlgebra, X, Z, dt: float,
                     t0: float = 0.0) -> np.ndarray:
@@ -240,9 +220,8 @@ def co_evolve_probe(alg: FluidAlgebra, X, Z, dt: float,
     X is advanced internally along its own Euler stages so the probe sees
     stage-consistent velocity values; only the new probe is returned.
     """
-    X = alg.state(X, "X")
-    Z = alg.state(Z, "Z")
-    return _rk4_joint(alg, X, _zero_low(X), Z, _zero_low(Z), dt, t0)[2]
+    S = np.stack((alg.state(X, "X"), alg.state(Z, "Z")))
+    return _rk4(alg, S, _zero_low(S), dt, t0, probe=True)[0][1]
 
 
 def project_to_invariants(alg: FluidAlgebra, X, E0: float, H0: float,
@@ -342,33 +321,26 @@ def integrate(alg: FluidAlgebra, X0, spec: IntegratorSpec,
     already taken at that time.
     """
     X = alg.state(X0, "X0")
-    X_lo = zero_low = _zero_low(X)  # low words are never written in place
-    Z = Z_lo = None
-    if probe is not None:
-        Z = alg.state(probe, "probe")
-        Z_lo = _zero_low(Z)
     E0 = energy(alg, X)
     H0 = helicity(alg, X)
-    records: list = []
-    probes: list = []  # (Z, Z_lo) at each record
+    # the carried state is the velocity, or the velocity stacked over the
+    # probe; X[v] is the velocity
+    has_probe = probe is not None
+    v = 0 if has_probe else ...
+    if has_probe:
+        X = np.stack((X, alg.state(probe, "probe")))
+    X_lo = _zero_low(X)
+    rows: list = []  # [t, X, X_lo, Z, Z_lo, flag] per record
 
     def _record(t, flag=""):
-        records.append(TraceRecord(
-            t=t,
-            state=X.copy(),
-            energy=energy(alg, X),
-            helicity=helicity(alg, X),
-            probe_linking=None if Z is None else linking(alg, X, Z),
-            flag=flag,
-            state_lo=X_lo.copy(),
-        ))
-        if Z is not None:
-            probes.append((Z, Z_lo))
+        # copies: a view of a row would keep the whole step array alive
+        Z, Z_lo = (X[1].copy(), X_lo[1].copy()) if has_probe else (None, None)
+        rows.append([t, X[v].copy(), X_lo[v].copy(), Z, Z_lo, flag])
 
     _record(0.0)
     n_full, remainder = _plan_steps(spec.dt, spec.t_end)
     total_steps = n_full + (1 if remainder > 0.0 else 0)
-    result = IntegrationResult(records=records, steps=0)
+    result = IntegrationResult(records=[], steps=0)
     pending_flags: list = []
 
     for step in range(total_steps):
@@ -376,14 +348,13 @@ def integrate(alg: FluidAlgebra, X0, spec: IntegratorSpec,
         dt = spec.dt if step < n_full else remainder
         t_next = (step + 1) * spec.dt if step < n_full else spec.t_end
         try:
-            if Z is None:
-                X, X_lo = _rk4(alg, X, X_lo, dt, t)
-            else:
-                X, X_lo, Z, Z_lo = _rk4_joint(alg, X, X_lo, Z, Z_lo, dt, t)
+            # each step returns new arrays, so they are written in place
+            X, X_lo = _rk4(alg, X, X_lo, dt, t, has_probe)
             if spec.method == "rk4-projected":
                 try:
-                    X = project_to_invariants(alg, X, E0, H0, spec.projection)
-                    X_lo = zero_low
+                    X[v] = project_to_invariants(alg, X[v], E0, H0,
+                                                 spec.projection)
+                    X_lo[v] = -0.0
                 except ProjectionError:
                     result.projection_failures += 1
                     pending_flags.append("projection-failed")
@@ -391,11 +362,10 @@ def integrate(alg: FluidAlgebra, X0, spec: IntegratorSpec,
             result.failed = True
             result.failure_message = str(exc)
             flags = pending_flags + ["numerical-failure"]
-            if records[-1].t == t:
+            if rows[-1][0] == t:
                 # the last good state is already recorded: flag that row
                 # rather than write a second one at the same time
-                last = records[-1]
-                last.flag = ",".join(filter(None, [last.flag, *flags]))
+                rows[-1][5] = ",".join(filter(None, [rows[-1][5], *flags]))
             else:
                 _record(t, flag=",".join(flags))
             break
@@ -405,24 +375,33 @@ def integrate(alg: FluidAlgebra, X0, spec: IntegratorSpec,
             flag = ",".join(pending_flags)
             pending_flags = []
             _record(t_next, flag=flag)
-    _attach_low_words(alg, records, probes)
+    result.records = _trace_records(alg, rows)
     return result
 
 
-def _attach_low_words(alg: FluidAlgebra, records: list, probes: list):
-    """Turn each record's float64 invariants into double-doubles of its
-    carried state, evaluated for all records in one batch."""
-    X = [r.state for r in records]
-    X_lo = [r.state_lo for r in records]
-    energies = dd_values(alg, "metric", [r.energy for r in records], X, X_lo)
-    helicities = dd_values(
-        alg, "linking", [r.helicity for r in records], X, X_lo
-    )
-    linkings = [None] * len(records)
-    if probes:
-        linkings = dd_values(
-            alg, "linking", [r.probe_linking for r in records], X, X_lo,
-            [z for z, _ in probes], [z_lo for _, z_lo in probes],
-        )
-    for r, e, h, p in zip(records, energies, helicities, linkings):
-        r.energy, r.helicity, r.probe_linking = e, h, p
+def _trace_records(alg: FluidAlgebra, rows: list) -> list:
+    """The :class:`TraceRecord` of each row ``[t, X, X_lo, Z, Z_lo, flag]``.
+
+    Energy, helicity and, with a probe, the probe linking are evaluated on
+    the (R, n) block of the recorded states, whose rows have the bits of
+    each state alone, and :func:`~fluidalg.core.dd_values` attaches the low
+    words of the carried states ``X + X_lo`` and ``Z + Z_lo``.
+    """
+    _, X, X_lo, Z, Z_lo, _ = zip(*rows)
+    block = np.array(X)
+    E, H = energy(alg, block), helicity(alg, block)
+    P = None if Z[0] is None else linking(alg, block, np.array(Z))
+    # dd_values stacks the rows batch by batch; holding whole blocks while
+    # it runs raised the peak memory of a torus K=3 run by 0.5 MB
+    del block
+    energies = dd_values(alg, "metric", E, X, X_lo)
+    helicities = dd_values(alg, "linking", H, X, X_lo)
+    linkings = [None] * len(rows)
+    if P is not None:
+        linkings = dd_values(alg, "linking", P, X, X_lo, Z, Z_lo)
+    return [
+        TraceRecord(t=t, state=x, energy=e, helicity=h, probe_linking=p,
+                    flag=flag, state_lo=x_lo)
+        for (t, x, x_lo, _, _, flag), e, h, p
+        in zip(rows, energies, helicities, linkings)
+    ]

@@ -125,3 +125,36 @@ def test_spectral_blocks_at_n13_have_the_bits_of_single_states():
     got = alg.triple.contract_pair(X, Y)
     for r in range(3):
         assert bits(got[r]) == bits(alg.triple.contract_pair(X[r], Y[r]))
+
+
+DD_ALGEBRAS = {
+    "random-n6": lambda: random_algebra(3, 6),
+    "random-n32": lambda: random_algebra(7, 32),
+    "torus-k3": lambda: build_torus_algebra(3, max_dim=684)[0],
+}
+
+
+@pytest.mark.parametrize("name", list(DD_ALGEBRAS))
+@pytest.mark.parametrize("form", ["energy", "helicity", "linking"])
+def test_dd_values_gives_each_row_the_low_word_it_has_alone(name, form):
+    from fluidalg import core
+
+    alg = DD_ALGEBRAS[name]()
+    matrix = "metric" if form == "energy" else "linking"
+    # one row past a whole batch leaves a one-row last batch
+    vals = getattr(alg, f"_{matrix}_nonzeros")[2]
+    rows = max(1, core._DD_BATCH_TERMS // vals.size) + 1
+    rng = make_rng(34)
+    X, Y = rng.standard_normal((2, rows, alg.dim))
+    X_lo, Y_lo = 1e-17 * rng.standard_normal((2, rows, alg.dim))
+    if form == "linking":
+        args, hi = (X, X_lo, Y, Y_lo), linking(alg, X, Y)
+    else:
+        args, hi = (X, X_lo), {"energy": energy, "helicity": helicity}[form](
+            alg, X)
+    block = core.dd_values(alg, matrix, hi, *args)
+    for r in range(rows):
+        alone = core.dd_values(alg, matrix, hi[r:r + 1],
+                               *(a[r:r + 1] for a in args))[0]
+        assert bits(block[r]) == bits(alone)
+        assert bits(block[r].lo) == bits(alone.lo)

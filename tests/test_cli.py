@@ -416,6 +416,100 @@ def test_non_finite_step_or_horizon_is_config_error(
     assert not out.exists()
 
 
+# simulate configs that are valid but for the field at "@", a raw JSON value
+_TORUS = ('{"instance": {"name": "torus", "K": @K, "max_dim": @max_dim}, '
+          '"initial_state": {"seed": @seed, "norm": @norm}, '
+          '"integrator": {"dt": @dt, "t_end": 0.002, '
+          '"record_every": @record_every}}')
+_RANDOM = ('{"instance": {"name": "random", "seed": 1, "n": @n}, '
+           '"initial_state": [1, 0, 0, 0, 0, 0], '
+           '"integrator": {"method": "rk4-projected", "dt": 0.01, '
+           '"t_end": 0.02, "projection": {"max_iter": @max_iter}}}')
+_RIGID = ('{"instance": {"name": "rigid-body", "moments": @moments}, '
+          '"initial_state": [0, 1, 1], '
+          '"integrator": {"dt": 0.01, "t_end": 0.02}}')
+_VALID = {"K": "1", "max_dim": "52", "seed": "1", "norm": "1", "dt": "0.001",
+          "record_every": "1", "n": "6", "max_iter": "10",
+          "moments": "[1, 2, 3]"}
+
+
+def _config_text(template, key, raw):
+    fields = {**_VALID, key: raw}
+    for name in sorted(fields, key=len, reverse=True):
+        template = template.replace("@" + name, fields[name])
+    return template
+
+
+@pytest.mark.parametrize("template, section, key, raw", [
+    # read as another value, or sign-flipped, before these were checked
+    (_TORUS, "instance", "K", "1.7"),
+    (_TORUS, "instance", "K", "true"),
+    (_TORUS, "instance", "K", '"1"'),
+    (_TORUS, "instance", "max_dim", "52.5"),
+    (_RANDOM, "instance", "n", "6.9"),
+    (_TORUS, "initial_state", "seed", "2.5"),
+    (_TORUS, "initial_state", "norm", "-1"),
+    (_TORUS, "integrator", "record_every", "1.5"),
+    (_TORUS, "integrator", "dt", "true"),
+    (_RANDOM, "integrator.projection", "max_iter", "2.5"),
+    (_RIGID, "instance", "moments", '[1, 2, "3"]'),
+    (_RIGID, "instance", "moments", "[1, 2, true]"),
+    # a traceback before these were checked
+    (_TORUS, "instance", "K", "null"),
+    (_TORUS, "instance", "K", "1e400"),
+    (_RANDOM, "instance", "n", "[6]"),
+    (_TORUS, "initial_state", "norm", '"x"'),
+    # a numerical failure (exit 2) before it was checked
+    (_TORUS, "initial_state", "norm", "1e400"),
+])
+def test_bad_config_field_is_config_error(tmp_path, capsys, template,
+                                          section, key, raw):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(_config_text(template, key, raw))
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(cfg), "--output",
+                 str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: bad {section} config: {key} must")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("template", [_TORUS, _RANDOM, _RIGID])
+def test_config_field_bases_are_valid(tmp_path, template):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(_config_text(template, "K", "1"))
+    assert main(["simulate", "--config", str(cfg), "--output",
+                 str(tmp_path / "out")]) == 0
+
+
+@pytest.mark.parametrize("name", ["linking", "metric"])
+@pytest.mark.parametrize("entry", ["1", True])
+def test_custom_file_with_a_non_number_entry_is_validation_error(
+        tmp_path, capsys, name, entry):
+    payload = {
+        "dim": 3,
+        "triple": [[0, 1, 2, 1.0]],
+        "linking": np.eye(3).tolist(),
+        "metric": np.eye(3).tolist(),
+    }
+    payload[name][1][1] = entry
+    alg_path = tmp_path / "entry.json"
+    alg_path.write_text(json.dumps(payload))
+    cfg = write_config(
+        tmp_path / "cfg.json",
+        {
+            "instance": {"name": "custom", "path": str(alg_path)},
+            "initial_state": [1.0, 0.0, 0.0],
+            "integrator": {"dt": 0.1, "t_end": 0.1},
+        },
+    )
+    assert main(["simulate", "--config", cfg, "--output",
+                 str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert err == f"validation error: {name} must be a 3 x 3 matrix of numbers\n"
+
+
 def test_unwritable_output_is_config_error(tmp_path, capsys):
     blocker = tmp_path / "file"
     blocker.write_text("")

@@ -7,7 +7,6 @@ from fluidalg import (
     curl,
     energy,
     euler_rhs,
-    euler_rhs_info,
     g_dual_norm,
     g_norm,
     helicity,
@@ -106,13 +105,6 @@ def test_rhs_orthogonality_contracts(random_n6):
         assert abs(metric_inner(random_n6, V, DX)) <= 1e-12 * scale * g_norm(
             random_n6, DX
         )
-
-
-def test_rhs_info_reports_counts(rigid123):
-    info = euler_rhs_info(rigid123, np.array([0.0, 1.0, 1.0]))
-    assert np.allclose(info.value, [-1.0 / 6.0, 0.0, 0.0])
-    assert info.solves == 2
-    assert info.contractions == 1
 
 
 # ---------------------------------------------------------------------------
