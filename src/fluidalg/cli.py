@@ -53,11 +53,14 @@ EXIT_CONFIG = 1
 EXIT_NUMERICAL = 2
 EXIT_VALIDATION = 3
 
+# The random instance draws an n^3 array first: 128 MiB at this n.
+RANDOM_MAX_N = 256
+
 INSTANCE_SCHEMAS = [
     ("rigid-body", "moments: [I1, I2, I3], all > 0"),
     ("so3", "no parameters"),
     ("torus", "K: int >= 1; max_dim: int (default 512)"),
-    ("random", "seed: int; n: int >= 1"),
+    ("random", f"seed: int; n: int, 1 <= n <= {RANDOM_MAX_N}"),
     ("custom", "path: JSON algebra file (dim/triple/linking/metric)"),
 ]
 
@@ -171,12 +174,13 @@ def _override_seeds(cfg: dict, seed) -> dict:
 
 
 def _number(section: str, key: str, value, least, integer: bool = False,
-            strict: bool = False):
+            strict: bool = False, most=None):
     """The config field ``key`` of ``section``, checked: with ``integer``
-    an ``int`` >= ``least``, otherwise a finite real number >= ``least``,
-    or > ``least`` when ``strict``, returned as a float.  ``bool`` is not
-    a number here."""
-    if integer and _is_index(value) and value >= least:
+    an ``int`` >= ``least`` (and <= ``most`` when given), otherwise a
+    finite real number >= ``least``, or > ``least`` when ``strict``,
+    returned as a float.  ``bool`` is not a number here."""
+    if (integer and _is_index(value) and value >= least
+            and (most is None or value <= most)):
         return value
     # abs(...) <= max rejects infinities, NaN and ints past the float range
     if (not integer and _is_real(value) and abs(value) <= sys.float_info.max
@@ -184,6 +188,8 @@ def _number(section: str, key: str, value, least, integer: bool = False,
         return float(value)
     expected = (f"an integer >= {least}" if integer
                 else f"finite and {'>' if strict else '>='} {least}")
+    if most is not None:
+        expected += f" and <= {most}"
     raise ConfigError(
         f"bad {section} config: {key} must be {expected}, got {value!r}")
 
@@ -222,7 +228,8 @@ def _build_instance(spec) -> tuple:
         if "seed" not in spec or "n" not in spec:
             raise ConfigError('random needs "seed" and "n"')
         seed = _number("instance", "seed", spec["seed"], 0, integer=True)
-        n = _number("instance", "n", spec["n"], 1, integer=True)
+        n = _number("instance", "n", spec["n"], 1, integer=True,
+                    most=RANDOM_MAX_N)
         try:
             return random_algebra(seed, n), None
         except ValueError as exc:

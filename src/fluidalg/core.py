@@ -49,17 +49,20 @@ The arguments of one call are all states or all blocks of one B; any
 other shape raises :class:`AlgebraFormatError` where the functions below
 check their arguments.
 
-Two structures are detected once from the values and then used exactly:
-a metric that is exactly the identity (applied as a copy, the metric solve
-is a copy of the right-hand side and its eigenvalues are exactly ones),
-and a linking matrix with one nonzero per row and column (a permutation
-with weights, applied as ``w * X[cols]``; its singular values are the
-sorted ``|w|``).  For finite inputs both give the same bits as the dense
-operations they replace, the products ``L @ X``, ``I @ X`` and
+Two structures are given, or detected once from the values, and then used
+exactly: a metric that is exactly the identity (applied as a copy, the
+metric solve is a copy of the right-hand side and its eigenvalues are
+exactly ones), and a linking matrix with one nonzero per row and column (a
+permutation with weights, applied as ``w * X[cols]``; its singular values
+are the sorted ``|w|``).  For finite inputs both give the same bits as the
+dense operations they replace, the products ``L @ X``, ``I @ X`` and
 ``I @ rhs``; for the identity, the input must hold no ``-0.0``, as none
 built by the package does.
 A linking solve with such a matrix is the scatter ``x[cols] = rhs / w``,
-one correctly rounded division per entry.
+one correctly rounded division per entry.  An algebra given its
+structures stores no (n, n) array: :func:`validate`, the double-double
+invariants and every product read the structure, and the dense matrices
+are built only when ``linking`` or ``metric`` is first read.
 
 Otherwise the metric and linking solves are products with the inverses
 of ``G`` and ``L``, precomputed once per algebra.  Their normwise backward
@@ -216,6 +219,11 @@ def _is_index(x) -> bool:
 
 def _is_real(x) -> bool:
     return isinstance(x, numbers.Real) and not isinstance(x, bool)
+
+
+def _is_permutation(cols: np.ndarray) -> bool:
+    # each of range(n) once, for n integers (np.unique imports numpy.ma)
+    return np.array_equal(np.sort(cols), np.arange(cols.size))
 
 
 def _canonical_entries(dim: int, index, values):
@@ -523,12 +531,18 @@ class FluidAlgebra:
     Parameters
     ----------
     triple : TripleForm, dense (n, n, n) array, or iterable of (i, j, k, v)
-    linking : (n, n) array, symmetric nondegenerate
-    metric : (n, n) array, symmetric positive definite
+    linking : (n, n) array or list of rows, symmetric nondegenerate; or a
+        tuple ``(cols, w)``, the weighted permutation with
+        ``L[r, cols[r]] = w[r]`` (a tuple is always read as this)
+    metric : (n, n) array, symmetric positive definite; or None for the
+        identity
     meta : optional dict of provenance tags (instance name, seeds, ...)
 
-    Construction performs structural checks only (shapes, finiteness); the
-    mathematical invariants are checked by :func:`validate`.
+    Construction performs structural checks only (shapes, finiteness, and
+    that ``cols`` is a permutation of ``range(n)``); the mathematical
+    invariants are checked by :func:`validate`.  ``linking`` and
+    ``metric`` read back as frozen (n, n) arrays; one given as a structure
+    is built on the first read.
     """
 
     def __init__(self, dim: int, triple, linking, metric, meta=None):
@@ -546,10 +560,67 @@ class FluidAlgebra:
                 f"triple form dimension {tf.dim} != algebra dim {self.dim}"
             )
         self.triple = tf
-        self.linking = self._square(linking, "linking")
-        self.metric = self._square(metric, "metric")
+        # a given structure fills the cached property that would detect it
+        self._linking = self._metric = None
+        if isinstance(linking, tuple):
+            self._linking_permutation = self._check_permutation(linking)
+        else:
+            self._linking = self._square(linking, "linking")
+        if metric is None:
+            self._metric_is_identity = True
+        else:
+            self._metric = self._square(metric, "metric")
         self.meta = dict(meta) if meta else {}
         self._conditioning_warned = False
+
+    @property
+    def linking(self) -> np.ndarray:
+        """The (n, n) linking matrix L, frozen."""
+        if self._linking is None:
+            self._linking = self._densify("linking")
+        return self._linking
+
+    @property
+    def metric(self) -> np.ndarray:
+        """The (n, n) metric matrix G, frozen."""
+        if self._metric is None:
+            self._metric = self._densify("metric")
+        return self._metric
+
+    def _densify(self, name: str) -> np.ndarray:
+        # the dense matrix of a given structure, built on its first read
+        if name == "metric":
+            M = np.eye(self.dim)
+        else:
+            cols, w = self._linking_permutation
+            M = np.zeros((self.dim, self.dim))
+            M[np.arange(self.dim), cols] = w
+        M.setflags(write=False)
+        return M
+
+    def _check_permutation(self, linking):
+        """``(cols, w)`` checked: ``cols`` a permutation of ``range(n)``,
+        ``w`` n finite weights; both copied and frozen."""
+        if len(linking) != 2:
+            raise AlgebraFormatError(
+                "a linking structure is a tuple (cols, w)")
+        cols, w = (np.array(a) for a in linking)
+        if cols.shape != (self.dim,) or w.shape != (self.dim,):
+            raise AlgebraFormatError(
+                f"linking cols and w have shapes {cols.shape} and "
+                f"{w.shape}, expected ({self.dim},)")
+        if cols.dtype.kind not in "iu" or not _is_permutation(cols):
+            raise AlgebraFormatError(
+                f"linking cols must be a permutation of range({self.dim})")
+        if w.dtype.kind not in "iuf":
+            raise AlgebraFormatError("linking weights must be real numbers")
+        w = w.astype(float)
+        if not np.all(np.isfinite(w)):
+            raise AlgebraDataError("non-finite value in linking weights")
+        cols = cols.astype(np.intp)
+        cols.setflags(write=False)
+        w.setflags(write=False)
+        return cols, w
 
     def _square(self, M, name: str) -> np.ndarray:
         M = np.ascontiguousarray(M, dtype=float)
@@ -593,9 +664,10 @@ class FluidAlgebra:
     # Non-finite right-hand sides propagate as non-finite output; the
     # callers that need a finite result check it.
 
-    # Structure detected once from the values; see the module docstring.
-    # (A product with I turns a -0.0 into +0.0 next to any nonnegative
-    # entry, so the copy matches it only without one.)
+    # Structure given at construction, or else detected once from the
+    # values; see the module docstring.  (A product with I turns a -0.0
+    # into +0.0 next to any nonnegative entry, so the copy matches it only
+    # without one.)
 
     @cached_property
     def _metric_is_identity(self) -> bool:
@@ -609,9 +681,16 @@ class FluidAlgebra:
         ``L[r, cols[r]] = w[r]`` and ``cols`` is a permutation, else None."""
         rows, cols = np.nonzero(self.linking)
         if not (np.array_equal(rows, np.arange(self.dim))
-                and np.unique(cols).size == self.dim):
+                and _is_permutation(cols)):
             return None
         return cols, self.linking[rows, cols]
+
+    @cached_property
+    def _linking_max_abs(self) -> float:
+        # max |L|, from the weights of a permutation
+        perm = self._linking_permutation
+        return float(np.max(np.abs(self.linking if perm is None
+                                   else perm[1])))
 
     @cached_property
     def _linking_singular_values(self) -> np.ndarray:
@@ -626,15 +705,24 @@ class FluidAlgebra:
             return np.ones(self.dim)
         return np.linalg.eigvalsh(self.metric)
 
-    # nonzeros of G and L, the terms of the double-double invariants
+    # nonzeros of G and L, the terms of the double-double invariants, in
+    # the row-major order of np.nonzero, from the structure when there is one
 
     @cached_property
     def _metric_nonzeros(self):
-        return _nonzeros(self.metric)
+        if self._metric_is_identity:
+            diagonal = np.arange(self.dim)
+            return _padded(diagonal, diagonal, np.ones(self.dim))
+        return _padded(*_nonzeros(self.metric))
 
     @cached_property
     def _linking_nonzeros(self):
-        return _nonzeros(self.linking)
+        perm = self._linking_permutation
+        if perm is None:
+            return _padded(*_nonzeros(self.linking))
+        cols, w = perm
+        rows = np.flatnonzero(w)
+        return _padded(rows, cols[rows], w[rows])
 
     @property
     def linking_condition(self) -> float:
@@ -709,9 +797,13 @@ class FluidAlgebra:
         return _as_state(self.dim, X, name, block, like)
 
     def __repr__(self):
+        # the entry count only when the entries are stored: a spectral form
+        # would assemble them to count them
         tag = self.meta.get("kind", "custom")
+        tf = self.triple
+        nnz = "" if tf._entry_source is not None else f", nnz={tf.nnz}"
         return (
-            f"FluidAlgebra(dim={self.dim}, nnz={self.triple.nnz}, "
+            f"FluidAlgebra(dim={self.dim}, triple={tf.kind!r}{nnz}, "
             f"kind={tag!r})"
         )
 
@@ -812,9 +904,19 @@ def validate(alg: FluidAlgebra, tol: float = 1e-12) -> ValidationReport:
                     defect <= tol * t_scale)
     )
 
-    L = alg.linking
-    l_scale = max(float(np.max(np.abs(L))), 1.0)
-    sym_defect = float(np.max(np.abs(L - L.T)))
+    # the symmetry defects are max |L - L^T| and max |G - G^T|, read from
+    # the structure when there is one: L[r, cols[r]] - L[cols[r], r] is
+    # w[r] - w[cols[r]] where cols pairs r with cols[r], else w[r], and
+    # every other entry of L - L^T is one of those negated or zero
+    perm = alg._linking_permutation
+    l_scale = max(alg._linking_max_abs, 1.0)
+    if perm is None:
+        L = alg.linking
+        sym_defect = float(np.max(np.abs(L - L.T)))
+    else:
+        cols, w = perm
+        paired = cols[cols] == np.arange(alg.dim)
+        sym_defect = float(np.max(np.abs(np.where(paired, w - w[cols], w))))
     report.checks.append(
         CheckResult("linking-symmetry", sym_defect, tol * l_scale,
                     sym_defect <= tol * l_scale)
@@ -826,9 +928,12 @@ def validate(alg: FluidAlgebra, tol: float = 1e-12) -> ValidationReport:
                     bool(sv[-1] >= threshold) and sv[0] > 0)
     )
 
-    G = alg.metric
-    g_scale = max(float(np.max(np.abs(G))), 1.0)
-    g_sym = float(np.max(np.abs(G - G.T)))
+    if alg._metric_is_identity:
+        g_scale, g_sym = 1.0, 0.0
+    else:
+        G = alg.metric
+        g_scale = max(float(np.max(np.abs(G))), 1.0)
+        g_sym = float(np.max(np.abs(G - G.T)))
     report.checks.append(
         CheckResult("metric-symmetry", g_sym, tol * g_scale,
                     g_sym <= tol * g_scale)
@@ -981,10 +1086,14 @@ class DoubleDouble(float):
 
 
 def _nonzeros(M: np.ndarray):
-    """Nonzero entries of M as (rows, cols, values), padded with zero
-    entries at (0, 0) to a power-of-two count for the pairwise sum."""
+    """Nonzero entries of M as (rows, cols, values)."""
     rows, cols = np.nonzero(M)
-    vals = M[rows, cols]
+    return rows, cols, M[rows, cols]
+
+
+def _padded(rows, cols, vals):
+    """Entries padded with zero entries at (0, 0) to a power-of-two count
+    for the pairwise sum."""
     pad = (0, (1 << max(0, rows.size - 1).bit_length()) - rows.size)
     return np.pad(rows, pad), np.pad(cols, pad), np.pad(vals, pad)
 

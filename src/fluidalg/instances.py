@@ -452,6 +452,9 @@ def build_torus_algebra(K: int, max_dim: int = 512):
     Returns ``(algebra, basis)``.  The basis is L2-orthonormal so the
     metric is the identity; the linking form couples the cos/sin pair
     within each mode with weight 2 pi |k| (curl eigenvalues +-2 pi |k|).
+    Both are given to the algebra by their structure, the identity and a
+    weighted permutation, so no (dim, dim) array is built; ``linking``
+    and ``metric`` are materialized only when first read.
     The triple form is dense up to ``DENSE_DIM_LIMIT`` (K = 1), assembled
     in closed form from the selection rule k1 +- k2 +- k3 = 0 and products
     of trigonometric integrals.  Above it (K >= 2) it is of the spectral
@@ -481,13 +484,11 @@ def build_torus_algebra(K: int, max_dim: int = 512):
     basis = TorusBasis(K=K, reps=rep_arr, e1=e1, e2=e2, modes=modes)
 
     # linking form: within mode k, in local order (c1, s1, c2, s2),
-    # curl(c1) = -lam s2, curl(c2) = +lam s1, and symmetrically.
-    L = np.zeros((dim, dim))
+    # curl(c1) = -lam s2, curl(c2) = +lam s1, and symmetrically; each row
+    # has one nonzero, L[r, cols[r]] = w[r]
     lam = 2.0 * np.pi * np.linalg.norm(rep_arr, axis=1)
-    c1 = 4 * np.arange(m)
-    s1, c2, s2 = c1 + 1, c1 + 2, c1 + 3
-    L[s2, c1] = L[c1, s2] = -lam
-    L[s1, c2] = L[c2, s1] = lam
+    cols = (4 * np.arange(m)[:, None] + [3, 2, 1, 0]).ravel()
+    w = (lam[:, None] * [-1.0, 1.0, 1.0, -1.0]).ravel()
 
     if dim <= DENSE_DIM_LIMIT:
         tf = TripleForm(dim, *_torus_entries(rep_arr, e1, e2, K), dense=True)
@@ -496,7 +497,7 @@ def build_torus_algebra(K: int, max_dim: int = 512):
             dim, _SpectralContraction(rep_arr, e1, e2, K),
             functools.partial(_torus_entries, rep_arr, e1, e2, K))
     alg = FluidAlgebra(
-        dim, tf, L, np.eye(dim), meta={"kind": "torus", "K": K}
+        dim, tf, (cols, w), None, meta={"kind": "torus", "K": K}
     )
     validate(alg).require()
     return alg, basis

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import fluidalg
-from fluidalg import save_algebra, random_algebra
+from fluidalg import cli, save_algebra, random_algebra
 from fluidalg.cli import main
 
 
@@ -639,6 +639,42 @@ def test_bad_diagnostics_sample_is_config_error(tmp_path, capsys, key, raw):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("key, raw", [
+    ("num_states", "1000001"),
+    ("num_states", "9223372036854775808"),  # past NumPy's index range
+    ("num_triples", "1000001"),
+])
+def test_sample_past_the_cap_is_config_error(tmp_path, capsys, key, raw):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"instance": {"name": "so3"}, '
+                   f'"diagnostics": {{"{key}": {raw}}}}}')
+    out = tmp_path / "out"
+    assert main(["diagnose", "--config", str(cfg), "--output",
+                 str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == (f"config error: bad diagnostics config: {key} must be "
+                   f"at most 1000000, got {raw}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "diagnose"])
+@pytest.mark.parametrize("n", ["257", "9223372036854775808"])
+def test_random_n_past_the_cap_is_config_error(tmp_path, capsys,
+                                               monkeypatch, command, n):
+    def refuse(*args):
+        raise AssertionError("random_algebra called")
+
+    monkeypatch.setattr(cli, "random_algebra", refuse)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(_config_text(_RANDOM, "n", n))
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--output", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == ("config error: bad instance config: n must be an "
+                   f"integer >= 1 and <= 256, got {n}\n")
+    assert not out.exists()
+
+
 def test_diagnose_corrupt_custom_exits_three(tmp_path):
     alg_path = tmp_path / "corrupt.json"
     payload = {
@@ -669,6 +705,39 @@ def test_cli_import_does_not_load_scipy():
                           text=True, timeout=60, check=True,
                           env={**os.environ, "PYTHONPATH": path})
     assert done.stdout == "False\n"
+
+
+def test_commands_do_not_load_numpy_ma(tmp_path):
+    # np.median and np.unique import numpy.ma, some 10 ms; the commands
+    # use neither
+    runs = [
+        ("diagnose", {"instance": {"name": "random", "seed": 1, "n": 6},
+                      "diagnostics": {"num_states": 4, "num_triples": 3}}),
+        ("simulate", {"instance": {"name": "so3"},
+                      "initial_state": [0.0, 1.0, 1.0],
+                      "probe": [1.0, 0.0, 1.0],
+                      "integrator": {"dt": 0.01, "t_end": 0.02}}),
+        ("simulate", {"instance": {"name": "torus", "K": 2},
+                      "initial_state": {"seed": 1},
+                      "integrator": {"dt": 0.001, "t_end": 0.002}}),
+    ]
+    argvs = []
+    for i, (command, config) in enumerate(runs):
+        cfg = write_config(tmp_path / f"cfg{i}.json", config)
+        argvs.append([command, "--config", cfg, "--output",
+                      str(tmp_path / f"out{i}")])
+    code = ("import sys; from fluidalg.cli import main\n"
+            f"for argv in {argvs!r}:\n"
+            "    assert main(argv) == 0\n"
+            "    print('numpy.ma' in sys.modules)\n")
+    src = os.path.dirname(os.path.dirname(fluidalg.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120, check=True,
+                          env={**os.environ, "PYTHONPATH": path})
+    flags = [line for line in done.stdout.splitlines()
+             if line in ("True", "False")]
+    assert flags == ["False"] * len(runs)
 
 
 def test_cli_import_does_not_load_numpy_fft():

@@ -265,3 +265,20 @@ def test_a_nan_defect_fails_its_identity(monkeypatch):
     result = report.identity("curl-defining-relation")
     assert np.isnan(result.max_defect) and result.passed is False
     assert not report.passed
+
+
+def test_median_has_the_bits_of_numpy_median():
+    # the suite's median sorts instead of calling np.median, which imports
+    # numpy.ma; the NaN and sign of zero of np.median must carry over
+    from fluidalg import make_rng
+    from fluidalg.diagnostics import _median
+
+    rng = make_rng(91)
+    specials = np.array([np.inf, -np.inf, np.nan, 0.0, -0.0])
+    for trial in range(2000):
+        size = int(rng.integers(1, 80))
+        v = rng.standard_normal(size) * 10.0 ** rng.integers(-300, 300, size)
+        hit = rng.random(size) < (0.0, 0.05, 0.3)[trial % 3]
+        v[hit] = rng.choice(specials, int(hit.sum()))
+        assert (np.float64(_median(v)).tobytes()
+                == np.float64(np.median(v)).tobytes()), v

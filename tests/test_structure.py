@@ -1,0 +1,205 @@
+"""Structured linking and metric: an algebra given ``linking=(cols, w)``
+and ``metric=None`` stores no (n, n) array, and gives the bits and the
+validation results of the dense matrices built from its structure."""
+
+import json
+import tracemalloc
+
+import numpy as np
+import pytest
+from test_blocks import ENTRY_POINTS, bits
+
+from fluidalg import (
+    AlgebraDataError,
+    AlgebraFormatError,
+    FluidAlgebra,
+    build_torus_algebra,
+    make_rng,
+    random_algebra,
+    validate,
+)
+from fluidalg.cli import main
+from fluidalg.core import dd_values
+
+
+def dense_twin(alg):
+    """The algebra with its linking and metric given as dense matrices."""
+    return FluidAlgebra(alg.dim, alg.triple, np.array(alg.linking),
+                        np.array(alg.metric))
+
+
+@pytest.fixture(scope="module")
+def torus_pair():
+    given = build_torus_algebra(1)[0]
+    return given, dense_twin(given)
+
+
+def test_torus_is_given_its_structures_and_stores_no_matrix():
+    alg = build_torus_algebra(1)[0]
+    assert alg._linking is None and alg._metric is None
+    assert alg._metric_is_identity
+    cols, w = alg._linking_permutation
+    L = alg.linking
+    assert not L.flags.writeable and not alg.metric.flags.writeable
+    assert alg.linking is L  # built once
+    expected = np.zeros((alg.dim, alg.dim))
+    expected[np.arange(alg.dim), cols] = w
+    assert bits(L) == bits(expected)
+    assert bits(alg.metric) == bits(np.eye(alg.dim))
+
+
+def test_given_and_detected_structures_are_one_representation(torus_pair):
+    given, detected = torus_pair
+    assert detected._linking is not None and detected._metric is not None
+    assert detected._metric_is_identity
+    for a, b in zip(given._linking_permutation,
+                    detected._linking_permutation):
+        assert a.dtype == b.dtype and bits(a) == bits(b)
+    for name in ("_linking_nonzeros", "_metric_nonzeros"):
+        for a, b in zip(getattr(given, name), getattr(detected, name)):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    assert given._linking_max_abs == detected._linking_max_abs
+    assert (validate(given).to_dict()
+            == validate(detected).to_dict())
+
+
+@pytest.mark.parametrize("name", list(ENTRY_POINTS))
+def test_given_structures_have_the_bits_of_the_dense_ones(torus_pair, name):
+    given, detected = torus_pair
+    f, nargs = ENTRY_POINTS[name]
+    for shape in ((given.dim,), (5, given.dim)):
+        args = make_rng(81).standard_normal((nargs,) + shape)
+        assert bits(f(given, *args)) == bits(f(detected, *args)), name
+
+
+@pytest.mark.parametrize("form", ["metric", "linking"])
+def test_given_structures_have_the_low_words_of_the_dense_ones(torus_pair,
+                                                                form):
+    given, detected = torus_pair
+    rng = make_rng(82)
+    X = rng.standard_normal((4, given.dim))
+    X_lo = 1e-17 * rng.standard_normal((4, given.dim))
+    hi = [float(x @ (detected.metric if form == "metric"
+                     else detected.linking) @ x) for x in X]
+    a = dd_values(given, form, hi, X, X_lo)
+    b = dd_values(detected, form, hi, X, X_lo)
+    assert [(float(v), v.lo) for v in a] == [(float(v), v.lo) for v in b]
+
+
+# hand-built structures on n = 6 that fail a check
+BAD_STRUCTURES = {
+    # a 3-cycle: rows 0, 1, 2 have no mirror entry
+    "non-involutive": ([1, 2, 0, 3, 5, 4], [1.0, 2.0, 3.0, 4.0, 5.0, 5.0]),
+    "asymmetric-weights": ([1, 0, 3, 2, 5, 4],
+                           [1.0, 2.0, 3.0, 3.0, -1.0, -1.5]),
+    "zero-weight": ([1, 0, 3, 2, 5, 4], [1.0, 1.0, 0.0, 0.0, 2.0, 2.0]),
+}
+
+
+@pytest.mark.parametrize("name", list(BAD_STRUCTURES))
+def test_bad_structures_validate_as_their_dense_matrices(name):
+    triple = random_algebra(3, 6).triple
+    cols, w = BAD_STRUCTURES[name]
+    given = FluidAlgebra(6, triple, (np.array(cols), np.array(w)), None)
+    L = np.zeros((6, 6))
+    L[np.arange(6), cols] = w
+    dense = FluidAlgebra(6, triple, L, np.eye(6))
+    # no structure detected: validate scans L - L^T and takes the SVD
+    dense._linking_permutation = None
+    dense._metric_is_identity = False
+    report = validate(given)
+    assert report.to_dict() == validate(dense).to_dict()
+    for a, b in zip(given._linking_nonzeros, dense._linking_nonzeros):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    failed = {c.name for c in report.failures()}
+    if name == "zero-weight":
+        assert failed == {"linking-nondegenerate"}
+    else:
+        assert failed == {"linking-symmetry"}
+
+
+@pytest.mark.parametrize("cols, w", [
+    ([0, 0, 2], [1.0, 1.0, 1.0]),  # repeated
+    ([0, 1, 3], [1.0, 1.0, 1.0]),  # out of range
+    ([0, 1, -1], [1.0, 1.0, 1.0]),
+    ([0, 1], [1.0, 1.0]),  # wrong length
+    ([0, 1, 2], [1.0, 1.0]),
+    ([0.0, 1.0, 2.0], [1.0, 1.0, 1.0]),  # not integers
+    ([True, False, True], [1.0, 1.0, 1.0]),
+    ([0, 1, 2], ["1", "1", "1"]),
+])
+def test_bad_linking_structure_is_a_format_error(cols, w):
+    with pytest.raises(AlgebraFormatError):
+        FluidAlgebra(3, [], (np.array(cols), np.array(w)), None)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_linking_weight_is_a_data_error(bad):
+    with pytest.raises(AlgebraDataError):
+        FluidAlgebra(3, [], (np.arange(3), np.array([1.0, bad, 1.0])), None)
+
+
+def test_given_structure_is_copied_and_frozen():
+    cols, w = np.array([1, 0, 2]), np.array([2.0, 2.0, 1.0])
+    alg = FluidAlgebra(3, [], (cols, w), None)
+    cols[0], w[0] = 2, 5.0
+    stored = alg._linking_permutation
+    assert stored[0].tolist() == [1, 0, 2] and stored[1].tolist() == [2, 2, 1]
+    assert not stored[0].flags.writeable and not stored[1].flags.writeable
+    assert validate(alg).passed
+
+
+def test_dense_view_has_w_r_at_row_r_column_cols_r():
+    alg = FluidAlgebra(3, [], (np.array([1, 2, 0]), np.array([1.0, 2.0, 3.0])),
+                       None)
+    assert alg.linking.tolist() == [[0, 1, 0], [0, 0, 2], [3, 0, 0]]
+    assert alg.metric.tolist() == np.eye(3).tolist()
+
+
+def test_torus_k5_build_holds_no_dense_matrix():
+    # the dense linking matrix and metric alone would take 2 x 56.6 MB
+    build_torus_algebra(1)  # imports outside the traced build
+    tracemalloc.start()
+    try:
+        alg, _ = build_torus_algebra(5, max_dim=2660)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert alg.dim == 2660
+    assert peak < 8e6
+
+
+def test_torus_commands_never_build_the_dense_matrices(tmp_path,
+                                                       monkeypatch):
+    def refuse(self, name):
+        raise AssertionError(f"dense {name} built")
+
+    monkeypatch.setattr(FluidAlgebra, "_densify", refuse)
+    runs = {
+        "simulate": {
+            "instance": {"name": "torus", "K": 3, "max_dim": 684},
+            "initial_state": {"seed": 7, "norm": 1.0},
+            "probe": {"seed": 8, "norm": 1.0},
+            "integrator": {"method": "rk4", "dt": 1e-3, "t_end": 0.003},
+        },
+        "diagnose": {
+            "instance": {"name": "torus", "K": 2},
+            "diagnostics": {"num_states": 4, "num_triples": 2},
+        },
+    }
+    for command, config in runs.items():
+        cfg = tmp_path / f"{command}.json"
+        cfg.write_text(json.dumps(config))
+        assert main([command, "--config", str(cfg), "--output",
+                     str(tmp_path / command)]) == 0
+
+
+def test_repr_does_not_assemble_spectral_entries():
+    alg = build_torus_algebra(2)[0]
+    text = repr(alg)
+    assert alg.triple._entry_source is not None
+    assert "'spectral'" in text and "nnz" not in text
+    nnz = alg.triple.nnz
+    assert f"nnz={nnz}" in repr(alg)
+    assert f"nnz={random_algebra(3, 6).triple.nnz}" in repr(
+        random_algebra(3, 6))
