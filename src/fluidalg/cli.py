@@ -35,6 +35,7 @@ from .core import (
 )
 from .diagnostics import _check_sample, run_identity_suite
 from .instances import (
+    GenerationError,
     TorusSizeError,
     beltrami_state,
     build_torus_algebra,
@@ -53,7 +54,7 @@ EXIT_CONFIG = 1
 EXIT_NUMERICAL = 2
 EXIT_VALIDATION = 3
 
-# The random instance draws an n^3 array first: 128 MiB at this n.
+# The random instance holds two n^3 arrays at once: 128 MiB each at this n.
 RANDOM_MAX_N = 256
 
 INSTANCE_SCHEMAS = [
@@ -232,7 +233,7 @@ def _build_instance(spec) -> tuple:
                     most=RANDOM_MAX_N)
         try:
             return random_algebra(seed, n), None
-        except ValueError as exc:
+        except (GenerationError, ValueError) as exc:
             raise ConfigError(str(exc)) from exc
     if name == "custom":
         if "path" not in spec:

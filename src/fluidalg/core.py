@@ -30,8 +30,9 @@ which the 3/2 rule removes all aliasing from the quadratic product
 (Orszag, J. Atmos. Sci. 1971).  Every operation is therefore
 bit-reproducible on one platform and NumPy version.  All three kernels are
 exactly antisymmetric, and the form is evaluated as
-``{X, Y, Z} = X . contract_pair(Y, Z)``.  A spectral form stores no tensor;
-its canonical entries are materialized on demand.
+``{X, Y, Z} = X . contract_pair(Y, Z)``.  A dense form stores its packed
+rows alone and a spectral form no tensor; the canonical entries of both
+are materialized on demand.
 
 Every operator-layer entry point -- :meth:`TripleForm.contract_pair` and
 ``__call__``, the four products of :class:`FluidAlgebra` with G, G^-1, L
@@ -109,7 +110,7 @@ __all__ = [
     "DENSE_DIM_LIMIT",
 ]
 
-# Dense rank-3 storage up to this dimension; sparse or spectral above.
+# Entry lists give the dense kind up to this dimension, sparse above it.
 DENSE_DIM_LIMIT = 64
 
 # Floats per temporary array when a kernel runs on a block of states,
@@ -255,44 +256,53 @@ def _canonical_entries(dim: int, index, values):
     return index, values
 
 
+def _canonical_slots(packed: np.ndarray) -> np.ndarray:
+    """The nonzero canonical slots (k > j) of packed rows ``T[i, j, :]``."""
+    ju = np.triu_indices(packed.shape[1], 1)[1]
+    return (packed != 0.0) & (np.arange(packed.shape[1]) > ju[:, None])
+
+
+def _packed_entries(packed: np.ndarray):
+    """The canonical ``(index, values)`` of packed rows, in (i, j, k) order."""
+    iu, ju = np.triu_indices(packed.shape[1], 1)
+    p, k = np.nonzero(_canonical_slots(packed))
+    return np.stack((iu[p], ju[p], k), axis=1), packed[p, k]
+
+
 class TripleForm:
     """Fully antisymmetric rank-3 form, in one of three storage kinds.
 
     The canonical representation is the list of entries ``(i, j, k, value)``
     with ``i < j < k`` (``index`` and ``values``); the other five index
-    orders are implied by full antisymmetry.  The kind fixes how
-    :meth:`contract_pair`, the integrator hot path, is computed:
+    orders are implied by full antisymmetry.  The kind fixes what is stored
+    and how :meth:`contract_pair`, the integrator hot path, is computed:
 
-    * ``"dense"`` -- for dimensions up to ``DENSE_DIM_LIMIT`` an (n, n, n)
-      array is kept alongside the entries; it is contracted through the
-      packed (n(n-1)/2, n) matrix of its rows ``T[i, j, :]`` with i < j,
-      cached once per form, by one BLAS GEMV;
+    * ``"dense"`` -- the packed (n(n-1)/2, n) matrix of the rows
+      ``T[i, j, :]`` with i < j (``dense``) alone, contracted by one BLAS
+      GEMV; :meth:`from_dense` gives this kind at every n, and
+      :meth:`from_entries` up to ``DENSE_DIM_LIMIT``;
     * ``"sparse"`` -- the canonical entries alone, contracted by one
       ``np.bincount`` in entry order;
     * ``"spectral"`` -- no stored tensor: a matrix-free operator computes
-      the contraction (:meth:`spectral`), and the canonical entries are
-      materialized on demand, on the first access to them.
+      the contraction (:meth:`spectral`).
 
+    The other two kinds build their entries on the first access to them.
     Every kind's contraction is *exactly* antisymmetric in its two
     arguments, and ``__call__`` is ``X . contract_pair(Y, Z)``, so it
     exactly negates when the last two arguments are swapped and is exactly
     zero whenever two arguments are equal.
     """
 
-    def __init__(self, dim: int, index, values, dense=None):
-        """``dense`` is an (n, n, n) array to keep alongside the entries,
-        or a bool saying whether to build one from them."""
+    # the packed rows of the dense kind, the operator of the spectral kind
+    # and, for both, the source of the entries until they are first read
+    dense = operator = _entry_source = None
+    # max |T - antisym(T)| of an input array, which validate reports
+    _defect = 0.0
+
+    def __init__(self, dim: int, index, values):
+        """A form of the sparse kind on canonical entries."""
         self.dim = int(dim)
         self._index, self._values = _canonical_entries(self.dim, index, values)
-        self._entry_source = None
-        self.operator = None
-        self.dense = None
-        if isinstance(dense, bool):
-            dense = self.to_dense() if dense else None
-        if dense is not None:
-            dense = np.ascontiguousarray(dense, dtype=float)
-            dense.setflags(write=False)
-        self.dense = dense
 
     # -- constructors -------------------------------------------------
 
@@ -313,16 +323,24 @@ class TripleForm:
         first access together may each compute the same entries.
         """
         form = cls.__new__(cls)
-        form.dim = int(dim)
-        form._index = form._values = None
+        form.dim, form.operator = int(dim), operator
         form._entry_source = entries
-        form.operator = operator
-        form.dense = None
+        return form
+
+    @classmethod
+    def _packed(cls, packed: np.ndarray) -> "TripleForm":
+        # a form of the dense kind on its packed rows, a fresh array
+        packed.setflags(write=False)
+        form = cls.__new__(cls)
+        form.dim, form.dense = packed.shape[1], packed
+        form._entry_source = lambda: _packed_entries(packed)
         return form
 
     @classmethod
     def from_dense(cls, array) -> "TripleForm":
-        """Build from a dense (n, n, n) array; entries are read at i < j < k."""
+        """A form of the dense kind on the rows ``array[i, j, :]``, i < j,
+        recording the array's largest |entry| (:meth:`max_abs`) and its
+        antisymmetry defect ``max |A - antisym(A)|`` (:func:`validate`)."""
         array = np.asarray(array, dtype=float)
         if array.ndim != 3 or len(set(array.shape)) != 1:
             raise AlgebraFormatError(
@@ -331,17 +349,20 @@ class TripleForm:
         if not np.all(np.isfinite(array)):
             raise AlgebraDataError("non-finite value in triple tensor")
         n = array.shape[0]
-        ii, jj, kk = np.meshgrid(
-            np.arange(n), np.arange(n), np.arange(n), indexing="ij"
-        )
-        mask = (ii < jj) & (jj < kk) & (array != 0.0)
-        index = np.stack([ii[mask], jj[mask], kk[mask]], axis=1)
-        dense = array if n <= DENSE_DIM_LIMIT else None
-        return cls(n, index, array[mask], dense=dense)
+        t_max = defect = 0.0
+        for i in range(n):
+            slab = array[i]
+            t_max = max(t_max, float(np.max(np.abs(slab))))
+            defect = max(defect, float(np.max(np.abs(
+                slab - _antisymmetrize(array, i)))))
+        form = cls._packed(array[np.triu_indices(n, 1)])
+        form._max_abs, form._defect = t_max, defect
+        return form
 
     @classmethod
     def from_entries(cls, dim: int, entries) -> "TripleForm":
-        """Build from canonical ``(i, j, k, value)`` rows with i < j < k.
+        """Build from canonical ``(i, j, k, value)`` rows with i < j < k:
+        of the dense kind up to ``DENSE_DIM_LIMIT``, else sparse.
 
         Each row is a list or tuple of three ``int`` indices (not ``bool``)
         and a real value; any other row raises :class:`AlgebraFormatError`,
@@ -361,8 +382,10 @@ class TripleForm:
         except OverflowError as exc:
             raise AlgebraFormatError(
                 "sparse entry index or value out of range") from exc
-        return cls(dim, index.reshape(-1, 3), values,
-                   dense=dim <= DENSE_DIM_LIMIT)
+        form = cls(dim, index.reshape(-1, 3), values)
+        if form.dim > DENSE_DIM_LIMIT:
+            return form
+        return cls._packed(form.to_dense()[np.triu_indices(form.dim, 1)])
 
     # -- queries ------------------------------------------------------
 
@@ -393,14 +416,18 @@ class TripleForm:
 
     @property
     def nnz(self) -> int:
+        if self.dense is not None and self._entry_source is not None:
+            return int(np.count_nonzero(_canonical_slots(self.dense)))
         return int(self.values.shape[0])
 
     def max_abs(self) -> float:
-        if self.dense is not None and self.dense.size:
-            return float(np.max(np.abs(self.dense)))
-        if self.values.size:
-            return float(np.max(np.abs(self.values)))
-        return 0.0
+        return self._max_abs
+
+    @cached_property
+    def _max_abs(self) -> float:
+        # from_dense records that of its input array instead
+        held = self.values if self.dense is None else self.dense
+        return float(np.max(np.abs(held))) if held.size else 0.0
 
     def entry_list(self):
         """Canonical entries as a list of (i, j, k, value) tuples."""
@@ -410,9 +437,12 @@ class TripleForm:
         ]
 
     def to_dense(self) -> np.ndarray:
-        if self.dense is not None:
-            return self.dense
+        """A new (n, n, n) array of the form, from its packed rows if dense."""
         out = np.zeros((self.dim,) * 3)
+        if self.dense is not None:
+            iu, ju = self._pairs
+            out[iu, ju], out[ju, iu] = self.dense, -self.dense
+            return out
         i, j, k = self.index.T
         v = self.values
         out[i, j, k] = out[j, k, i] = out[k, i, j] = v
@@ -468,12 +498,12 @@ class TripleForm:
     def _kernel(self, X, Y) -> np.ndarray:
         # the kind's kernel on one state or on a chunk of rows
         if self.dense is not None:
-            iu, ju, packed = self._pairs
+            iu, ju = self._pairs
             # take, not X[..., iu], keeps the rows of a block contiguous:
             # one GEMV per contiguous row has the bits of the 1-D kernel
             Xi, Xj = X.take(iu, axis=-1), X.take(ju, axis=-1)
             Yi, Yj = Y.take(iu, axis=-1), Y.take(ju, axis=-1)
-            return np.vecmat(Xi * Yj - Xj * Yi, packed)
+            return np.vecmat(Xi * Yj - Xj * Yi, self.dense)
         if self.operator is not None:
             return self.operator(X, Y)
         if not self.values.size:
@@ -499,18 +529,15 @@ class TripleForm:
         # floats per row in the largest temporaries of the kernel, or what
         # the spectral operator gives instead
         if self.dense is not None:
-            return max(1, len(self._pairs[0]))
+            return max(1, self.dense.shape[0])
         if self.operator is not None:
             return getattr(self.operator, "row_terms", self.dim)
         return max(1, self._targets.size)
 
     @cached_property
     def _pairs(self):
-        # index pairs i < j and the packed rows T[i, j, :] of the dense kernel
-        iu, ju = np.triu_indices(self.dim, 1)
-        packed = np.ascontiguousarray(self.dense[iu, ju, :])
-        packed.setflags(write=False)
-        return iu, ju, packed
+        # the index pairs i < j of the packed rows, in np.triu_indices order
+        return np.triu_indices(self.dim, 1)
 
     @cached_property
     def _columns(self):
@@ -797,11 +824,12 @@ class FluidAlgebra:
         return _as_state(self.dim, X, name, block, like)
 
     def __repr__(self):
-        # the entry count only when the entries are stored: a spectral form
-        # would assemble them to count them
+        # no entry count for a spectral form until its entries are stored:
+        # it would assemble them to count them
         tag = self.meta.get("kind", "custom")
         tf = self.triple
-        nnz = "" if tf._entry_source is not None else f", nnz={tf.nnz}"
+        lazy = tf.kind == "spectral" and tf._entry_source is not None
+        nnz = "" if lazy else f", nnz={tf.nnz}"
         return (
             f"FluidAlgebra(dim={self.dim}, triple={tf.kind!r}{nnz}, "
             f"kind={tag!r})"
@@ -855,25 +883,25 @@ class ValidationReport:
         }
 
 
-def _antisymmetrize(A: np.ndarray) -> np.ndarray:
-    """Full antisymmetrization: signed permutation sum over the 6 orders / 6."""
+def _antisymmetrize(A: np.ndarray, rows=slice(None)) -> np.ndarray:
+    """Full antisymmetrization (signed sum over the 6 orders / 6) at rows."""
     return (
-        A
-        + A.transpose(1, 2, 0)
-        + A.transpose(2, 0, 1)
-        - A.transpose(1, 0, 2)
-        - A.transpose(0, 2, 1)
-        - A.transpose(2, 1, 0)
+        A[rows]
+        + A.transpose(1, 2, 0)[rows]
+        + A.transpose(2, 0, 1)[rows]
+        - A.transpose(1, 0, 2)[rows]
+        - A.transpose(0, 2, 1)[rows]
+        - A.transpose(2, 1, 0)[rows]
     ) / 6.0
 
 
 def validate(alg: FluidAlgebra, tol: float = 1e-12) -> ValidationReport:
     """Check the three structural invariants, returning measured defects.
 
-    * full antisymmetry of the triple tensor (entrywise, against the dense
-      array when one is stored; the canonical sparse layout is antisymmetric
-      by construction, and so is a spectral form, whose entries are not
-      materialized here),
+    * full antisymmetry of the triple tensor: the defect
+      ``max |T - antisym(T)|`` that :meth:`TripleForm.from_dense` measured
+      on its input array, and 0.0 for a form built from canonical entries
+      or of the spectral kind, which are antisymmetric by construction,
     * symmetry and nondegeneracy of the linking form (minimum singular
       value at least ``1e-8`` of the maximum),
     * symmetry and positive definiteness of the metric (minimum eigenvalue
@@ -889,19 +917,9 @@ def validate(alg: FluidAlgebra, tol: float = 1e-12) -> ValidationReport:
     # a spectral form keeps the unscaled threshold rather than building its
     # entries (on the torus they are at most 1/sqrt(2) in any case)
     t_scale = 1.0 if tf.kind == "spectral" else max(tf.max_abs(), 1.0)
-    if tf.dense is not None:
-        # defect = entrywise distance to the full antisymmetrization, which
-        # is zero exactly when the tensor is fully antisymmetric
-        T = tf.dense
-        defect = 0.0
-        if T.size:
-            defect = float(np.max(np.abs(T - _antisymmetrize(T))))
-    else:
-        # canonical i < j < k entries cannot violate antisymmetry
-        defect = 0.0
     report.checks.append(
-        CheckResult("triple-antisymmetry", defect, tol * t_scale,
-                    defect <= tol * t_scale)
+        CheckResult("triple-antisymmetry", tf._defect, tol * t_scale,
+                    tf._defect <= tol * t_scale)
     )
 
     # the symmetry defects are max |L - L^T| and max |G - G^T|, read from

@@ -19,10 +19,7 @@ import numpy as np
 
 from .core import (
     FluidAlgebra,
-    _dot,
-    _in_chunks,
     _is_index,
-    _matvec,
     curl,
     g_dual_norm,
     g_norm,
@@ -134,22 +131,6 @@ class DiagnosticsReport:
 _BLOCK_ROWS = 50
 
 
-def _dense_triple(alg, X, Y, Z):
-    # contract the stored (n, n, n) array itself when there is one, so that
-    # a defect in it shows; the pair kernels are exactly alternating
-    T = alg.triple.dense
-    if T is None:
-        return alg.triple(X, Y, Z)
-    n = alg.dim
-    T = T.reshape(n * n, n)
-
-    def kernel(X, Y, Z):
-        outer = X[..., :, None] * Y[..., None, :]
-        return _dot(_matvec(T, Z), outer.reshape(X.shape[:-1] + (n * n,)))
-
-    return _in_chunks(kernel, n * n, X, Y, Z)
-
-
 # Largest sample size.  A size past NumPy's index range would end in a
 # traceback; 10^6 states already hold 256 MB at n = 32.
 _MAX_SAMPLE = 10 ** 6
@@ -220,7 +201,7 @@ def run_identity_suite(alg: FluidAlgebra, num_states: int = 20,
 
         bump(
             "triple-alternating",
-            np.abs(_dense_triple(alg, X, X, Z)),
+            np.abs(alg.triple(X, X, Z)),
             t_max * nx * nx * nz,
         )
 

@@ -75,7 +75,7 @@ def test_criterion_1_algebraic_identity_suite():
             Z = rng.standard_normal(n)
             nx, ny, nz = g_norm(alg, X), g_norm(alg, Y), g_norm(alg, Z)
             alt = abs(
-                np.einsum("ijk,i,j,k->", alg.triple.dense, X, X, Z,
+                np.einsum("ijk,i,j,k->", alg.triple.to_dense(), X, X, Z,
                           optimize=False)
             )
             worst_alt = max(worst_alt, alt / (tmax * nx * nx * nz))

@@ -597,6 +597,21 @@ def test_diagnose_without_jacobiator_triples_reports_no_sample(tmp_path):
     assert payload["passed"] is True
 
 
+def test_random_instance_without_a_linking_form_is_config_error(tmp_path,
+                                                                capsys):
+    # seed 3 at n = 256 draws no acceptable linking form in its retries
+    cfg = write_config(
+        tmp_path / "cfg.json",
+        {"instance": {"name": "random", "seed": 3, "n": 256}},
+    )
+    out = tmp_path / "out"
+    assert main(["diagnose", "--config", cfg, "--output", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == ("config error: no acceptable linking form in 16 retries "
+                   "(seed=3, n=256)\n")
+    assert not out.exists()
+
+
 def test_diagnose_random_reports_jacobiator(tmp_path):
     cfg = write_config(
         tmp_path / "cfg.json",

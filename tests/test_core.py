@@ -28,6 +28,7 @@ from fluidalg import (
     triple,
     validate,
 )
+from fluidalg.core import _antisymmetrize
 from fluidalg.diagnostics import run_identity_suite
 
 
@@ -162,7 +163,7 @@ def test_triple_vanishes_exactly_on_repeated_arguments(random_n6):
 
 
 def test_dense_arithmetic_alternating_within_roundoff(random_n6):
-    T = random_n6.triple.dense
+    T = random_n6.triple.to_dense()
     rng = make_rng(12)
     tmax = np.max(np.abs(T))
     for _ in range(20):
@@ -216,7 +217,7 @@ def test_dense_and_sparse_paths_agree():
     for _ in range(20):
         X, Y, Z = (rng.standard_normal(5) for _ in range(3))
         dense_val = np.einsum(
-            "ijk,i,j,k->", dense_form.dense, X, Y, Z, optimize=False
+            "ijk,i,j,k->", dense_form.to_dense(), X, Y, Z, optimize=False
         )
         scale = tmax * g_norm(alg, X) * g_norm(alg, Y) * g_norm(alg, Z)
         assert abs(sparse_form(X, Y, Z) - dense_val) <= 1e-13 * scale
@@ -231,21 +232,69 @@ def _dense_algebra(n):
     return random_algebra(n, n)
 
 
-@pytest.mark.parametrize("n", [3, 6, 32, "torus-k1"])
+@pytest.mark.parametrize("n", [3, 6, 32, 65, 128, "torus-k1"])
 def test_dense_pair_kernel_is_exactly_antisymmetric(n):
     alg = _dense_algebra(n)
     form = alg.triple
     assert form.kind == "dense"
     rng = make_rng(16)
     tmax = form.max_abs()
+    T = form.to_dense()
     for _ in range(10):
         X, Y = rng.standard_normal((2, alg.dim))
         b = form.contract_pair(X, Y)
         assert np.array_equal(form.contract_pair(Y, X), -b)
         assert np.array_equal(form.contract_pair(X, X), np.zeros(alg.dim))
-        expected = np.einsum("ijm,i,j->m", form.dense, X, Y, optimize=False)
+        expected = np.einsum("ijm,i,j->m", T, X, Y, optimize=False)
         scale = tmax * np.linalg.norm(X) * np.linalg.norm(Y)
         assert np.max(np.abs(b - expected)) <= 1e-13 * scale
+
+
+def _json_algebra(tmp_path):
+    path = tmp_path / "n8.json"
+    save_algebra(random_algebra(21, 8), path)
+    return load_algebra(path)
+
+
+@pytest.mark.parametrize("build", [
+    lambda tmp_path: rigid_body(1.0, 2.0, 3.0),
+    lambda tmp_path: build_torus_algebra(1)[0],
+    _json_algebra,
+], ids=["rigid", "torus-k1", "json-n8"])
+def test_packed_rows_of_a_dense_array_are_those_of_the_entries(tmp_path,
+                                                               build):
+    form = build(tmp_path).triple
+    rows = [list(entry) for entry in form.entry_list()]
+    packed = TripleForm.from_entries(form.dim, rows).dense
+    assert packed.tobytes() == form.dense.tobytes()
+    again = TripleForm.from_dense(form.to_dense())
+    assert again.kind == "dense"
+    assert again.dense.tobytes() == packed.tobytes()
+    assert again.max_abs() == form.max_abs()
+
+
+# (seed, n): seeds 3, 9, 21 and 22 hold their largest |entry| at i > j only,
+# where the rounding of the antisymmetrization leaves it apart from the
+# packed rows
+@pytest.mark.parametrize("seed, n", [(0, 6), (3, 6), (9, 6), (0, 32),
+                                     (21, 32), (22, 32)])
+def test_max_abs_is_that_of_the_whole_array(seed, n):
+    array = _antisymmetrize(
+        make_rng(np.random.SeedSequence(seed)).standard_normal((n, n, n)))
+    assert random_algebra(seed, n).triple.max_abs() == np.max(np.abs(array))
+
+
+@pytest.mark.parametrize("n", [32, 65, 128])
+def test_a_dense_form_holds_its_packed_rows_alone(n):
+    form = random_algebra(n, n).triple
+    X, Y = make_rng(n).standard_normal((2, n))
+    for _ in range(2):  # after construction, and after a contraction
+        held = [a for a in vars(form).values() if isinstance(a, np.ndarray)]
+        held += [a for t in vars(form).values() if isinstance(t, tuple)
+                 for a in t if isinstance(a, np.ndarray)]
+        assert form.dense.size == n * n * (n - 1) // 2
+        assert max(a.size for a in held) == form.dense.size
+        form.contract_pair(X, Y)
 
 
 @pytest.mark.parametrize("n", [6, 32, "torus-k1"])

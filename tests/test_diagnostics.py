@@ -1,5 +1,7 @@
 """Identity suite coverage and reporting."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,9 @@ from fluidalg import (
     rigid_body,
     run_identity_suite,
     so3,
+    validate,
 )
+from fluidalg import cli
 
 
 def test_every_identity_listed_exactly_once():
@@ -80,15 +84,33 @@ def test_suite_is_deterministic():
         assert ra.max_defect == rb.max_defect
 
 
-def test_triple_alternating_reads_the_stored_array():
-    # the pair kernels are alternating by construction; the identity must
-    # still see a stored array that is not antisymmetric
-    T = random_algebra(13, 5).triple.to_dense().copy()
-    T[0, 0, 1] = 1e-3
-    alg = FluidAlgebra(5, T, np.eye(5), np.eye(5))
+@pytest.mark.parametrize("n", [5, 64, 65])
+def test_a_lone_bad_entry_fails_validation_at_every_n(tmp_path, capsys,
+                                                      monkeypatch, n):
+    # the pair kernels are alternating by construction, so an array that
+    # is not antisymmetric is caught where it is given, with one defect at
+    # every n: |1 - 1/6| at T[0, 1, 2]
+    T = np.zeros((n, n, n))
+    T[0, 1, 2] = 1.0
+    alg = FluidAlgebra(n, T, np.eye(n), np.eye(n))
+    assert alg.triple.kind == "dense"
+    check = validate(alg).checks[0]
+    assert check.name == "triple-antisymmetry" and not check.passed
+    assert check.defect == 1.0 - 1.0 / 6.0
     report = run_identity_suite(alg, num_states=5, num_triples=0)
-    result = report.identity("triple-alternating")
-    assert not result.passed and result.max_defect > 1e-6
+    assert report.identity("triple-alternating").max_defect == 0.0
+
+    monkeypatch.setattr(cli, "random_algebra", lambda seed, n: alg)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"instance": {"name": "random", "seed": 0,
+                                            "n": n}}))
+    out = tmp_path / "out"
+    assert cli.main(["diagnose", "--config", str(cfg), "--output",
+                     str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err == ("validation error: algebra validation failed: "
+                   "triple-antisymmetry (defect 8.333e-01 > 1.000e-12)\n")
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -107,13 +129,6 @@ def _per_sample_suite(alg, num_states, seed, num_triples):
                                    induced_bracket, jacobiator, transport,
                                    vorticity_rhs)
 
-    def dense_triple(X, Y, Z):
-        T = alg.triple.dense
-        if T is not None:
-            n = alg.dim
-            return float((T.reshape(n * n, n) @ Z) @ np.outer(X, Y).ravel())
-        return alg.triple(X, Y, Z)
-
     rng = make_rng(seed)
     n = alg.dim
     states = [rng.standard_normal(n) for _ in range(num_states)]
@@ -128,7 +143,7 @@ def _per_sample_suite(alg, num_states, seed, num_triples):
         Y = states[(idx + 1) % len(states)]
         Z = states[(idx + 2) % len(states)]
         nx, ny, nz = g_norm(alg, X), g_norm(alg, Y), g_norm(alg, Z)
-        bump("triple-alternating", abs(dense_triple(X, X, Z)),
+        bump("triple-alternating", abs(alg.triple(X, X, Z)),
              t_max * nx * nx * nz)
         DX = curl(alg, X)
         bump("curl-defining-relation",

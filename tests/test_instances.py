@@ -151,7 +151,7 @@ def test_pcg64_stream_is_frozen():
 
 def test_random_algebra_fixture_values_are_frozen():
     alg = random_algebra(1, 5)
-    assert alg.triple.dense[0, 1, 2] == pytest.approx(
+    assert alg.triple.to_dense()[0, 1, 2] == pytest.approx(
         0.2288693485039431, rel=0, abs=0
     )
     assert alg.linking[0, 0] == pytest.approx(

@@ -195,8 +195,8 @@ def _assert_same_records(alg, X0, spec, probe):
 
 def _sparse_n70():
     alg = random_algebra(5, 70)
-    assert alg.triple.kind == "sparse"
-    return alg
+    form = TripleForm(70, alg.triple.index, alg.triple.values)
+    return FluidAlgebra(70, form, alg.linking, alg.metric)
 
 
 # name -> (builder, dt, steps); a closing remainder step is added
@@ -204,7 +204,8 @@ CASES = {
     "rigid": (lambda: rigid_body(1.0, 2.0, 3.0), 1e-2, 40),
     "random-n6": (lambda: random_algebra(3, 6), 1e-2, 40),
     "random-n32": (lambda: random_algebra(7, 32), 0.1, 20),
-    "random-n70": (_sparse_n70, 1e-2, 6),
+    "random-n70": (lambda: random_algebra(5, 70), 1e-2, 6),
+    "sparse-n70": (_sparse_n70, 1e-2, 6),
     "torus-k1": (lambda: build_torus_algebra(1)[0], 1e-3, 8),
     "torus-k3": (lambda: build_torus_algebra(3, max_dim=684)[0], 1e-3, 3),
 }
