@@ -24,12 +24,13 @@ kernel per storage kind of :class:`TripleForm`, with a fixed order of
 operations: for the dense kind, the pair differences ``X_i Y_j - X_j Y_i``
 (i < j, in ``np.triu_indices`` order) times the packed rows ``T[i, j, :]``
 in one BLAS GEMV; one ``np.bincount`` in canonical entry order for the
-sparse kind; and, for the spectral kind of the torus, pocketfft
-(``numpy.fft``) on a fixed N^3 grid with N = 3K + 1, the smallest N at
-which the 3/2 rule removes all aliasing from the quadratic product
-(Orszag, J. Atmos. Sci. 1971).  Every operation is therefore
-bit-reproducible on one platform and NumPy version.  All three kernels are
-exactly antisymmetric, and the form is evaluated as
+sparse kind; and, for the spectral kind of the torus, pruned separable
+DFTs, small GEMMs with fixed matrices, between the kept wavevectors and a
+fixed N^3 grid with N = 3K + 1, the smallest N at which the 3/2 rule
+removes all aliasing from the quadratic product (Orszag, J. Atmos. Sci.
+1971).  Every operation is therefore bit-reproducible on one platform and
+NumPy version.  All three kernels are exactly antisymmetric, and the form
+is evaluated as
 ``{X, Y, Z} = X . contract_pair(Y, Z)``.  A dense form stores its packed
 rows alone and a spectral form no tensor; the canonical entries of both
 are materialized on demand.
@@ -42,10 +43,11 @@ axis, and gives a block, row for row, the bits that each of its states
 gives alone.  Products are one GEMV per contiguous row (``np.matvec``,
 ``np.vecmat``, whose bits for a 1-D operand are those of ``@``), inner
 products are ``np.vecdot`` (the bits of ``x @ y``), the sparse kernel
-offsets the slots of each row in one ``np.bincount``, and pocketfft
-transforms the fields of a block one at a time.  A GEMM over a block
-would be faster but rounds differently, so it is not used.  A kernel
-contracts a block in chunks of rows whose temporaries hold about 64 kB.
+offsets the slots of each row in one ``np.bincount``, and the spectral
+DFTs are GEMMs batched over the rows (``np.matmul``), each row's of one
+fixed shape.  A GEMM with the rows of a block as its columns would be
+faster but rounds differently, so it is not used.  A kernel contracts a
+block in chunks of rows whose temporaries hold about 64 kB.
 The arguments of one call are all states or all blocks of one B; any
 other shape raises :class:`AlgebraFormatError` where the functions below
 check their arguments.
@@ -121,6 +123,12 @@ DENSE_DIM_LIMIT = 64
 # thread).
 _BLOCK_TERMS = 1 << 13
 
+# Byte alignment of the fixed matrices of the contraction kernels.  At
+# n = 32 the dense kernel's GEMV of a 50-row block took 80-87 us with its
+# packed rows 64-byte aligned and 109-138 us at the other 8-byte offsets,
+# with the same bits (2-core x86, one BLAS thread).
+_ALIGNMENT = 64
+
 # Nondegeneracy thresholds for validation (relative to the largest
 # singular value / eigenvalue).  Chosen so that curl solves remain
 # trustworthy at double precision.
@@ -181,6 +189,16 @@ def _as_state(dim: int, X, name: str = "state", block: bool = False,
 # one, with other bits, and advanced indexing along the last axis of a
 # block gives strided rows; so the products below first make the rows
 # contiguous.  A state's bits then depend on its values alone.
+
+
+def _aligned_empty(shape, dtype=float) -> np.ndarray:
+    """An uninitialized C-ordered array whose data starts on a 64-byte
+    boundary, the line that BLAS kernels load fastest."""
+    dtype = np.dtype(dtype)
+    nbytes = int(np.prod(shape)) * dtype.itemsize
+    raw = np.empty(nbytes + _ALIGNMENT, dtype=np.uint8)
+    start = -raw.ctypes.data % _ALIGNMENT
+    return raw[start:start + nbytes].view(dtype).reshape(shape)
 
 
 def _matvec(M: np.ndarray, X: np.ndarray) -> np.ndarray:
@@ -263,10 +281,27 @@ def _canonical_slots(packed: np.ndarray) -> np.ndarray:
 
 
 def _packed_entries(packed: np.ndarray):
-    """The canonical ``(index, values)`` of packed rows, in (i, j, k) order."""
+    """The canonical ``(index, values)`` of packed rows, frozen: the slots
+    k > j of the rows (i, j) in ``np.triu_indices`` order come out sorted
+    by (i, j, k), so they need no check or sort."""
     iu, ju = np.triu_indices(packed.shape[1], 1)
     p, k = np.nonzero(_canonical_slots(packed))
-    return np.stack((iu[p], ju[p], k), axis=1), packed[p, k]
+    index, values = np.stack((iu[p], ju[p], k), axis=1), packed[p, k]
+    index.setflags(write=False)
+    values.setflags(write=False)
+    return index, values
+
+
+def _packed_rows(array: np.ndarray) -> np.ndarray:
+    """The rows ``array[i, j, :]`` with i < j, in ``np.triu_indices``
+    order, copied straight into a fresh 64-byte-aligned matrix."""
+    n = array.shape[0]
+    packed = _aligned_empty((n * (n - 1) // 2, n))
+    start = 0
+    for i in range(n - 1):
+        packed[start:start + n - 1 - i] = array[i, i + 1:]
+        start += n - 1 - i
+    return packed
 
 
 class TripleForm:
@@ -316,9 +351,11 @@ class TripleForm:
         cross product is.  A block is given to it in chunks of
         ``_BLOCK_TERMS // row_terms`` rows, with ``row_terms`` its
         optional attribute (``dim`` without it).
-        ``entries()`` returns the canonical ``(index, values)``.  It is
-        called on the first access to the entries (``index``, ``values``,
-        ``nnz``, ``entry_list``, ``to_dense``, ``max_abs``), and never for a
+        ``entries()`` returns the canonical ``(index, values)``, checked,
+        sorted by (i, j, k) and frozen, as :func:`_canonical_entries` gives
+        them; they are stored as they come.  It is called on the first
+        access to the entries (``index``, ``values``, ``nnz``,
+        ``entry_list``, ``to_dense``, ``max_abs``), and never for a
         contraction or an evaluation of the form.  Two threads making that
         first access together may each compute the same entries.
         """
@@ -355,7 +392,7 @@ class TripleForm:
             t_max = max(t_max, float(np.max(np.abs(slab))))
             defect = max(defect, float(np.max(np.abs(
                 slab - _antisymmetrize(array, i)))))
-        form = cls._packed(array[np.triu_indices(n, 1)])
+        form = cls._packed(_packed_rows(array))
         form._max_abs, form._defect = t_max, defect
         return form
 
@@ -385,7 +422,7 @@ class TripleForm:
         form = cls(dim, index.reshape(-1, 3), values)
         if form.dim > DENSE_DIM_LIMIT:
             return form
-        return cls._packed(form.to_dense()[np.triu_indices(form.dim, 1)])
+        return cls._packed(_packed_rows(form.to_dense()))
 
     # -- queries ------------------------------------------------------
 
@@ -397,11 +434,11 @@ class TripleForm:
         return "sparse" if self.operator is None else "spectral"
 
     def _materialize(self):
-        # the entries are stored before the source is dropped, so a reader
-        # never finds neither
+        # the source gives canonical frozen entries; they are stored before
+        # the source is dropped, so a reader never finds neither
         source = self._entry_source
         if source is not None:
-            self._index, self._values = _canonical_entries(self.dim, *source())
+            self._index, self._values = source()
             self._entry_source = None
 
     @property
@@ -484,8 +521,9 @@ class TripleForm:
         * sparse: one ``np.bincount`` over the canonical entries, with the
           slots of row r offset by r n, adds the terms landing on k, then
           on i, then on j, each in entry order;
-        * spectral: the matrix-free operator (on the torus, pocketfft on a
-          fixed grid, batched over the rows); it never materializes the
+        * spectral: the matrix-free operator (on the torus, pruned DFTs
+          to a fixed grid and back, as GEMMs of fixed shape batched over
+          the two fields and the rows); it never materializes the
           entries.
 
         A block runs through the kernel in chunks of rows

@@ -18,7 +18,6 @@ time in the Euler ODE and nothing else.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass, field
 
@@ -31,7 +30,9 @@ from .core import (
     FluidAlgebra,
     TripleForm,
     make_rng,
+    _aligned_empty,
     _antisymmetrize,
+    _canonical_entries,
     validate,
 )
 
@@ -366,8 +367,16 @@ def _torus_entries(rep_arr: np.ndarray, e1: np.ndarray, e2: np.ndarray,
     return index, (amplitude * det * tri)[keep]
 
 
+def _frozen(array: np.ndarray) -> np.ndarray:
+    # a 64-byte-aligned, read-only copy of a fixed operand
+    out = _aligned_empty(array.shape, array.dtype)
+    out[...] = array
+    out.setflags(write=False)
+    return out
+
+
 class _SpectralContraction:
-    """The torus pair contraction by FFT, with no stored tensor.
+    """The torus pair contraction by pruned DFTs, with no stored tensor.
 
     Since ``T[i,j,m] = integral of (f_i x f_j) . f_m``, the contraction of
     X and Y is the projection of the pointwise cross product of their
@@ -377,73 +386,115 @@ class _SpectralContraction:
     Conversely, the cos and sin coordinates of a field w along polarization
     e are ``sqrt 2 e . Re w^(k)`` and ``-sqrt 2 e . Im w^(k)``.
 
-    The fields are synthesized by ``irfftn`` on an N^3 grid, N = 3K + 1,
-    and the cross product is transformed back by ``rfftn``.  The product
+    The fields are sampled on an N^3 grid, N = 3K + 1.  Their product
     holds wavenumbers up to 2K per axis; its aliases onto |k| <= K come
     from N - 2K > K, so none reaches the coefficients read (the 3/2 rule,
-    Orszag 1971).  Swapping X and Y negates the cross product, and so
-    the result, bit for bit; X = Y gives exact zeros.
+    Orszag 1971).  Only the (2K+1)^2 (K+1) coefficients with |k| <= K and
+    k_z >= 0, the cube, are nonzero going in or read coming out, so the
+    transforms are pruned separable DFTs: small GEMMs with fixed matrices,
+    complex along y and x, then the real c2r along z, the axis of the half
+    spectrum, and the mirror of these back.  The component axis rides
+    along in the GEMM columns; the two fields and the rows of a block are
+    batch axes of ``np.matmul``, so each goes through GEMMs of one fixed
+    shape with the bits that a state has alone.  (BLAS may round a GEMM
+    column by its place: with the two fields as columns of one GEMM, the
+    contraction lost exact antisymmetry at K=2 and K=4.)  Swapping X and Y
+    thus swaps the fields bit for bit and negates the cross product, and
+    so the result, exactly; X = Y gives exact zeros.
     """
 
     def __init__(self, reps: np.ndarray, e1: np.ndarray, e2: np.ndarray,
                  K: int):
-        from numpy import fft  # loaded on the torus path only
-
-        self._irfftn, self._rfftn = fft.irfftn, fft.rfftn
-        n = 3 * K + 1
-        self._grid = (n, n, n)
-        self._half = (n, n, n // 2 + 1)  # the half spectrum of rfftn
-        self._size = n * n * (n // 2 + 1)
+        n, side, half = 3 * K + 1, 2 * K + 1, K + 1
+        self._shape = (n, side, half)
         # sets the chunks of a block's rows (see TripleForm.spectral): the
-        # floats of one field component's half spectrum give 20 rows at
-        # K=2 and 6 at K=3.  A 50-row block then took 5.8 and 9.6 ms, in
-        # one piece 6.4 and 17.7 ms, row by row 9.5 and 21.5 ms (2-core
-        # x86, best of 7)
-        self.row_terms = 2 * self._size
+        # largest temporaries, the two fields' 3 components on the grid,
+        # give 3 rows to a chunk at K=2 and 1 from K=3 on.  A 50-row block
+        # then took 1.1 and 3.0 ms, in one piece 1.5 and 5.0 ms, row by
+        # row 2.0 and 3.0 ms (2-core x86, one BLAS thread, best of 45)
+        self.row_terms = 2 * 3 * n ** 3
         m = reps.shape[0]
-        # the half spectrum holds k when k_z >= 0, else -k, whose
-        # coefficient is the conjugate; in the plane k_z = 0 the synthesis
-        # needs -k as well, as the conjugate of k
+        # the cube [kx + K, ky + K, kz] holds k when k_z >= 0, else -k,
+        # whose coefficient is the conjugate; in the plane k_z = 0 it holds
+        # -k as well, as the conjugate of k, and the origin holds zero
+        cube = (side, side, half)
         flip = np.where(reps[:, 2] < 0, -1, 1)
-        self._out_pos = np.ravel_multi_index(
-            ((flip[:, None] * reps) % n).T, self._half)
+        origin = np.array([K, K, 0])
+        stored = np.ravel_multi_index((flip[:, None] * reps + origin).T, cube)
         plane = np.flatnonzero(reps[:, 2] == 0)
-        self._in_pos = np.concatenate((
-            self._out_pos,
-            np.ravel_multi_index(((-reps[plane]) % n).T, self._half)))
-        self._rows = np.concatenate((np.arange(m), plane))
-        # (re, im) signs of a stored coefficient against (A, B)
-        sign = np.ones((self._rows.size, 1, 2))
-        sign[:m, 0, 1] = -flip
-        self._sign = sign
-        frame = np.stack([e1, e2], axis=1)  # (m, polarization, 3)
-        self._synthesis = np.sqrt(0.5) * frame[self._rows].transpose(0, 2, 1)
-        self._projection = np.sqrt(2.0) * frame
+        # the representative of each slot's coefficient, 0 at the origin
+        rep = np.zeros(side * side * half, dtype=np.intp)
+        rep[stored] = np.arange(m)
+        rep[np.ravel_multi_index((origin - reps[plane]).T, cube)] = plane
+        # (re, im) signs of a coefficient against (A, B); zero at the origin
+        sign = np.ones((rep.size, 2))
+        sign[stored, 1] = -flip
+        sign[np.ravel_multi_index(origin, cube)] = 0.0
+        # the cube's floats are laid out [kx, ky, component, kz, re/im]
+        frame = np.stack([e1, e2])  # (polarization, representative, 3)
+        p, xy, c, z, ri = np.indices((2, side * side, 3, half, 2))
+        s = xy * half + z
+        # the synthesis gathers, for polarization p, the (cos, sin) slot
+        # of each float's representative, and weighs it by e_p . e_c
+        self._gather = (4 * rep[s] + 2 * p + ri).ravel()
+        self._synthesis = _frozen(
+            (np.sqrt(0.5) * frame[p, rep[s], c] * sign[s, ri]).reshape(2, -1))
+        # the projection reads, for component c, the (re, im) floats of
+        # each representative once per polarization: [c, rep, pol, phase]
+        c, r, p, ri = np.indices((3, m, 2, 2))
+        xy, z = np.divmod(stored[r], half)
+        self._read = (((xy * 3 + c) * half + z) * 2 + ri).reshape(3, -1)
+        self._projection = _frozen(
+            (np.sqrt(2.0) * frame[p, r, c] * sign[stored[r], ri])
+            .reshape(3, -1))
+
+        x = np.arange(n)
+        k = np.arange(-K, K + 1)
+        kz = np.arange(half)
+        # exp(2 pi i x k / n) from the exact residue of x k mod n
+        turn = 2.0 * np.pi / n
+        grid = np.exp(1j * turn * ((x[:, None] * k) % n))  # (x, k)
+        self._to_grid = _frozen(grid)
+        self._from_grid = _frozen(grid.conj().T / n)
+        # c2r along z, the real part of sum_kz c_kz exp(2 pi i kz z / n),
+        # weighs kz = 0 once and the others twice, for the conjugates of
+        # -kz; r2c is its mirror
+        phase = turn * ((kz[:, None] * x) % n)  # (kz, z)
+        trig = np.stack((np.cos(phase), -np.sin(phase)), axis=1)
+        self._r2c = _frozen(trig.reshape(2 * half, n).T / n)
+        trig[1:] *= 2.0
+        self._c2r = _frozen(trig.reshape(2 * half, n))
 
     def __call__(self, X, Y) -> np.ndarray:
-        # X and Y are states (dim,) or (B, dim) blocks; pocketfft runs the
-        # transforms of a block one field at a time, with the bits of each
-        m = self._projection.shape[0]
-        lead = np.shape(X)[:-1]
-        # [field, *row, representative, polarization, phase] -> stored
-        # (re, im) per component
-        Z = np.stack((X, Y)).reshape((2,) + lead + (m, 2, 2))
-        Z = Z.take(self._rows, axis=-3) * self._sign
-        coef = self._synthesis @ Z
-        F = np.zeros((2,) + lead + (3, self._size, 2))
-        F[..., self._in_pos, :] = coef.swapaxes(-3, -2)
-        uv = self._irfftn(
-            F.view(complex).reshape((2,) + lead + (3,) + self._half),
-            s=self._grid, axes=(-3, -2, -1), norm="forward")
-        u, v = uv
-        w = (u[..., [1, 2, 0], :, :, :] * v[..., [2, 0, 1], :, :, :]
-             - u[..., [2, 0, 1], :, :, :] * v[..., [1, 2, 0], :, :, :])
-        W = self._rfftn(w, axes=(-3, -2, -1), norm="forward")
-        W = W.reshape(lead + (3, self._size))
-        stored = np.ascontiguousarray(W[..., self._out_pos].swapaxes(-2, -1))
-        RI = stored.view(float).reshape(lead + (m, 3, 2)) * self._sign[:m]
+        # X and Y are states (dim,) or (B, dim) blocks
+        n, side, half = self._shape
+        fields = (2,) + np.shape(X)[:-1]
+        lead = fields[1:]
+        Z = np.stack((X, Y)).take(self._gather, axis=-1)
+        Z = Z.reshape(fields + self._synthesis.shape)
+        a, b = self._synthesis
+        cube = (a * Z[..., 0, :] + b * Z[..., 1, :]).view(complex)
+        # [field, *row, kx, ky, (component, kz)]: y, then x, then z
+        F = self._to_grid @ cube.reshape(fields + (side, side, 3 * half))
+        F = self._to_grid @ F.reshape(fields + (side, n * 3 * half))
+        u, v = F.view(float).reshape(fields + (n * n * 3, 2 * half)) \
+            @ self._c2r
+        u = u.reshape(lead + (n * n, 3, n))
+        v = v.reshape(u.shape)
+        w = np.empty(u.shape)
+        for c in range(3):
+            p, q = (c + 1) % 3, (c + 2) % 3
+            np.subtract(u[..., p, :] * v[..., q, :],
+                        u[..., q, :] * v[..., p, :], out=w[..., c, :])
+        # [*row, x, y, (component, z)]: z, then x, then y
+        W = (w.reshape(lead + (n * n * 3, n)) @ self._r2c).view(complex)
+        W = self._from_grid @ W.reshape(lead + (n, n * 3 * half))
+        W = self._from_grid @ W.reshape(lead + (side, n, 3 * half))
+        W = W.reshape(lead + (side * side * 3 * half,)).view(float)
+        RI = W.take(self._read, axis=-1)
         # [representative, polarization, phase] is the local slot order
-        return (self._projection @ RI).reshape(lead + (4 * m,))
+        p0, p1, p2 = self._projection
+        return RI[..., 0, :] * p0 + RI[..., 1, :] * p1 + RI[..., 2, :] * p2
 
 
 def build_torus_algebra(K: int, max_dim: int = 512):
@@ -458,8 +509,8 @@ def build_torus_algebra(K: int, max_dim: int = 512):
     The triple form is dense up to ``DENSE_DIM_LIMIT`` (K = 1), assembled
     in closed form from the selection rule k1 +- k2 +- k3 = 0 and products
     of trigonometric integrals.  Above it (K >= 2) it is of the spectral
-    kind: contractions run by FFT on a (3K+1)^3 grid, and the closed-form
-    entries are assembled only when first read.
+    kind: contractions run by pruned DFTs on a (3K+1)^3 grid, and the
+    closed-form entries are assembled only when first read.
     """
     if K < 1:
         raise ValueError("K must be >= 1")
@@ -495,7 +546,8 @@ def build_torus_algebra(K: int, max_dim: int = 512):
     else:
         tf = TripleForm.spectral(
             dim, _SpectralContraction(rep_arr, e1, e2, K),
-            functools.partial(_torus_entries, rep_arr, e1, e2, K))
+            lambda: _canonical_entries(
+                dim, *_torus_entries(rep_arr, e1, e2, K)))
     alg = FluidAlgebra(
         dim, tf, (cols, w), None, meta={"kind": "torus", "K": K}
     )

@@ -118,13 +118,15 @@ def test_bad_block_shapes_raise_format_error(name):
             f(alg, good, *[good[0]] * (nargs - 1))
 
 
-def test_spectral_blocks_at_n13_have_the_bits_of_single_states():
-    # K = 4 transforms on a 13^3 grid, besides the 7^3 and 10^3 of K = 2, 3
-    alg = build_torus_algebra(4, max_dim=1456)[0]
+@pytest.mark.parametrize("K", [2, 3, 4])
+def test_spectral_blocks_have_the_bits_of_single_states(K):
+    # grids of 7^3, 10^3 and 13^3; contract_pair runs a block in chunks of
+    # 3 rows at K = 2 and of 1 row above, the operator in one piece
+    alg = build_torus_algebra(K, max_dim=1456)[0]
     X, Y = make_rng(33).standard_normal((2, 3, alg.dim))
-    got = alg.triple.contract_pair(X, Y)
-    for r in range(3):
-        assert bits(got[r]) == bits(alg.triple.contract_pair(X[r], Y[r]))
+    for got in (alg.triple.contract_pair(X, Y), alg.triple.operator(X, Y)):
+        for r in range(3):
+            assert bits(got[r]) == bits(alg.triple.contract_pair(X[r], Y[r]))
 
 
 DD_ALGEBRAS = {

@@ -755,9 +755,16 @@ def test_commands_do_not_load_numpy_ma(tmp_path):
     assert flags == ["False"] * len(runs)
 
 
-def test_cli_import_does_not_load_numpy_fft():
-    # the FFT module is loaded by the torus spectral form only
-    code = "import sys, fluidalg.cli; print('numpy.fft' in sys.modules)"
+@pytest.mark.parametrize("code", [
+    "import sys, fluidalg.cli",
+    "import sys, numpy as np, fluidalg\n"
+    "alg = fluidalg.build_torus_algebra(2)[0]\n"
+    "assert alg.triple.kind == 'spectral'\n"
+    "alg.triple.contract_pair(np.ones(alg.dim), np.arange(alg.dim) + 0.5)",
+], ids=["cli-import", "spectral-contraction"])
+def test_numpy_fft_is_never_loaded(code):
+    # the spectral form contracts by its own DFT matrices
+    code += "\nprint('numpy.fft' in sys.modules)"
     src = os.path.dirname(os.path.dirname(fluidalg.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     done = subprocess.run([sys.executable, "-c", code], capture_output=True,

@@ -28,7 +28,8 @@ from fluidalg import (
     triple,
     validate,
 )
-from fluidalg.core import _antisymmetrize
+from fluidalg import core
+from fluidalg.core import _antisymmetrize, _canonical_entries
 from fluidalg.diagnostics import run_identity_suite
 
 
@@ -295,6 +296,46 @@ def test_a_dense_form_holds_its_packed_rows_alone(n):
         assert form.dense.size == n * n * (n - 1) // 2
         assert max(a.size for a in held) == form.dense.size
         form.contract_pair(X, Y)
+
+
+@pytest.mark.parametrize("n", [6, 32, 65, 128])
+def test_packed_rows_are_64_byte_aligned_with_the_bits_of_the_array(n):
+    array = _antisymmetrize(make_rng(n).standard_normal((n, n, n)))
+    pairs = np.triu_indices(n, 1)
+    forms = [(TripleForm.from_dense(array), array),
+             (TripleForm.from_dense(np.asfortranarray(array)), array)]
+    if n <= 64:
+        # the rows below the diagonal come from the entries, not the array
+        form = forms[0][0]
+        forms.append((
+            TripleForm.from_entries(n, [list(e) for e in form.entry_list()]),
+            TripleForm(n, form.index, form.values).to_dense()))
+    for form, dense in forms:
+        assert form.dense.ctypes.data % 64 == 0
+        assert not form.dense.flags.writeable
+        assert form.dense.tobytes() == dense[pairs].tobytes()
+
+
+@pytest.mark.parametrize("build", [
+    lambda: rigid_body(1.0, 2.0, 3.0),
+    lambda: random_algebra(7, 32),
+    lambda: build_torus_algebra(1)[0],
+], ids=["rigid", "random-n32", "torus-k1"])
+def test_dense_entries_come_canonical_without_a_sort(build, monkeypatch):
+    form = build().triple
+    assert form.kind == "dense"
+
+    def refuse(*args):
+        raise AssertionError("the entries were checked and sorted again")
+
+    monkeypatch.setattr(core, "_canonical_entries", refuse)
+    index, values = form.index, form.values
+    monkeypatch.undo()
+    assert not index.flags.writeable and not values.flags.writeable
+    again = _canonical_entries(form.dim, index, values)
+    assert again[0].dtype == index.dtype and again[1].dtype == values.dtype
+    assert again[0].tobytes() == index.tobytes()
+    assert again[1].tobytes() == values.tobytes()
 
 
 @pytest.mark.parametrize("n", [6, 32, "torus-k1"])
