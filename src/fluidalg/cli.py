@@ -195,6 +195,14 @@ def _number(section: str, key: str, value, least, integer: bool = False,
         f"bad {section} config: {key} must be {expected}, got {value!r}")
 
 
+def _path(label: str, value) -> str:
+    """A path field of the config, checked: a string, never a number,
+    which ``open`` reads as a file descriptor (0 is stdin)."""
+    if isinstance(value, str):
+        return value
+    raise ConfigError(f"{label} must be a path string, got {value!r}")
+
+
 def _build_instance(spec) -> tuple:
     """Returns (algebra, torus_basis_or_None)."""
     if not isinstance(spec, dict) or "name" not in spec:
@@ -239,7 +247,7 @@ def _build_instance(spec) -> tuple:
         if "path" not in spec:
             raise ConfigError('custom needs "path"')
         # validation problems in the file map to exit 3 at the caller
-        return load_algebra(spec["path"]), None
+        return load_algebra(_path("instance.path", spec["path"])), None
     known = ", ".join(name for name, _ in INSTANCE_SCHEMAS)
     raise ConfigError(f"unknown instance {name!r}; known: {known}")
 
@@ -379,7 +387,8 @@ def cmd_simulate(args) -> int:
     cfg = _apply_overrides(cfg, args.overrides)
     cfg = _override_seeds(cfg, _seed_override())
     spec = _integrator_spec(cfg)
-    output_dir = args.output or cfg.get("output_dir", ".")
+    output_dir = args.output or _path("output_dir",
+                                      cfg.get("output_dir", "."))
 
     alg, basis = _build_instance(cfg.get("instance"))
     if "initial_state" not in cfg:
@@ -441,7 +450,8 @@ def cmd_simulate(args) -> int:
 def cmd_diagnose(args) -> int:
     cfg = _load_config(args.config)
     cfg = _override_seeds(cfg, _seed_override())
-    output_dir = args.output or cfg.get("output_dir", ".")
+    output_dir = args.output or _path("output_dir",
+                                      cfg.get("output_dir", "."))
     diag_cfg = cfg.get("diagnostics", {})
     if not isinstance(diag_cfg, dict):
         raise ConfigError('"diagnostics" must be an object')

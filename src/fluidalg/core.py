@@ -52,25 +52,22 @@ The arguments of one call are all states or all blocks of one B; any
 other shape raises :class:`AlgebraFormatError` where the functions below
 check their arguments.
 
-Two structures are given, or detected once from the values, and then used
-exactly: a metric that is exactly the identity (applied as a copy, the
-metric solve is a copy of the right-hand side and its eigenvalues are
-exactly ones), and a linking matrix with one nonzero per row and column (a
-permutation with weights, applied as ``w * X[cols]``; its singular values
-are the sorted ``|w|``).  For finite inputs both give the same bits as the
-dense operations they replace, the products ``L @ X``, ``I @ X`` and
-``I @ rhs``; for the identity, the input must hold no ``-0.0``, as none
-built by the package does.
-A linking solve with such a matrix is the scatter ``x[cols] = rhs / w``,
-one correctly rounded division per entry.  An algebra given its
-structures stores no (n, n) array: :func:`validate`, the double-double
-invariants and every product read the structure, and the dense matrices
-are built only when ``linking`` or ``metric`` is first read.
-
-Otherwise the metric and linking solves are products with the inverses
-of ``G`` and ``L``, precomputed once per algebra.  Their normwise backward
-error measured at most 7.2e-16 at the condition-number limits that
-:func:`validate` admits (figures at ``FluidAlgebra._metric_inverse``).
+L and G follow one rule (:class:`_Matrix`): given as a tuple
+``(cols, w)``, as None for the identity, or as an array with one nonzero
+per row and column, a matrix is the weighted permutation
+``M[r, cols[r]] = w[r]``, applied as ``w * X[cols]`` and solved as
+``x[cols] = rhs / w``, one correctly rounded division per entry; with
+``cols = range(n)`` it is a diagonal, applied as ``w * X`` and solved as
+``rhs / w`` in O(n).  For finite inputs the products give the bits of the
+dense ``M @ X``, and the identity's solve is an exact copy of ``rhs``,
+the product with the inverse of ``I`` for an ``rhs`` without ``-0.0``,
+as the package passes it.
+An algebra given its permutations stores no (n, n) array until
+``linking`` or ``metric`` is first read.  Any other matrix is dense and
+solved as the product with its inverse, precomputed once per algebra,
+whose normwise backward error measured at most 7.2e-16 at the
+condition-number limits that :func:`validate` admits (figures at
+``_Matrix._inverse``).
 """
 
 from __future__ import annotations
@@ -590,30 +587,192 @@ class TripleForm:
         return np.concatenate((k, i, j))
 
 
+def _permutation_of(M: np.ndarray):
+    """``(cols, w)``, frozen, when row r of M has the single nonzero
+    ``M[r, cols[r]] = w[r]`` and ``cols`` is a permutation, else None."""
+    rows, cols = np.nonzero(M)
+    if not (np.array_equal(rows, np.arange(len(M))) and _is_permutation(cols)):
+        return None
+    w = M[rows, cols]
+    cols.setflags(write=False)
+    w.setflags(write=False)
+    return cols, w
+
+
+def _checked_permutation(dim: int, value, name: str):
+    """A ``(cols, w)`` tuple checked: ``cols`` a permutation of
+    ``range(dim)``, ``w`` dim finite weights; both copied and frozen."""
+    if len(value) != 2:
+        raise AlgebraFormatError(f"a {name} structure is a tuple (cols, w)")
+    cols, w = (np.array(a) for a in value)
+    if cols.shape != (dim,) or w.shape != (dim,):
+        raise AlgebraFormatError(
+            f"{name} cols and w have shapes {cols.shape} and {w.shape}, "
+            f"expected ({dim},)")
+    if cols.dtype.kind not in "iu" or not _is_permutation(cols):
+        raise AlgebraFormatError(
+            f"{name} cols must be a permutation of range({dim})")
+    if w.dtype.kind not in "iuf":
+        raise AlgebraFormatError(f"{name} weights must be real numbers")
+    w = w.astype(float)
+    if not np.all(np.isfinite(w)):
+        raise AlgebraDataError(f"non-finite value in {name} weights")
+    cols = cols.astype(np.intp)
+    cols.setflags(write=False)
+    w.setflags(write=False)
+    return cols, w
+
+
+class _Matrix:
+    """L or G, held as a weighted permutation (``cols`` and ``w``) or
+    dense (``w`` is None) by the rule of the module docstring.  A solve
+    refuses a singular matrix, or with ``definite`` one that is not
+    positive definite, with :class:`AlgebraValidationError`.
+    """
+
+    def __init__(self, dim: int, value, name: str, definite: bool = False):
+        self.name, self.definite = name, definite
+        self._dense = None
+        if value is None:
+            value = (np.arange(dim), np.ones(dim))
+        if isinstance(value, tuple):
+            self.cols, self.w = _checked_permutation(dim, value, name)
+        else:
+            M = np.ascontiguousarray(value, dtype=float)
+            if M.shape != (dim, dim):
+                raise AlgebraFormatError(
+                    f"{name} matrix has shape {M.shape}, expected "
+                    f"({dim}, {dim})")
+            if not np.all(np.isfinite(M)):
+                raise AlgebraDataError(f"non-finite value in {name} matrix")
+            M.setflags(write=False)
+            self._dense = M
+            self.cols, self.w = _permutation_of(M) or (None, None)
+        self.diagonal = (self.w is not None
+                         and np.array_equal(self.cols, np.arange(dim)))
+
+    @property
+    def dense(self) -> np.ndarray:
+        """The (n, n) array, frozen; for a permutation built on first read."""
+        if self._dense is None:
+            M = np.zeros((self.w.size, self.w.size))
+            M[np.arange(self.w.size), self.cols] = self.w
+            M.setflags(write=False)
+            self._dense = M
+        return self._dense
+
+    # Both products take a state (n,) or a (B, n) block of states and give
+    # each row the bits of that row alone.  For finite inputs a permutation
+    # gives the bits of the dense product; + 0.0 turns the -0.0 of a zero
+    # product into the +0.0 of a sum.
+
+    def apply(self, X: np.ndarray) -> np.ndarray:
+        if self.w is None:
+            return _matvec(self._dense, X)
+        if self.diagonal:
+            return self.w * X + 0.0
+        return self.w * X.take(self.cols, axis=-1) + 0.0
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        inverse = self._inverse
+        if inverse is not None:
+            return _matvec(inverse, rhs)
+        if self.diagonal:
+            return rhs / self.w
+        x = np.empty(np.shape(rhs))
+        x[..., self.cols] = rhs / self.w
+        return x
+
+    # Measured normwise backward error of the product with the inverse,
+    # ||A x - r|| / (||A|| ||x||), worst of 300 random right-hand sides at
+    # n = 32: 7.2e-16 for a metric at condition number 1e10 (a Cholesky
+    # solve gives 9.1e-17), 1.8e-16 for a linking form at 1e8 (an LU solve
+    # gives 1.3e-16).
+
+    @cached_property
+    def _inverse(self):
+        # the inverse of a dense matrix, None for a permutation, once the
+        # solve is known to be well defined; a permutation is positive
+        # definite only as a diagonal of positive weights
+        if self.w is None:
+            try:
+                if self.definite:
+                    np.linalg.cholesky(self._dense)
+                return np.linalg.inv(self._dense)
+            except np.linalg.LinAlgError:
+                pass
+        elif ((self.diagonal and np.all(self.w > 0.0)) if self.definite
+              else np.all(self.w != 0.0)):
+            return None
+        what = ("is not positive definite (Cholesky failed)"
+                if self.definite else "matrix is singular")
+        raise AlgebraValidationError(
+            f"{self.name} {what}; run validate() for details")
+
+    @cached_property
+    def max_abs(self) -> float:
+        return float(np.max(np.abs(self._dense if self.w is None
+                                   else self.w)))
+
+    @cached_property
+    def symmetry_defect(self) -> float:
+        # max |M - M^T|: for a permutation, M[r, cols[r]] - M[cols[r], r]
+        # is w[r] - w[cols[r]] where cols pairs r with cols[r], else w[r],
+        # and every other entry of M - M^T is one of those negated or zero
+        if self.w is None:
+            return float(np.max(np.abs(self._dense - self._dense.T)))
+        cols, w = self.cols, self.w
+        paired = cols[cols] == np.arange(cols.size)
+        return float(np.max(np.abs(np.where(paired, w - w[cols], w))))
+
+    @cached_property
+    def singular_values(self) -> np.ndarray:
+        """Descending: the sorted ``|w|`` of a permutation, else the SVD."""
+        if self.w is not None:
+            return np.sort(np.abs(self.w))[::-1]
+        return np.linalg.svd(self._dense, compute_uv=False)
+
+    @cached_property
+    def eigenvalues(self) -> np.ndarray:
+        """Ascending: the sorted ``w`` of a diagonal, else ``eigvalsh``."""
+        if self.diagonal:
+            return np.sort(self.w)
+        return np.linalg.eigvalsh(self.dense)
+
+    @cached_property
+    def nonzeros(self):
+        # the terms of dd_values: the nonzeros in row-major order, padded
+        if self.w is None:
+            rows, cols = np.nonzero(self._dense)
+            return _padded(rows, cols, self._dense[rows, cols])
+        rows = np.flatnonzero(self.w)
+        return _padded(rows, self.cols[rows], self.w[rows])
+
+
 class FluidAlgebra:
     """Immutable value bundling the three forms on an n-dimensional space.
 
     Parameters
     ----------
+    dim : int (not bool), at least 1
     triple : TripleForm, dense (n, n, n) array, or iterable of (i, j, k, v)
-    linking : (n, n) array or list of rows, symmetric nondegenerate; or a
-        tuple ``(cols, w)``, the weighted permutation with
-        ``L[r, cols[r]] = w[r]`` (a tuple is always read as this)
-    metric : (n, n) array, symmetric positive definite; or None for the
-        identity
+    linking, metric : L, symmetric nondegenerate, and G, symmetric positive
+        definite, each an (n, n) array or list of rows; a tuple
+        ``(cols, w)``, the weighted permutation ``M[r, cols[r]] = w[r]``
+        (a tuple is always read as this); or None for the identity
     meta : optional dict of provenance tags (instance name, seeds, ...)
 
     Construction performs structural checks only (shapes, finiteness, and
     that ``cols`` is a permutation of ``range(n)``); the mathematical
     invariants are checked by :func:`validate`.  ``linking`` and
-    ``metric`` read back as frozen (n, n) arrays; one given as a structure
-    is built on the first read.
+    ``metric`` read back as frozen (n, n) arrays; one given as a
+    permutation is built on the first read.
     """
 
     def __init__(self, dim: int, triple, linking, metric, meta=None):
-        self.dim = int(dim)
-        if self.dim < 1:
+        if not _is_index(dim) or dim < 1:
             raise AlgebraFormatError("dim must be a positive integer")
+        self.dim = int(dim)
         if isinstance(triple, TripleForm):
             tf = triple
         elif isinstance(triple, np.ndarray) and triple.ndim == 3:
@@ -625,222 +784,52 @@ class FluidAlgebra:
                 f"triple form dimension {tf.dim} != algebra dim {self.dim}"
             )
         self.triple = tf
-        # a given structure fills the cached property that would detect it
-        self._linking = self._metric = None
-        if isinstance(linking, tuple):
-            self._linking_permutation = self._check_permutation(linking)
-        else:
-            self._linking = self._square(linking, "linking")
-        if metric is None:
-            self._metric_is_identity = True
-        else:
-            self._metric = self._square(metric, "metric")
+        self._L = _Matrix(self.dim, linking, "linking")
+        self._G = _Matrix(self.dim, metric, "metric", definite=True)
         self.meta = dict(meta) if meta else {}
         self._conditioning_warned = False
 
     @property
     def linking(self) -> np.ndarray:
         """The (n, n) linking matrix L, frozen."""
-        if self._linking is None:
-            self._linking = self._densify("linking")
-        return self._linking
+        return self._L.dense
 
     @property
     def metric(self) -> np.ndarray:
         """The (n, n) metric matrix G, frozen."""
-        if self._metric is None:
-            self._metric = self._densify("metric")
-        return self._metric
-
-    def _densify(self, name: str) -> np.ndarray:
-        # the dense matrix of a given structure, built on its first read
-        if name == "metric":
-            M = np.eye(self.dim)
-        else:
-            cols, w = self._linking_permutation
-            M = np.zeros((self.dim, self.dim))
-            M[np.arange(self.dim), cols] = w
-        M.setflags(write=False)
-        return M
-
-    def _check_permutation(self, linking):
-        """``(cols, w)`` checked: ``cols`` a permutation of ``range(n)``,
-        ``w`` n finite weights; both copied and frozen."""
-        if len(linking) != 2:
-            raise AlgebraFormatError(
-                "a linking structure is a tuple (cols, w)")
-        cols, w = (np.array(a) for a in linking)
-        if cols.shape != (self.dim,) or w.shape != (self.dim,):
-            raise AlgebraFormatError(
-                f"linking cols and w have shapes {cols.shape} and "
-                f"{w.shape}, expected ({self.dim},)")
-        if cols.dtype.kind not in "iu" or not _is_permutation(cols):
-            raise AlgebraFormatError(
-                f"linking cols must be a permutation of range({self.dim})")
-        if w.dtype.kind not in "iuf":
-            raise AlgebraFormatError("linking weights must be real numbers")
-        w = w.astype(float)
-        if not np.all(np.isfinite(w)):
-            raise AlgebraDataError("non-finite value in linking weights")
-        cols = cols.astype(np.intp)
-        cols.setflags(write=False)
-        w.setflags(write=False)
-        return cols, w
-
-    def _square(self, M, name: str) -> np.ndarray:
-        M = np.ascontiguousarray(M, dtype=float)
-        if M.shape != (self.dim, self.dim):
-            raise AlgebraFormatError(
-                f"{name} matrix has shape {M.shape}, expected "
-                f"({self.dim}, {self.dim})"
-            )
-        if not np.all(np.isfinite(M)):
-            raise AlgebraDataError(f"non-finite value in {name} matrix")
-        M.setflags(write=False)
-        return M
-
-    # Inverses are precomputed once per algebra, so a solve is one product;
-    # curl sits in the inner loop of every right-hand-side evaluation.
-    # Measured normwise backward error ||A x - r|| / (||A|| ||x||), worst of
-    # 300 random right-hand sides at n = 32: 7.2e-16 for the metric at
-    # condition number 1e10 (a Cholesky solve gives 9.1e-17), 1.8e-16 for
-    # the linking form at 1e8 (an LU solve gives 1.3e-16).
-
-    @cached_property
-    def _metric_inverse(self) -> np.ndarray:
-        try:
-            np.linalg.cholesky(self.metric)
-        except np.linalg.LinAlgError as exc:
-            raise AlgebraValidationError(
-                "metric is not positive definite (Cholesky failed); "
-                "run validate() for details"
-            ) from exc
-        return np.linalg.inv(self.metric)
-
-    @cached_property
-    def _linking_inverse(self) -> np.ndarray:
-        try:
-            return np.linalg.inv(self.linking)
-        except np.linalg.LinAlgError as exc:
-            raise AlgebraValidationError(
-                "linking matrix is singular; run validate() for details"
-            ) from exc
-
-    # Non-finite right-hand sides propagate as non-finite output; the
-    # callers that need a finite result check it.
-
-    # Structure given at construction, or else detected once from the
-    # values; see the module docstring.  (A product with I turns a -0.0
-    # into +0.0 next to any nonnegative entry, so the copy matches it only
-    # without one.)
-
-    @cached_property
-    def _metric_is_identity(self) -> bool:
-        G = self.metric
-        return bool(np.count_nonzero(G) == self.dim
-                    and np.all(np.diagonal(G) == 1.0))
-
-    @cached_property
-    def _linking_permutation(self):
-        """``(cols, w)`` when row r of L has the single nonzero
-        ``L[r, cols[r]] = w[r]`` and ``cols`` is a permutation, else None."""
-        rows, cols = np.nonzero(self.linking)
-        if not (np.array_equal(rows, np.arange(self.dim))
-                and _is_permutation(cols)):
-            return None
-        return cols, self.linking[rows, cols]
-
-    @cached_property
-    def _linking_max_abs(self) -> float:
-        # max |L|, from the weights of a permutation
-        perm = self._linking_permutation
-        return float(np.max(np.abs(self.linking if perm is None
-                                   else perm[1])))
-
-    @cached_property
-    def _linking_singular_values(self) -> np.ndarray:
-        perm = self._linking_permutation
-        if perm is not None:
-            return np.sort(np.abs(perm[1]))[::-1]
-        return np.linalg.svd(self.linking, compute_uv=False)
-
-    @cached_property
-    def _metric_eigenvalues(self) -> np.ndarray:
-        if self._metric_is_identity:
-            return np.ones(self.dim)
-        return np.linalg.eigvalsh(self.metric)
-
-    # nonzeros of G and L, the terms of the double-double invariants, in
-    # the row-major order of np.nonzero, from the structure when there is one
-
-    @cached_property
-    def _metric_nonzeros(self):
-        if self._metric_is_identity:
-            diagonal = np.arange(self.dim)
-            return _padded(diagonal, diagonal, np.ones(self.dim))
-        return _padded(*_nonzeros(self.metric))
-
-    @cached_property
-    def _linking_nonzeros(self):
-        perm = self._linking_permutation
-        if perm is None:
-            return _padded(*_nonzeros(self.linking))
-        cols, w = perm
-        rows = np.flatnonzero(w)
-        return _padded(rows, cols[rows], w[rows])
+        return self._G.dense
 
     @property
     def linking_condition(self) -> float:
-        sv = self._linking_singular_values
-        if sv[-1] == 0.0:
-            return np.inf
+        sv = self._L.singular_values
         return float(sv[0] / sv[-1]) if sv[-1] > 0 else np.inf
 
     @property
     def metric_condition(self) -> float:
-        ev = self._metric_eigenvalues
-        if ev[0] <= 0:
-            return np.inf
-        return float(ev[-1] / ev[0])
+        ev = self._G.eigenvalues
+        return float(ev[-1] / ev[0]) if ev[0] > 0 else np.inf
 
-    # The four products below take a state (n,) or a (B, n) block of
-    # states and give each row the bits of that row alone.
+    # The four products take a state (n,) or a (B, n) block of states and
+    # give each row the bits of that row alone.  Non-finite right-hand
+    # sides propagate as non-finite output; the callers that need a finite
+    # result check it.
 
     def solve_metric(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve G x = rhs as the product with the cached inverse of G (a
-        copy of rhs when G is the identity)."""
-        if self._metric_is_identity:
-            return np.array(rhs, dtype=float)
-        return _matvec(self._metric_inverse, rhs)
+        """Solve G x = rhs."""
+        return self._G.solve(rhs)
 
     def apply_metric(self, X: np.ndarray) -> np.ndarray:
-        """The product G X (a copy of X when G is the identity)."""
-        if self._metric_is_identity:
-            # + 0.0 turns a -0.0 into +0.0, so a zero norm stays +0.0
-            return X + 0.0
-        return _matvec(self.metric, X)
+        """The product G X."""
+        return self._G.apply(X)
 
     def apply_linking(self, X: np.ndarray) -> np.ndarray:
-        """The product L X (a weighted gather when L is a permutation)."""
-        perm = self._linking_permutation
-        if perm is not None:
-            cols, w = perm
-            # + 0.0 turns the -0.0 of a zero product into the +0.0 of a sum
-            return w * X.take(cols, axis=-1) + 0.0
-        return _matvec(self.linking, X)
+        """The product L X."""
+        return self._L.apply(X)
 
     def solve_linking(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve L x = rhs as the product with the cached inverse of L (a
-        scatter ``x[cols] = rhs / w`` when L is a weighted permutation),
-        warning once if L is ill-conditioned."""
+        """Solve L x = rhs, warning once if L is ill-conditioned."""
         self._warn_if_ill_conditioned()
-        perm = self._linking_permutation
-        if perm is not None:
-            cols, w = perm
-            x = np.empty(np.shape(rhs))
-            x[..., cols] = rhs / w
-            return x
-        return _matvec(self._linking_inverse, rhs)
+        return self._L.solve(rhs)
 
     def _warn_if_ill_conditioned(self):
         if self._conditioning_warned:
@@ -933,6 +922,13 @@ def _antisymmetrize(A: np.ndarray, rows=slice(None)) -> np.ndarray:
     ) / 6.0
 
 
+def _symmetry_check(M: _Matrix, tol: float) -> CheckResult:
+    # max |M - M^T| against tol times the matrix's scale
+    threshold = tol * max(M.max_abs, 1.0)
+    return CheckResult(f"{M.name}-symmetry", M.symmetry_defect, threshold,
+                       M.symmetry_defect <= threshold)
+
+
 def validate(alg: FluidAlgebra, tol: float = 1e-12) -> ValidationReport:
     """Check the three structural invariants, returning measured defects.
 
@@ -960,46 +956,18 @@ def validate(alg: FluidAlgebra, tol: float = 1e-12) -> ValidationReport:
                     tf._defect <= tol * t_scale)
     )
 
-    # the symmetry defects are max |L - L^T| and max |G - G^T|, read from
-    # the structure when there is one: L[r, cols[r]] - L[cols[r], r] is
-    # w[r] - w[cols[r]] where cols pairs r with cols[r], else w[r], and
-    # every other entry of L - L^T is one of those negated or zero
-    perm = alg._linking_permutation
-    l_scale = max(alg._linking_max_abs, 1.0)
-    if perm is None:
-        L = alg.linking
-        sym_defect = float(np.max(np.abs(L - L.T)))
-    else:
-        cols, w = perm
-        paired = cols[cols] == np.arange(alg.dim)
-        sym_defect = float(np.max(np.abs(np.where(paired, w - w[cols], w))))
-    report.checks.append(
-        CheckResult("linking-symmetry", sym_defect, tol * l_scale,
-                    sym_defect <= tol * l_scale)
-    )
-    sv = alg._linking_singular_values
-    threshold = LINKING_SV_RATIO * float(sv[0])
-    report.checks.append(
-        CheckResult("linking-nondegenerate", float(sv[-1]), threshold,
-                    bool(sv[-1] >= threshold) and sv[0] > 0)
-    )
-
-    if alg._metric_is_identity:
-        g_scale, g_sym = 1.0, 0.0
-    else:
-        G = alg.metric
-        g_scale = max(float(np.max(np.abs(G))), 1.0)
-        g_sym = float(np.max(np.abs(G - G.T)))
-    report.checks.append(
-        CheckResult("metric-symmetry", g_sym, tol * g_scale,
-                    g_sym <= tol * g_scale)
-    )
-    ev = alg._metric_eigenvalues
+    sv = alg._L.singular_values
+    l_threshold = LINKING_SV_RATIO * float(sv[0])
+    ev = alg._G.eigenvalues
     g_threshold = METRIC_EIG_RATIO * float(ev[-1])
-    report.checks.append(
+    report.checks += [
+        _symmetry_check(alg._L, tol),
+        CheckResult("linking-nondegenerate", float(sv[-1]), l_threshold,
+                    bool(sv[-1] >= l_threshold) and sv[0] > 0),
+        _symmetry_check(alg._G, tol),
         CheckResult("metric-positive-definite", float(ev[0]), g_threshold,
-                    bool(ev[0] > 0.0) and bool(ev[0] >= g_threshold))
-    )
+                    bool(ev[0] > 0.0) and bool(ev[0] >= g_threshold)),
+    ]
     return report
 
 
@@ -1141,12 +1109,6 @@ class DoubleDouble(float):
         return NotImplemented
 
 
-def _nonzeros(M: np.ndarray):
-    """Nonzero entries of M as (rows, cols, values)."""
-    rows, cols = np.nonzero(M)
-    return rows, cols, M[rows, cols]
-
-
 def _padded(rows, cols, vals):
     """Entries padded with zero entries at (0, 0) to a power-of-two count
     for the pairwise sum."""
@@ -1184,9 +1146,7 @@ def dd_values(alg: FluidAlgebra, form: str, hi, X, X_lo, Y=None, Y_lo=None):
     differently).  A non-finite ``hi[r]``, or terms past the float range,
     give a zero low word.
     """
-    rows, cols, vals = {
-        "metric": alg._metric_nonzeros, "linking": alg._linking_nonzeros,
-    }[form]
+    rows, cols, vals = {"metric": alg._G, "linking": alg._L}[form].nonzeros
     if Y is None:
         Y, Y_lo = X, X_lo
     batch = max(1, _DD_BATCH_TERMS // vals.size)

@@ -184,7 +184,7 @@ def run_identity_suite(alg: FluidAlgebra, num_states: int = 20,
     states = rng.standard_normal((num_states, n))
     neighbours = np.roll(states, -1, axis=0), np.roll(states, -2, axis=0)
     t_max = max(alg.triple.max_abs(), _FLOOR)
-    l_max = max(alg._linking_max_abs, _FLOOR)
+    l_max = max(alg._L.max_abs, _FLOOR)
 
     worst = dict.fromkeys(IDENTITY_NAMES, 0.0)
 

@@ -503,9 +503,10 @@ def build_torus_algebra(K: int, max_dim: int = 512):
     Returns ``(algebra, basis)``.  The basis is L2-orthonormal so the
     metric is the identity; the linking form couples the cos/sin pair
     within each mode with weight 2 pi |k| (curl eigenvalues +-2 pi |k|).
-    Both are given to the algebra by their structure, the identity and a
-    weighted permutation, so no (dim, dim) array is built; ``linking``
-    and ``metric`` are materialized only when first read.
+    Both are given to the algebra as weighted permutations, the metric as
+    None (the identity) and the linking form as ``(cols, w)``, so no
+    (dim, dim) array is built; ``linking`` and ``metric`` are
+    materialized only when first read.
     The triple form is dense up to ``DENSE_DIM_LIMIT`` (K = 1), assembled
     in closed form from the selection rule k1 +- k2 +- k3 = 0 and products
     of trigonometric integrals.  Above it (K >= 2) it is of the spectral

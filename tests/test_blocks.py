@@ -144,7 +144,7 @@ def test_dd_values_gives_each_row_the_low_word_it_has_alone(name, form):
     alg = DD_ALGEBRAS[name]()
     matrix = "metric" if form == "energy" else "linking"
     # one row past a whole batch leaves a one-row last batch
-    vals = getattr(alg, f"_{matrix}_nonzeros")[2]
+    vals = {"metric": alg._G, "linking": alg._L}[matrix].nonzeros[2]
     rows = max(1, core._DD_BATCH_TERMS // vals.size) + 1
     rng = make_rng(34)
     X, Y = rng.standard_normal((2, rows, alg.dim))

@@ -213,13 +213,14 @@ def blowup_config(tmp_path, linking):
     )
 
 
-def run_cli(args, cwd):
+def run_cli(args, cwd, stdin=None):
     """Run ``python -m fluidalg`` in a fresh process."""
     src = os.path.dirname(os.path.dirname(fluidalg.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, "-m", "fluidalg", *args],
                           capture_output=True, text=True, timeout=120,
-                          cwd=cwd, env={**os.environ, "PYTHONPATH": path})
+                          cwd=cwd, env={**os.environ, "PYTHONPATH": path},
+                          stdin=stdin)
 
 
 def test_identity_curl_is_an_exact_equilibrium(tmp_path):
@@ -518,6 +519,55 @@ def test_unwritable_output_is_config_error(tmp_path, capsys):
                  str(blocker / "out")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and err.count("\n") == 1
+
+
+# a number as a path would be opened as a file descriptor (0 is stdin, true
+# is 1), and a list raised a TypeError
+@pytest.mark.parametrize("command", ["simulate", "diagnose"])
+@pytest.mark.parametrize("label, value", [
+    ("output_dir", 5), ("output_dir", ["a"]),
+    ("instance.path", 0), ("instance.path", True), ("instance.path", ["a"]),
+])
+def test_non_string_path_is_config_error(tmp_path, capsys, monkeypatch,
+                                         command, label, value):
+    config = {"instance": {"name": "so3"}, "initial_state": [0, 1, 1],
+              "integrator": {"dt": 0.1, "t_end": 0.1}}
+    if label == "output_dir":
+        config["output_dir"] = value
+    else:
+        config["instance"] = {"name": "custom", "path": value}
+    cfg = write_config(tmp_path / "cfg.json", config)
+    monkeypatch.chdir(tmp_path)
+    assert main([command, "--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert err == f"config error: {label} must be a path string, got " \
+        f"{value!r}\n"
+    assert os.listdir(tmp_path) == ["cfg.json"]
+
+
+def test_output_dir_set_to_a_number_is_config_error(tmp_path, capsys):
+    cfg = rigid_config(tmp_path)
+    assert main(["simulate", "--config", cfg, "--set", "output_dir=5"]) == 1
+    assert capsys.readouterr().err == (
+        "config error: output_dir must be a path string, got 5\n")
+
+
+def test_custom_path_zero_does_not_read_stdin(tmp_path):
+    # stdin holds a valid algebra: read as the custom file, it would run
+    alg_path = tmp_path / "alg.json"
+    save_algebra(random_algebra(6, 4), alg_path)
+    cfg = write_config(tmp_path / "cfg.json", {
+        "instance": {"name": "custom", "path": 0},
+        "diagnostics": {"num_states": 2, "num_triples": 1},
+    })
+    with open(alg_path) as stdin:
+        done = run_cli(["diagnose", "--config", cfg, "--output", "out"],
+                       cwd=tmp_path, stdin=stdin)
+        assert os.lseek(stdin.fileno(), 0, os.SEEK_CUR) == 0
+    assert done.returncode == 1
+    assert done.stderr == ("config error: instance.path must be a path "
+                           "string, got 0\n")
+    assert not (tmp_path / "out").exists()
 
 
 def test_valid_custom_file_round_trips(tmp_path):

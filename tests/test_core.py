@@ -112,6 +112,19 @@ def test_solves_refuse_a_singular_linking_or_indefinite_metric():
         curl(indefinite, np.ones(3))
 
 
+@pytest.mark.parametrize("dim, accepted", [
+    (3, True), (np.int64(3), True),
+    (3.7, False), (3.0, False), ("3", False), (True, False), (None, False),
+])
+def test_dim_is_an_integer_never_coerced(dim, accepted):
+    args = (np.zeros((3, 3, 3)), np.eye(3), np.eye(3))
+    if accepted:
+        assert FluidAlgebra(dim, *args).dim == 3
+    else:
+        with pytest.raises(AlgebraFormatError, match="dim"):
+            FluidAlgebra(dim, *args)
+
+
 def test_shape_mismatch_is_structural_error():
     with pytest.raises(AlgebraFormatError):
         FluidAlgebra(3, np.zeros((3, 3, 3)), np.eye(4), np.eye(3))

@@ -4,6 +4,7 @@ validation results of the dense matrices built from its structure."""
 
 import json
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -12,20 +13,38 @@ from test_blocks import ENTRY_POINTS, bits
 from fluidalg import (
     AlgebraDataError,
     AlgebraFormatError,
+    ConditioningWarning,
     FluidAlgebra,
     build_torus_algebra,
     make_rng,
     random_algebra,
+    rigid_body,
     validate,
 )
+from fluidalg import core
 from fluidalg.cli import main
-from fluidalg.core import dd_values
+from fluidalg.core import AlgebraValidationError, dd_values
 
 
 def dense_twin(alg):
     """The algebra with its linking and metric given as dense matrices."""
     return FluidAlgebra(alg.dim, alg.triple, np.array(alg.linking),
                         np.array(alg.metric))
+
+
+def forced_dense(monkeypatch, *args):
+    """``FluidAlgebra(*args)`` with its matrices held dense: no structure
+    detected, so validate scans M - M^T and takes the SVD or eigvalsh, and
+    a solve runs through the inverse."""
+    with monkeypatch.context() as m:
+        m.setattr(core, "_permutation_of", lambda M: None)
+        alg = FluidAlgebra(*args)
+    assert alg._L.w is None and alg._G.w is None
+    return alg
+
+
+def is_identity(M):
+    return M.diagonal and bits(M.w) == bits(np.ones(M.w.size))
 
 
 @pytest.fixture(scope="module")
@@ -36,9 +55,9 @@ def torus_pair():
 
 def test_torus_is_given_its_structures_and_stores_no_matrix():
     alg = build_torus_algebra(1)[0]
-    assert alg._linking is None and alg._metric is None
-    assert alg._metric_is_identity
-    cols, w = alg._linking_permutation
+    assert alg._L._dense is None and alg._G._dense is None
+    assert is_identity(alg._G)
+    cols, w = alg._L.cols, alg._L.w
     L = alg.linking
     assert not L.flags.writeable and not alg.metric.flags.writeable
     assert alg.linking is L  # built once
@@ -50,15 +69,16 @@ def test_torus_is_given_its_structures_and_stores_no_matrix():
 
 def test_given_and_detected_structures_are_one_representation(torus_pair):
     given, detected = torus_pair
-    assert detected._linking is not None and detected._metric is not None
-    assert detected._metric_is_identity
-    for a, b in zip(given._linking_permutation,
-                    detected._linking_permutation):
-        assert a.dtype == b.dtype and bits(a) == bits(b)
-    for name in ("_linking_nonzeros", "_metric_nonzeros"):
-        for a, b in zip(getattr(given, name), getattr(detected, name)):
+    assert detected._L._dense is not None and detected._G._dense is not None
+    assert is_identity(detected._G)
+    for name in ("_L", "_G"):
+        a_matrix, b_matrix = getattr(given, name), getattr(detected, name)
+        for a, b in zip((a_matrix.cols, a_matrix.w),
+                        (b_matrix.cols, b_matrix.w)):
+            assert a.dtype == b.dtype and bits(a) == bits(b)
+        for a, b in zip(a_matrix.nonzeros, b_matrix.nonzeros):
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
-    assert given._linking_max_abs == detected._linking_max_abs
+        assert a_matrix.max_abs == b_matrix.max_abs
     assert (validate(given).to_dict()
             == validate(detected).to_dict())
 
@@ -97,25 +117,89 @@ BAD_STRUCTURES = {
 
 
 @pytest.mark.parametrize("name", list(BAD_STRUCTURES))
-def test_bad_structures_validate_as_their_dense_matrices(name):
+def test_bad_structures_validate_as_their_dense_matrices(name, monkeypatch):
     triple = random_algebra(3, 6).triple
     cols, w = BAD_STRUCTURES[name]
     given = FluidAlgebra(6, triple, (np.array(cols), np.array(w)), None)
     L = np.zeros((6, 6))
     L[np.arange(6), cols] = w
-    dense = FluidAlgebra(6, triple, L, np.eye(6))
-    # no structure detected: validate scans L - L^T and takes the SVD
-    dense._linking_permutation = None
-    dense._metric_is_identity = False
+    dense = forced_dense(monkeypatch, 6, triple, L, np.eye(6))
     report = validate(given)
     assert report.to_dict() == validate(dense).to_dict()
-    for a, b in zip(given._linking_nonzeros, dense._linking_nonzeros):
+    for a, b in zip(given._L.nonzeros, dense._L.nonzeros):
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
     failed = {c.name for c in report.failures()}
     if name == "zero-weight":
         assert failed == {"linking-nondegenerate"}
     else:
         assert failed == {"linking-symmetry"}
+
+
+# solves that a structure must refuse as its dense matrix does: a swap is
+# a permutation but not positive definite, and neither is a diagonal with a
+# negative weight; a zero weight makes the linking matrix singular
+REFUSED_SOLVES = {
+    "swap-metric": ("metric", np.array([[0.0, 1.0], [1.0, 0.0]])),
+    "indefinite-diagonal": ("metric", np.diag([1.0, 1.0, -1.0])),
+    "zero-weight": ("linking",
+                    tuple(map(np.array, BAD_STRUCTURES["zero-weight"]))),
+}
+
+
+@pytest.mark.parametrize("name", list(REFUSED_SOLVES))
+def test_structured_solves_refuse_what_dense_solves_refuse(name, monkeypatch):
+    form, value = REFUSED_SOLVES[name]
+    n = len(value[0])
+    matrices = {"linking": None, "metric": None, form: value}
+    structured = FluidAlgebra(n, [], matrices["linking"], matrices["metric"])
+    assert {"linking": structured._L, "metric": structured._G}[form].w \
+        is not None
+    dense = forced_dense(monkeypatch, n, [], np.array(structured.linking),
+                         np.array(structured.metric))
+    errors = []
+    for alg in (structured, dense):
+        with warnings.catch_warnings():
+            # a singular linking matrix warns of its conditioning first
+            warnings.simplefilter("ignore", ConditioningWarning)
+            with pytest.raises(AlgebraValidationError) as info:
+                getattr(alg, f"solve_{form}")(np.ones(n))
+        errors.append(str(info.value))
+    assert errors[0] == errors[1]
+    assert ("positive definite" if form == "metric" else "singular") \
+        in errors[0]
+
+
+def test_rigid_body_metric_is_a_diagonal_solved_by_division():
+    moments = np.array([1.0, 3.0, 7.0])
+    alg = rigid_body(*moments)
+    assert alg._G.diagonal and bits(alg._G.w) == bits(moments)
+    assert alg._L.diagonal
+    rhs = make_rng(83).standard_normal((5, 3))
+    assert bits(alg.solve_metric(rhs)) == bits(rhs / moments)
+    for row in rhs:
+        assert bits(alg.solve_metric(row)) == bits(row / moments)
+
+
+def test_diagonal_metric_is_its_detected_dense_twin():
+    base = random_algebra(3, 6)
+    w = 1.0 + make_rng(84).random(6)
+    given = FluidAlgebra(6, base.triple, base.linking, (np.arange(6), w))
+    detected = FluidAlgebra(6, base.triple, base.linking, np.diag(w))
+    assert given._G._dense is None and detected._G._dense is not None
+    assert given._G.diagonal and detected._G.diagonal
+    assert bits(given.metric) == bits(detected.metric)
+    assert validate(given).to_dict() == validate(detected).to_dict()
+    for name, (f, nargs) in ENTRY_POINTS.items():
+        for shape in ((6,), (5, 6)):
+            args = make_rng(85).standard_normal((nargs,) + shape)
+            assert bits(f(given, *args)) == bits(f(detected, *args)), name
+    rng = make_rng(86)
+    X = rng.standard_normal((4, 6))
+    X_lo = 1e-17 * rng.standard_normal((4, 6))
+    hi = [float(x @ (w * x)) for x in X]
+    a = dd_values(given, "metric", hi, X, X_lo)
+    b = dd_values(detected, "metric", hi, X, X_lo)
+    assert [(float(v), v.lo) for v in a] == [(float(v), v.lo) for v in b]
 
 
 @pytest.mark.parametrize("cols, w", [
@@ -143,7 +227,7 @@ def test_given_structure_is_copied_and_frozen():
     cols, w = np.array([1, 0, 2]), np.array([2.0, 2.0, 1.0])
     alg = FluidAlgebra(3, [], (cols, w), None)
     cols[0], w[0] = 2, 5.0
-    stored = alg._linking_permutation
+    stored = alg._L.cols, alg._L.w
     assert stored[0].tolist() == [1, 0, 2] and stored[1].tolist() == [2, 2, 1]
     assert not stored[0].flags.writeable and not stored[1].flags.writeable
     assert validate(alg).passed
@@ -171,10 +255,10 @@ def test_torus_k5_build_holds_no_dense_matrix():
 
 def test_torus_commands_never_build_the_dense_matrices(tmp_path,
                                                        monkeypatch):
-    def refuse(self, name):
-        raise AssertionError(f"dense {name} built")
+    def refuse(self):
+        raise AssertionError(f"dense {self.name} built")
 
-    monkeypatch.setattr(FluidAlgebra, "_densify", refuse)
+    monkeypatch.setattr(core._Matrix, "dense", property(refuse))
     runs = {
         "simulate": {
             "instance": {"name": "torus", "K": 3, "max_dim": 684},

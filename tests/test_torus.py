@@ -256,7 +256,7 @@ def test_vectorized_assembly_matches_per_entry_oracle(fixture, request):
 
 def test_identity_metric_solve_is_an_exact_copy(torus_k1):
     alg, _ = torus_k1
-    assert alg._metric_is_identity
+    assert alg._G.diagonal and np.all(alg._G.w == 1.0)
     # no -0.0 in rhs: the blocked triangular solve keeps or clears the sign
     # of a zero depending on its row; the right-hand sides of the package
     # (contractions and linking products) never hold one
@@ -268,13 +268,13 @@ def test_identity_metric_solve_is_an_exact_copy(torus_k1):
     expected = scipy.linalg.cho_solve(factor, rhs)
     assert np.array_equal(out, expected)
     assert np.array_equal(np.signbit(out), np.signbit(expected))
-    assert np.array_equal(alg._metric_eigenvalues, np.ones(alg.dim))
+    assert np.array_equal(alg._G.eigenvalues, np.ones(alg.dim))
 
 
 @pytest.mark.parametrize("fixture", ["torus_k1", "torus_k2"])
 def test_permutation_curl_is_the_dense_product_bitwise(fixture, request):
     alg, basis = request.getfixturevalue(fixture)
-    assert alg._linking_permutation is not None
+    assert alg._L.w is not None
     rng = make_rng(64)
     # the Beltrami state has exact zeros, which the gather must not turn
     # into -0.0 where the dense sum gives +0.0
@@ -290,7 +290,8 @@ def test_permutation_curl_is_the_dense_product_bitwise(fixture, request):
 def test_structured_operators_leave_diagnose_unchanged(fixture, request,
                                                        monkeypatch):
     alg, basis = request.getfixturevalue(fixture)
-    assert alg._metric_is_identity and alg._linking_permutation is not None
+    assert alg._G.diagonal and np.all(alg._G.w == 1.0)
+    assert alg._L.w is not None
     rng = make_rng(69)
     X = rng.standard_normal(alg.dim)
     for Y in (rng.standard_normal(alg.dim), beltrami_state(basis)):
@@ -317,14 +318,14 @@ def test_structured_operators_leave_diagnose_unchanged(fixture, request,
 def test_permutation_singular_values_match_svd(torus_k2):
     alg, _ = torus_k2
     expected = scipy.linalg.svdvals(alg.linking)
-    got = alg._linking_singular_values
+    got = alg._L.singular_values
     assert np.max(np.abs(got - expected) / expected) <= 1e-15
 
 
 def test_general_algebra_takes_the_dense_path():
     alg = random_algebra(5, 7)
-    assert alg._linking_permutation is None
-    assert not alg._metric_is_identity
+    assert alg._L.w is None
+    assert alg._G.w is None
     X = make_rng(65).standard_normal(alg.dim)
     got = curl(alg, X)
     assert np.array_equal(got, np.linalg.inv(alg.metric) @ (alg.linking @ X))
@@ -333,7 +334,7 @@ def test_general_algebra_takes_the_dense_path():
     expected = scipy.linalg.cho_solve(factor, alg.linking @ X)
     bound = 4 * alg.metric_condition * np.finfo(float).eps
     assert np.linalg.norm(got - expected) <= bound * np.linalg.norm(expected)
-    assert np.array_equal(alg._linking_singular_values,
+    assert np.array_equal(alg._L.singular_values,
                           scipy.linalg.svdvals(alg.linking))
 
 
@@ -423,7 +424,7 @@ def test_spectral_identity_suite_passes_at_k2(torus_k2):
 @pytest.mark.parametrize("K", [1, 2, 3])
 def test_permutation_linking_solve_is_a_gather(K):
     alg, _ = build_torus_algebra(K, max_dim=684)
-    assert alg._linking_permutation is not None
+    assert alg._L.w is not None
     rng = make_rng(68)
     rhs = rng.standard_normal(alg.dim)
     got = alg.solve_linking(rhs)
