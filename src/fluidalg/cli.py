@@ -6,7 +6,13 @@ inputs on one platform): ``trace.csv`` and ``state.csv`` use LF endings,
 echoes the fully defaulted config.
 
 Exit codes: 0 success, 1 config error, 2 numerical failure (partial
-outputs flushed), 3 validation failure.  The environment variable
+outputs flushed), 3 validation failure.  ``_run`` alone turns exceptions
+into codes: a usage error, a ``ConfigError`` (config fields are checked
+before any library call), an ``OSError``, a ``TorusSizeError`` or a
+``GenerationError`` exits 1, and an ``Algebra*Error`` exits 3, so a
+failed ``validate`` exits 3 whichever instance built the algebra.  The
+subcommands return 2 for a failed integration and 3 for a failed
+identity suite.  The environment variable
 ``FLUIDALG_SEED_OVERRIDE`` (integer) overrides every seed in the config,
 for CI reruns.
 """
@@ -33,7 +39,7 @@ from .core import (
     make_rng,
     validate,
 )
-from .diagnostics import _check_sample, run_identity_suite
+from .diagnostics import _MAX_SAMPLE, run_identity_suite
 from .instances import (
     GenerationError,
     TorusSizeError,
@@ -43,7 +49,7 @@ from .instances import (
     rigid_body,
     so3,
 )
-from .integrators import IntegratorSpec, ProjectionSettings, integrate
+from .integrators import METHODS, IntegratorSpec, ProjectionSettings, integrate
 
 __all__ = ["main", "entry"]
 
@@ -84,11 +90,12 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Finite-dimensional fluid algebra simulator and checker.",
     )
     parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command")
+    sub = parser.add_subparsers(dest="command", required=True)
 
     sim = sub.add_parser(
         "simulate", help="integrate the Euler ODE and write CSV traces"
     )
+    sim.set_defaults(run=cmd_simulate)
     sim.add_argument("--config", required=True, help="JSON config path")
     sim.add_argument("--output", default=None, help="output directory")
     sim.add_argument(
@@ -103,10 +110,12 @@ def _build_parser() -> argparse.ArgumentParser:
     diag = sub.add_parser(
         "diagnose", help="run the identity suite against an instance"
     )
+    diag.set_defaults(run=cmd_diagnose)
     diag.add_argument("--config", required=True, help="JSON config path")
     diag.add_argument("--output", default=None, help="output directory")
 
-    sub.add_parser("instances", help="list built-in instances")
+    inst = sub.add_parser("instances", help="list built-in instances")
+    inst.set_defaults(run=cmd_instances)
     return parser
 
 
@@ -215,11 +224,8 @@ def _build_instance(spec) -> tuple:
             or len(moments) != 3
         ):
             raise ConfigError('rigid-body needs "moments": [I1, I2, I3]')
-        try:
-            return rigid_body(*(_number("instance", "moments", m, 0,
-                                        strict=True) for m in moments)), None
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        return rigid_body(*(_number("instance", "moments", m, 0, strict=True)
+                            for m in moments)), None
     if name == "so3":
         return so3(), None
     if name == "torus":
@@ -228,25 +234,17 @@ def _build_instance(spec) -> tuple:
         K = _number("instance", "K", spec["K"], 1, integer=True)
         max_dim = _number("instance", "max_dim", spec.get("max_dim", 512), 1,
                           integer=True)
-        try:
-            alg, basis = build_torus_algebra(K, max_dim=max_dim)
-        except (TorusSizeError, ValueError) as exc:
-            raise ConfigError(str(exc)) from exc
-        return alg, basis
+        return build_torus_algebra(K, max_dim=max_dim)
     if name == "random":
         if "seed" not in spec or "n" not in spec:
             raise ConfigError('random needs "seed" and "n"')
         seed = _number("instance", "seed", spec["seed"], 0, integer=True)
         n = _number("instance", "n", spec["n"], 1, integer=True,
                     most=RANDOM_MAX_N)
-        try:
-            return random_algebra(seed, n), None
-        except (GenerationError, ValueError) as exc:
-            raise ConfigError(str(exc)) from exc
+        return random_algebra(seed, n), None
     if name == "custom":
         if "path" not in spec:
             raise ConfigError('custom needs "path"')
-        # validation problems in the file map to exit 3 at the caller
         return load_algebra(_path("instance.path", spec["path"])), None
     known = ", ".join(name for name, _ in INSTANCE_SCHEMAS)
     raise ConfigError(f"unknown instance {name!r}; known: {known}")
@@ -303,25 +301,26 @@ def _integrator_spec(cfg: dict) -> IntegratorSpec:
     proj = section.get("projection", {})
     if not isinstance(proj, dict):
         raise ConfigError('"integrator.projection" must be an object')
-    try:
-        return IntegratorSpec(
-            method=section.get("method", "rk4"),
-            dt=_number("integrator", "dt", section["dt"], 0, strict=True),
-            t_end=_number("integrator", "t_end", section["t_end"], 0),
-            record_every=_number("integrator", "record_every",
-                                 section.get("record_every", 1), 1,
-                                 integer=True),
-            projection=ProjectionSettings(
-                max_iter=_number("integrator.projection", "max_iter",
-                                 proj.get("max_iter", 10), 1, integer=True),
-                tol=_number("integrator.projection", "tol",
-                            proj.get("tol", 1e-12), 0, strict=True),
-            ),
-        )
-    except KeyError as exc:
-        raise ConfigError(f"integrator config missing {exc}") from exc
-    except ValueError as exc:
-        raise ConfigError(f"bad integrator config: {exc}") from exc
+    for key in ("dt", "t_end"):
+        if key not in section:
+            raise ConfigError(f"integrator config missing {key!r}")
+    method = section.get("method", "rk4")
+    if method not in METHODS:
+        raise ConfigError(f"bad integrator config: method must be one of "
+                          f"{METHODS}, got {method!r}")
+    return IntegratorSpec(
+        method=method,
+        dt=_number("integrator", "dt", section["dt"], 0, strict=True),
+        t_end=_number("integrator", "t_end", section["t_end"], 0),
+        record_every=_number("integrator", "record_every",
+                             section.get("record_every", 1), 1, integer=True),
+        projection=ProjectionSettings(
+            max_iter=_number("integrator.projection", "max_iter",
+                             proj.get("max_iter", 10), 1, integer=True),
+            tol=_number("integrator.projection", "tol",
+                        proj.get("tol", 1e-12), 0, strict=True),
+        ),
+    )
 
 
 def _echo_config(cfg: dict, spec: IntegratorSpec, output_dir: str) -> dict:
@@ -455,13 +454,14 @@ def cmd_diagnose(args) -> int:
     diag_cfg = cfg.get("diagnostics", {})
     if not isinstance(diag_cfg, dict):
         raise ConfigError('"diagnostics" must be an object')
-    num_states = diag_cfg.get("num_states", 20)
-    num_triples = diag_cfg.get("num_triples", 40)
-    seed = diag_cfg.get("seed", 2024)
-    try:
-        _check_sample(num_states, num_triples, seed)
-    except ValueError as exc:
-        raise ConfigError(f"bad diagnostics config: {exc}") from exc
+    num_states = _number("diagnostics", "num_states",
+                         diag_cfg.get("num_states", 20), 2, integer=True,
+                         most=_MAX_SAMPLE)
+    num_triples = _number("diagnostics", "num_triples",
+                          diag_cfg.get("num_triples", 40), 0, integer=True,
+                          most=_MAX_SAMPLE)
+    seed = _number("diagnostics", "seed", diag_cfg.get("seed", 2024), 0,
+                   integer=True)
 
     alg, _ = _build_instance(cfg.get("instance"))
     validate(alg).require()
@@ -500,19 +500,18 @@ def cmd_instances(_args) -> int:
     return EXIT_OK
 
 
-_COMMANDS = {
-    "simulate": cmd_simulate,
-    "diagnose": cmd_diagnose,
-    "instances": cmd_instances,
-}
-
-
-def _run(command, args) -> int:
-    """Run a subcommand, mapping configuration and file errors to exit 1
-    and algebra errors to exit 3, each with a one-line message."""
+def _run(argv) -> int:
+    """Parse ``argv`` and run the chosen subcommand.  This is the one place
+    where an exception becomes an exit code: configuration, file and
+    instance-building errors exit 1 and algebra errors exit 3, each with a
+    one-line message.  argparse exits 0 for ``--help`` and ``--version``
+    and 1 (see ``_Parser``) on a usage error."""
     try:
-        return command(args)
-    except (ConfigError, OSError) as exc:
+        args = _build_parser().parse_args(argv)
+        return args.run(args)
+    except SystemExit as exc:
+        return 0 if exc.code is None else int(exc.code)
+    except (ConfigError, OSError, TorusSizeError, GenerationError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (AlgebraValidationError, AlgebraFormatError, AlgebraDataError) as exc:
@@ -521,16 +520,9 @@ def _run(command, args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        code = exc.code
-        return int(code) if code is not None else 0
-    if args.command not in _COMMANDS:
-        parser.print_usage(sys.stderr)
-        return EXIT_CONFIG
-    return _run(_COMMANDS[args.command], args)
+    """The exit code of the command line ``argv`` (``sys.argv[1:]`` when
+    None)."""
+    return _run(argv)
 
 
 def entry() -> None:

@@ -638,7 +638,7 @@ class _Matrix:
         if isinstance(value, tuple):
             self.cols, self.w = _checked_permutation(dim, value, name)
         else:
-            M = np.ascontiguousarray(value, dtype=float)
+            M = np.array(value, dtype=float, order="C")
             if M.shape != (dim, dim):
                 raise AlgebraFormatError(
                     f"{name} matrix has shape {M.shape}, expected "

@@ -33,6 +33,8 @@ from .core import (
     _aligned_empty,
     _antisymmetrize,
     _canonical_entries,
+    _is_index,
+    _is_real,
     validate,
 )
 
@@ -166,9 +168,11 @@ def rigid_body(i1: float, i2: float, i3: float) -> FluidAlgebra:
 
     The Euler ODE becomes G dX/dt = X x (G^-1 X).
     """
-    moments = (float(i1), float(i2), float(i3))
-    if min(moments) <= 0:
-        raise ValueError(f"moments must be positive, got {moments}")
+    moments = (i1, i2, i3)
+    if not all(_is_real(m) and m > 0 for m in moments):
+        raise ValueError(
+            f"moments must be positive real numbers, got {moments}")
+    moments = tuple(map(float, moments))
     alg = from_lie_algebra(
         LieAlgebraInput(LEVI_CIVITA, np.eye(3), np.diag(moments)),
         meta={"name": "rigid-body", "moments": moments},
@@ -513,8 +517,10 @@ def build_torus_algebra(K: int, max_dim: int = 512):
     kind: contractions run by pruned DFTs on a (3K+1)^3 grid, and the
     closed-form entries are assembled only when first read.
     """
-    if K < 1:
-        raise ValueError("K must be >= 1")
+    if not _is_index(K) or K < 1:
+        raise ValueError(f"K must be an integer >= 1, got {K!r}")
+    if not _is_index(max_dim):
+        raise ValueError(f"max_dim must be an integer, got {max_dim!r}")
     # four modes for each of the ((2K+1)^3 - 1) / 2 representatives,
     # counted before the lattice is enumerated
     dim = 2 * ((2 * K + 1) ** 3 - 1)
@@ -599,8 +605,10 @@ def random_algebra(seed: int, n: int) -> FluidAlgebra:
     spawned child sequences, so the output never depends on how many
     retries earlier shapes consumed.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    if not _is_index(seed) or seed < 0:
+        raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
+    if not _is_index(n) or n < 1:
+        raise ValueError(f"n must be an integer >= 1, got {n!r}")
     ss = np.random.SeedSequence(seed)
     # L first, so that a failure draws no n^3 array (ss.spawn ignores rng)
     for child in ss.spawn(_RANDOM_LINKING_RETRIES):

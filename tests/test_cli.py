@@ -484,6 +484,39 @@ def test_config_field_bases_are_valid(tmp_path, template):
                  str(tmp_path / "out")]) == 0
 
 
+@pytest.mark.parametrize("command", ["simulate", "diagnose"])
+def test_rigid_body_failing_validate_exits_three(tmp_path, capsys, command):
+    # the metric's smallest eigenvalue is below 1e-10 of its largest
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(_config_text(_RIGID, "moments", "[1, 1e11, 1]"))
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--output", str(out)]) == 3
+    assert capsys.readouterr().err == (
+        "validation error: algebra validation failed: "
+        "metric-positive-definite (defect 1.000e+00 > 1.000e+01)\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("integrator, message", [
+    ({"method": "euler", "dt": 0.01, "t_end": 0.02},
+     "bad integrator config: method must be one of ('rk4', 'rk4-projected'), "
+     "got 'euler'"),
+    ({"t_end": 0.02}, "integrator config missing 'dt'"),
+    ({"dt": 0.01}, "integrator config missing 't_end'"),
+])
+def test_bad_integrator_section_message(tmp_path, capsys, integrator,
+                                        message):
+    cfg = write_config(tmp_path / "cfg.json", {
+        "instance": {"name": "so3"},
+        "initial_state": [0, 1, 1],
+        "integrator": integrator,
+    })
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", cfg, "--output", str(out)]) == 1
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("name", ["linking", "metric"])
 @pytest.mark.parametrize("entry", ["1", True])
 def test_custom_file_with_a_non_number_entry_is_validation_error(
@@ -592,6 +625,9 @@ def test_valid_custom_file_round_trips(tmp_path):
 def test_unknown_subcommand_exits_one(capsys):
     assert main(["frobnicate"]) == 1
     assert main([]) == 1
+    err = capsys.readouterr().err
+    assert err.endswith("fluidalg: error: the following arguments are "
+                        "required: command\n")
 
 
 def test_help_exits_zero(capsys):
@@ -717,8 +753,9 @@ def test_sample_past_the_cap_is_config_error(tmp_path, capsys, key, raw):
     assert main(["diagnose", "--config", str(cfg), "--output",
                  str(out)]) == 1
     err = capsys.readouterr().err
+    least = 0 if key == "num_triples" else 2
     assert err == (f"config error: bad diagnostics config: {key} must be "
-                   f"at most 1000000, got {raw}\n")
+                   f"an integer >= {least} and <= 1000000, got {raw}\n")
     assert not out.exists()
 
 

@@ -4,7 +4,8 @@ Each example replaces one field of a small valid input with a drawn JSON
 value and runs the CLI in-process.  Whatever the value, the run must end
 with a documented exit code (0 success, 1 config error, 2 numerical
 failure, 3 validation failure) and at most one line on stderr, never an
-exception.  Numeric draws for the fields that set the amount of work
+exception.  That line starts with the prefix of its exit code, and a
+failed ``validate`` exits 3 whichever instance built the algebra.  Numeric draws for the fields that set the amount of work
 (``dt``, ``t_end``, ``K``, ``n``, ``max_iter``, ``num_states`` and
 ``num_triples``) stay in ranges that run in milliseconds: a legal
 ``t_end`` of 1e9 at dt 0.01 is 10^11 steps.
@@ -136,11 +137,18 @@ def _run(args):
     return code, err.getvalue()
 
 
+# the stderr prefixes of each nonzero exit code
+PREFIXES = {1: ("config error: ",), 2: ("numerical failure: ",),
+            3: ("validation error: ", "identity suite FAILED")}
+
+
 def _check(code, err):
     assert code in (0, 1, 2, 3)
     assert err.count("\n") <= 1 and "Traceback" not in err
     if code:
-        assert err.endswith("\n")
+        assert err.endswith("\n") and err.startswith(PREFIXES[code])
+    if "algebra validation failed" in err:
+        assert code == 3
 
 
 FUZZ = settings(derandomize=True, deadline=None, max_examples=100,

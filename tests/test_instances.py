@@ -7,6 +7,7 @@ from fluidalg import (
     AlgebraValidationError,
     GenerationError,
     LieAlgebraInput,
+    build_torus_algebra,
     euler_rhs,
     from_lie_algebra,
     make_rng,
@@ -163,3 +164,31 @@ def test_random_algebra_fixture_values_are_frozen():
 def test_random_algebra_rejects_bad_n():
     with pytest.raises(ValueError):
         random_algebra(0, 0)
+
+
+@pytest.mark.parametrize("build, args", [
+    (build_torus_algebra, (True,)),
+    (build_torus_algebra, (1.5,)),
+    (build_torus_algebra, (1, 52.5)),
+    (build_torus_algebra, (1, True)),
+    (random_algebra, (True, 3)),
+    (random_algebra, (0, True)),
+    (random_algebra, (0.5, 3)),
+    (random_algebra, (0, 3.0)),
+    (random_algebra, (-1, 3)),
+    (rigid_body, (True, 2, 3)),
+    (rigid_body, (1, 2, "3")),
+    (rigid_body, (1, float("nan"), 3)),
+])
+def test_constructors_refuse_bools_and_non_integers(build, args):
+    with pytest.raises(ValueError):
+        build(*args)
+
+
+def test_constructors_accept_numpy_scalars():
+    torus = build_torus_algebra(np.int64(1), np.int64(52))[0]
+    assert torus.dim == build_torus_algebra(1)[0].dim
+    assert np.array_equal(random_algebra(np.int64(4), np.int64(3)).metric,
+                          random_algebra(4, 3).metric)
+    body = rigid_body(np.float64(1.0), np.int64(2), 3)
+    assert np.array_equal(body.metric, rigid_body(1.0, 2.0, 3.0).metric)

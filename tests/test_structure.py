@@ -19,6 +19,7 @@ from fluidalg import (
     make_rng,
     random_algebra,
     rigid_body,
+    so3,
     validate,
 )
 from fluidalg import core
@@ -231,6 +232,28 @@ def test_given_structure_is_copied_and_frozen():
     assert stored[0].tolist() == [1, 0, 2] and stored[1].tolist() == [2, 2, 1]
     assert not stored[0].flags.writeable and not stored[1].flags.writeable
     assert validate(alg).passed
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_given_matrices_are_copied_and_caller_arrays_stay_writeable(order):
+    # a diagonal L (stored as a permutation) and a dense G
+    L = np.array(np.diag([1.0, -2.0, 3.0]), order=order)
+    G = np.array([[2.0, 1.0, 0.0], [1.0, 2.0, 0.0], [0.0, 0.0, 1.0]],
+                 order=order)
+    M = np.array(np.diag([1.0, 2.0, 3.0]), order=order)
+    alg = FluidAlgebra(3, [], L, G)
+    body = so3(metric=M)
+    expected = alg.linking.copy(), alg.metric.copy(), body.metric.copy()
+    rhs = np.array([1.0, 2.0, 3.0])
+    solved = alg.solve_metric(rhs), body.solve_metric(rhs)
+    assert L.flags.writeable and G.flags.writeable and M.flags.writeable
+    assert alg.metric.flags.c_contiguous
+    L[:], G[:], M[:] = 7.0, 9.0, 11.0
+    assert bits(alg.linking) == bits(expected[0])
+    assert bits(alg.metric) == bits(expected[1])
+    assert bits(body.metric) == bits(expected[2])
+    assert bits(alg.solve_metric(rhs)) == bits(solved[0])
+    assert bits(body.solve_metric(rhs)) == bits(solved[1])
 
 
 def test_dense_view_has_w_r_at_row_r_column_cols_r():
