@@ -23,6 +23,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -32,6 +33,7 @@ from .core import (
     AlgebraFormatError,
     AlgebraValidationError,
     FluidAlgebra,
+    _is_finite_real,
     _is_index,
     _is_real,
     g_norm,
@@ -192,8 +194,7 @@ def _number(section: str, key: str, value, least, integer: bool = False,
     if (integer and _is_index(value) and value >= least
             and (most is None or value <= most)):
         return value
-    # abs(...) <= max rejects infinities, NaN and ints past the float range
-    if (not integer and _is_real(value) and abs(value) <= sys.float_info.max
+    if (not integer and _is_finite_real(value)
             and (value > least if strict else value >= least)):
         return float(value)
     expected = (f"an integer >= {least}" if integer
@@ -328,16 +329,7 @@ def _echo_config(cfg: dict, spec: IntegratorSpec, output_dir: str) -> dict:
         "instance": cfg.get("instance"),
         "initial_state": cfg.get("initial_state"),
         "probe": cfg.get("probe"),
-        "integrator": {
-            "method": spec.method,
-            "dt": spec.dt,
-            "t_end": spec.t_end,
-            "record_every": spec.record_every,
-            "projection": {
-                "max_iter": spec.projection.max_iter,
-                "tol": spec.projection.tol,
-            },
-        },
+        "integrator": asdict(spec),
         "output_dir": output_dir,
     }
 

@@ -74,8 +74,9 @@ from __future__ import annotations
 
 import json
 import numbers
+import sys
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -235,6 +236,11 @@ def _is_index(x) -> bool:
 
 def _is_real(x) -> bool:
     return isinstance(x, numbers.Real) and not isinstance(x, bool)
+
+
+def _is_finite_real(x) -> bool:
+    # abs(...) <= max rejects infinities, NaN and ints past the float range
+    return _is_real(x) and abs(x) <= sys.float_info.max
 
 
 def _is_permutation(cols: np.ndarray) -> bool:
@@ -875,6 +881,10 @@ class CheckResult:
     passed: bool
 
 
+# checks whose value fails at or below its threshold, not above it
+_LOWER_BOUNDED = ("linking-nondegenerate", "metric-positive-definite")
+
+
 @dataclass
 class ValidationReport:
     checks: list = field(default_factory=list)
@@ -889,6 +899,8 @@ class ValidationReport:
     def require(self):
         if not self.passed:
             names = ", ".join(
+                f"{c.name} (value {c.defect:.3e} <= {c.threshold:.3e})"
+                if c.name in _LOWER_BOUNDED else
                 f"{c.name} (defect {c.defect:.3e} > {c.threshold:.3e})"
                 for c in self.failures()
             )
@@ -896,18 +908,7 @@ class ValidationReport:
         return self
 
     def to_dict(self):
-        return {
-            "passed": self.passed,
-            "checks": [
-                {
-                    "name": c.name,
-                    "defect": c.defect,
-                    "threshold": c.threshold,
-                    "passed": c.passed,
-                }
-                for c in self.checks
-            ],
-        }
+        return {"passed": self.passed, **asdict(self)}
 
 
 def _antisymmetrize(A: np.ndarray, rows=slice(None)) -> np.ndarray:

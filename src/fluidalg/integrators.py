@@ -21,6 +21,10 @@ a probe it advances the (2, n) stack of X over Z through the same stages
 and update.  A run records copies of the carried states and evaluates all
 records once, at its end (:func:`_trace_records`).
 
+The operators return non-finite values unjudged; here a non-finite stage
+or step result raises :class:`NumericalFailure`, and a non-finite Newton
+matrix :class:`ProjectionError`.
+
 A single integration is sequential; separate integrations are independent
 and may run concurrently.
 """
@@ -33,6 +37,8 @@ import numpy as np
 
 from .core import (
     FluidAlgebra,
+    _is_finite_real,
+    _is_index,
     curl,
     dd_values,
     energy,
@@ -64,7 +70,7 @@ _NEWTON_SINGULAR_COND = 1e10
 
 
 class ProjectionError(RuntimeError):
-    """Newton projection failed to converge within its iteration budget."""
+    """Newton projection ran out of iterations or met a non-finite matrix."""
 
 
 class NumericalFailure(RuntimeError):
@@ -80,6 +86,13 @@ class ProjectionSettings:
     max_iter: int = 10
     tol: float = 1e-12  # relative constraint tolerance
 
+    def __post_init__(self):
+        if not (_is_index(self.max_iter) and self.max_iter >= 1):
+            raise ValueError(
+                f"max_iter must be an integer >= 1, got {self.max_iter!r}")
+        if not (_is_finite_real(self.tol) and self.tol > 0):
+            raise ValueError(f"tol must be finite and > 0, got {self.tol!r}")
+
 
 @dataclass(frozen=True)
 class IntegratorSpec:
@@ -94,13 +107,14 @@ class IntegratorSpec:
             raise ValueError(
                 f"method must be one of {METHODS}, got {self.method!r}"
             )
-        if not (np.isfinite(self.dt) and self.dt > 0):
+        if not (_is_finite_real(self.dt) and self.dt > 0):
             raise ValueError(f"dt must be finite and > 0, got {self.dt!r}")
-        if not (np.isfinite(self.t_end) and self.t_end >= 0):
+        if not (_is_finite_real(self.t_end) and self.t_end >= 0):
             raise ValueError(
                 f"t_end must be finite and >= 0, got {self.t_end!r}")
-        if self.record_every < 1:
-            raise ValueError("record_every must be >= 1")
+        if not (_is_index(self.record_every) and self.record_every >= 1):
+            raise ValueError(f"record_every must be an integer >= 1, "
+                             f"got {self.record_every!r}")
 
 
 @dataclass
@@ -169,11 +183,8 @@ def _rhs(alg: FluidAlgebra, X, probe: bool, label: str, t: float):
     ``probe``, that of the velocity ``X[0]`` stacked over that of its probe
     ``X[1]``, which sees the velocity at the same stage."""
     V = X[0] if probe else X
-    try:
-        dV = euler_rhs(alg, V)
-    except FloatingPointError as exc:
-        raise NumericalFailure(f"non-finite value in {label} at t={t!r}",
-                               t) from exc
+    dV = euler_rhs(alg, V)
+    _check_finite(dV, label, t)
     # np.array, not np.stack, which costs 4x as much on small states
     return np.array((dV, _probe_rhs(alg, V, X[1]))) if probe else dV
 
@@ -237,7 +248,7 @@ def project_to_invariants(alg: FluidAlgebra, X, E0: float, H0: float,
 
     Returns X' with |energy - E0| <= tol * E0 and
     |helicity - H0| <= tol * max(|H0|, E0); raises ProjectionError if the
-    iteration budget is exhausted first.
+    iteration budget is exhausted first or the Newton matrix is not finite.
     """
     X = alg.state(X, "X")
     e_tol = settings.tol * E0
@@ -270,7 +281,9 @@ def project_to_invariants(alg: FluidAlgebra, X, E0: float, H0: float,
                 [4.0 * (u @ LX), 4.0 * (u @ LD)],
             ]
         )
-        if not np.all(np.isfinite(J)) or np.linalg.cond(J) > _NEWTON_SINGULAR_COND:
+        if not np.all(np.isfinite(J)):
+            raise ProjectionError("non-finite Newton matrix in projection")
+        if np.linalg.cond(J) > _NEWTON_SINGULAR_COND:
             # DX || X: energy and helicity constraints are not independent
             e_now = energy(alg, X)
             if e_now <= 0.0:

@@ -250,6 +250,49 @@ def test_numerical_failure_prints_one_stderr_line(tmp_path):
     ]
 
 
+def test_overflowing_identities_fail_the_suite(tmp_path):
+    # a triple entry near the float64 maximum passes validate, and the
+    # operators overflow on unit states: the suite fails, no traceback
+    alg_path = tmp_path / "overflow.json"
+    alg_path.write_text(json.dumps({
+        "dim": 3,
+        "triple": [[0, 1, 2, 1.7e308]],
+        "linking": np.eye(3).tolist(),
+        "metric": np.eye(3).tolist(),
+    }))
+    cfg = write_config(tmp_path / "cfg.json", {
+        "instance": {"name": "custom", "path": str(alg_path)},
+        "diagnostics": {"num_states": 4, "num_triples": 2},
+    })
+    done = run_cli(["diagnose", "--config", cfg, "--output", "out"],
+                   cwd=tmp_path)
+    assert done.returncode == 3
+    assert done.stderr.splitlines() == ["identity suite FAILED"]
+    report = json.loads((tmp_path / "out" / "diagnostics.json").read_text())
+    failed = [r["name"] for r in report["identities"] if r["passed"] is False]
+    assert failed == ["transport-antisymmetry", "bracket-antisymmetry",
+                      "bracket-triple-compatibility"]
+
+
+def test_projected_step_with_overflowing_energy_fails(tmp_path):
+    # one dt=1e30 step gives a finite state whose energy overflows: its
+    # projection fails, not rescales it to zero, and the next step's first
+    # stage is non-finite
+    cfg = rigid_config(tmp_path, method="rk4-projected", dt=1e30,
+                       t_end=3e30)
+    done = run_cli(["simulate", "--config", cfg, "--output", "out"],
+                   cwd=tmp_path)
+    assert done.returncode == 2
+    assert done.stderr.splitlines() == [
+        "numerical failure: non-finite value in stage 1 at t=1e+30"
+    ]
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert summary["projection_failures"] == 1 and summary["failed"] is True
+    rows = read_rows(tmp_path / "out" / "trace.csv")
+    assert [(r["t"], r["energy"]) for r in rows] == [("0.0", "5.0"),
+                                                     ("1e+30", "inf")]
+
+
 def test_diagnose_random32_repeats_byte_for_byte_in_fresh_processes(tmp_path):
     cfg = write_config(tmp_path / "cfg.json", {
         "instance": {"name": "random", "seed": 7, "n": 32},
@@ -493,7 +536,7 @@ def test_rigid_body_failing_validate_exits_three(tmp_path, capsys, command):
     assert main([command, "--config", str(cfg), "--output", str(out)]) == 3
     assert capsys.readouterr().err == (
         "validation error: algebra validation failed: "
-        "metric-positive-definite (defect 1.000e+00 > 1.000e+01)\n")
+        "metric-positive-definite (value 1.000e+00 <= 1.000e+01)\n")
     assert not out.exists()
 
 

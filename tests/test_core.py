@@ -99,6 +99,24 @@ def test_non_positive_metric_fails():
     assert not validate(alg).passed
 
 
+@pytest.mark.parametrize("L, G, message", [
+    (np.zeros((3, 3)), np.eye(3),
+     "linking-nondegenerate (value 0.000e+00 <= 0.000e+00)"),
+    (np.diag([1.0, 1.0, 1e-12]), np.eye(3),
+     "linking-nondegenerate (value 1.000e-12 <= 1.000e-08)"),
+    (np.eye(3), np.diag([1.0, 1e11, 1.0]),
+     "metric-positive-definite (value 1.000e+00 <= 1.000e+01)"),
+])
+def test_failed_lower_bound_states_a_true_inequality(L, G, message):
+    # nondegeneracy and definiteness fail at or below their threshold
+    from fluidalg import AlgebraValidationError
+
+    alg = FluidAlgebra(3, np.zeros((3, 3, 3)), L, G)
+    with pytest.raises(AlgebraValidationError) as info:
+        validate(alg).require()
+    assert str(info.value) == f"algebra validation failed: {message}"
+
+
 def test_solves_refuse_a_singular_linking_or_indefinite_metric():
     from fluidalg import AlgebraValidationError
 

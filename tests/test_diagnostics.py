@@ -282,6 +282,24 @@ def test_a_nan_defect_fails_its_identity(monkeypatch):
     assert not report.passed
 
 
+def test_a_nan_sample_fails_transport_equality(monkeypatch):
+    # a sample whose operator values hold a NaN has a NaN reference norm;
+    # it is kept, not passed over as a sample that does not move
+    import fluidalg.diagnostics as diagnostics
+
+    vorticity_rhs = diagnostics.vorticity_rhs
+
+    def nan_in_first_row(alg, Y):
+        out = vorticity_rhs(alg, Y)
+        out[0, 0] = np.nan
+        return out
+
+    monkeypatch.setattr(diagnostics, "vorticity_rhs", nan_in_first_row)
+    result = run_identity_suite(random_algebra(3, 4), num_states=4,
+                                num_triples=0).identity("transport-equality")
+    assert np.isnan(result.max_defect) and result.passed is False
+
+
 def test_median_has_the_bits_of_numpy_median():
     # the suite's median sorts instead of calling np.median, which imports
     # numpy.ma; the NaN and sign of zero of np.median must carry over

@@ -3,6 +3,7 @@
 import numpy as np
 
 from fluidalg import (
+    FluidAlgebra,
     circulation_defect,
     curl,
     energy,
@@ -20,6 +21,7 @@ from fluidalg import (
     so3,
     transport,
     triple,
+    validate,
     vorticity_rhs,
 )
 
@@ -336,3 +338,16 @@ def test_energy_helicity_values_are_conserved_quantities(rigid123):
     ) <= 1e-14
     assert energy(rigid123, X) > 0
     assert isinstance(helicity(rigid123, X), float)
+
+
+def test_operators_return_non_finite_values_without_raising():
+    # a triple entry near the float64 maximum passes validate; the
+    # operators overflow on it and return what they compute
+    alg = FluidAlgebra(3, [[0, 1, 2, 1.7e308]], np.eye(3), np.eye(3))
+    assert validate(alg).passed
+    big = np.array([1e200, 2e200, 3e200])
+    with np.errstate(all="ignore"):
+        values = [euler_rhs(alg, big), vorticity_rhs(alg, big),
+                  transport(alg, [1.0, 2.0, 0.0], [0.0, 1.0, 3.0])]
+    for v in values:
+        assert v.shape == (3,) and not np.all(np.isfinite(v))

@@ -185,18 +185,24 @@ def test_fuzzed_diagnose_config_exits_cleanly(field):
                       os.path.join(tmp, "out")]))
 
 
-@FUZZ
-@given(_field_and_value(ALGEBRA_BASE))
-def test_fuzzed_algebra_file_exits_cleanly(field):
-    path, value = field
-    with tempfile.TemporaryDirectory() as tmp:
-        alg = os.path.join(tmp, "alg.json")
-        with open(alg, "w") as fh:
-            json.dump(_replace(ALGEBRA_BASE, path, value), fh)
-        cfg = os.path.join(tmp, "cfg.json")
-        with open(cfg, "w") as fh:
-            json.dump({"instance": {"name": "custom", "path": alg},
-                       "initial_state": [0.0, 1.0, 1.0],
-                       "integrator": {"dt": 0.1, "t_end": 0.5}}, fh)
-        _check(*_run(["simulate", "--config", cfg, "--output",
-                      os.path.join(tmp, "out")]))
+@pytest.mark.parametrize("command", ["simulate", "diagnose"])
+def test_fuzzed_algebra_file_exits_cleanly(command):
+    @FUZZ
+    @given(_field_and_value(ALGEBRA_BASE))
+    def run(field):
+        path, value = field
+        with tempfile.TemporaryDirectory() as tmp:
+            alg = os.path.join(tmp, "alg.json")
+            with open(alg, "w") as fh:
+                json.dump(_replace(ALGEBRA_BASE, path, value), fh)
+            cfg = os.path.join(tmp, "cfg.json")
+            with open(cfg, "w") as fh:
+                json.dump({"instance": {"name": "custom", "path": alg},
+                           "initial_state": [0.0, 1.0, 1.0],
+                           "integrator": {"dt": 0.1, "t_end": 0.5},
+                           "diagnostics": {"num_states": 4,
+                                           "num_triples": 2}}, fh)
+            _check(*_run([command, "--config", cfg, "--output",
+                          os.path.join(tmp, "out")]))
+
+    run()

@@ -106,6 +106,20 @@ def test_projection_singular_newton_falls_back_to_energy(rigid123):
     assert energy(rigid123, out) == pytest.approx(1.0, rel=1e-12)
 
 
+def test_projection_of_an_overflowing_state_raises():
+    # one rigid-body step at dt=1e30 gives a finite state whose energy
+    # overflows; its non-finite Newton matrix fails the projection, for
+    # read as DX || X it would rescale the state by sqrt(5/inf) = 0
+    alg = rigid_body(1.0, 2.0, 3.0)
+    X0 = np.array([0.0, 1.0, 1.0])
+    X = rk4_step(alg, X0, 1e30)
+    with np.errstate(all="ignore"):
+        assert np.all(np.isfinite(X)) and energy(alg, X) == np.inf
+        with pytest.raises(ProjectionError, match="non-finite"):
+            project_to_invariants(alg, X, energy(alg, X0),
+                                  helicity(alg, X0))
+
+
 def test_projection_failure_raises():
     # unreachable targets with a tiny iteration budget
     alg = rigid_body(1.0, 2.0, 3.0)
@@ -242,6 +256,25 @@ def test_spec_validation():
         IntegratorSpec(method="rk4", dt=1e-3, t_end=-1.0)
     with pytest.raises(ValueError):
         IntegratorSpec(method="rk4", dt=1e-3, t_end=1.0, record_every=0)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"record_every": 1.5}, {"record_every": True}, {"record_every": 2.0},
+    {"dt": True}, {"t_end": True}, {"dt": 10 ** 400}, {"dt": "0.1"},
+])
+def test_spec_refuses_coerced_values(kwargs):
+    with pytest.raises(ValueError):
+        IntegratorSpec(**kwargs)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"tol": -1.0}, {"tol": 0.0}, {"tol": float("nan")},
+    {"tol": float("inf")}, {"tol": True}, {"max_iter": 0},
+    {"max_iter": 2.5}, {"max_iter": True},
+])
+def test_projection_settings_refuse_bad_values(kwargs):
+    with pytest.raises(ValueError):
+        ProjectionSettings(**kwargs)
 
 
 # ---------------------------------------------------------------------------

@@ -43,11 +43,7 @@ def _ref_checked(stage, label, t):
 
 
 def _ref_stage_rhs(alg, X, label, t):
-    try:
-        return integrators.euler_rhs(alg, X)
-    except FloatingPointError as exc:
-        raise NumericalFailure(f"non-finite value in {label} at t={t!r}",
-                               t) from exc
+    return _ref_checked(integrators.euler_rhs(alg, X), label, t)
 
 
 def _ref_probe_rhs(alg, X, Z):
