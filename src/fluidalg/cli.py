@@ -3,7 +3,9 @@
 Configs are JSON; outputs are deterministic (byte-identical for identical
 inputs on one platform): ``trace.csv`` and ``state.csv`` use LF endings,
 ``.`` decimals and shortest round-trip float formatting, ``summary.json``
-echoes the fully defaulted config.
+echoes the fully defaulted config.  ``summary.json`` and
+``diagnostics.json`` are strict JSON: a non-finite value is written as
+``null``, and its dotted key is listed under a top-level ``non_finite``.
 
 Exit codes: 0 success, 1 config error, 2 numerical failure (partial
 outputs flushed), 3 validation failure.  ``_run`` alone turns exceptions
@@ -21,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import asdict
@@ -258,6 +261,8 @@ def _resolve_state(alg: FluidAlgebra, basis, form, label: str) -> np.ndarray:
     if isinstance(form, (list, tuple)):
         if not all(_is_real(x) for x in form):
             raise ConfigError(f"{label} coordinates must be numbers")
+        if not all(_is_finite_real(x) for x in form):
+            raise ConfigError(f"{label} coordinates must be finite")
         state = np.asarray(form, dtype=float)
         if state.shape != (alg.dim,):
             raise ConfigError(
@@ -363,9 +368,31 @@ def _write_states(path, records, dim: int) -> None:
             fh.write(f"{_fmt(r.t)},{coords}\n")
 
 
-def _write_json(path, payload) -> None:
+def _finite(value, path: tuple, non_finite: list):
+    """``value`` with each non-finite float in it replaced by None, whose
+    dotted key (list items by index) is appended to ``non_finite``."""
+    if isinstance(value, dict):
+        return {k: _finite(v, path + (k,), non_finite)
+                for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite(v, path + (i,), non_finite)
+                for i, v in enumerate(value)]
+    if isinstance(value, float) and not math.isfinite(value):
+        non_finite.append(".".join(map(str, path)))
+        return None
+    return value
+
+
+def _write_json(path, payload: dict) -> None:
+    """Strict JSON: a non-finite float is written as null, and the dotted
+    keys of those values are listed under a top-level ``non_finite``, which
+    is present only when one is."""
+    non_finite: list = []
+    payload = _finite(payload, (), non_finite)
+    if non_finite:
+        payload["non_finite"] = non_finite
     with open(path, "w", newline="\n") as fh:
-        json.dump(payload, fh, indent=2)
+        json.dump(payload, fh, indent=2, allow_nan=False)
         fh.write("\n")
 
 

@@ -1087,15 +1087,26 @@ class DoubleDouble(float):
     exact value.  Subtraction resolves differences below one ulp of the
     high words: ``x - y`` is ``(float(x) - float(y)) + (x.lo - y.lo)``,
     returned as a float.  Every other operation acts on the high word
-    alone.
+    alone.  A value from :func:`_lazy_dd_values` computes ``lo`` on its
+    first read; it pickles and copies as the value with that low word.
     """
 
-    __slots__ = ("lo",)
+    __slots__ = ("_lo", "_row")
 
     def __new__(cls, hi, lo=0.0):
         self = super().__new__(cls, hi)
-        self.lo = float(lo)
+        self._lo = float(lo)
         return self
+
+    @property
+    def lo(self) -> float:
+        lo = self._lo
+        if isinstance(lo, _LowWords):
+            lo = self._lo = lo[self._row]
+        return lo
+
+    def __reduce__(self):
+        return DoubleDouble, (float(self), self.lo)
 
     def __sub__(self, other):
         if isinstance(other, DoubleDouble):
@@ -1170,6 +1181,37 @@ def dd_values(alg: FluidAlgebra, form: str, hi, X, X_lo, Y=None, Y_lo=None):
             lo = d + (ed + err[:, 0])
             lo[~(np.isfinite(h) & np.isfinite(lo))] = 0.0
         out.extend(map(DoubleDouble, hi[chunk], lo.tolist()))
+    return out
+
+
+class _LowWords:
+    """The low words of one :func:`dd_values` call, evaluated for all of
+    its rows at the first read of any one.  The one attribute holds the
+    call's arguments until then and the low words after; two threads that
+    read it at once may both evaluate them, to the same bits."""
+
+    __slots__ = ("_words",)
+
+    def __init__(self, *args):
+        self._words = args
+
+    def __getitem__(self, row: int) -> float:
+        words = self._words
+        if isinstance(words, tuple):
+            words = self._words = [v.lo for v in dd_values(*words)]
+        return words[row]
+
+
+def _lazy_dd_values(alg: FluidAlgebra, form: str, hi, X, X_lo, Y=None,
+                    Y_lo=None) -> list:
+    """The values of :func:`dd_values`, whose low words are evaluated on
+    the first read of any one of them, by one :func:`dd_values` call over
+    all rows.  A row's bits do not depend on its batch, so they are those
+    of the eager call.  The sequences passed must not change after."""
+    words = _LowWords(alg, form, hi, X, X_lo, Y, Y_lo)
+    out = list(map(DoubleDouble, hi))
+    for row, value in enumerate(out):
+        value._lo, value._row = words, row
     return out
 
 

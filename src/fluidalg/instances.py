@@ -379,6 +379,12 @@ def _frozen(array: np.ndarray) -> np.ndarray:
     return out
 
 
+# the components c + 1 and c + 2 (mod 3) of each component c: the cross
+# product is (u x v)_c = u_next v_prev - u_prev v_next
+_NEXT = np.array([1, 2, 0])
+_PREV = np.array([2, 0, 1])
+
+
 class _SpectralContraction:
     """The torus pair contraction by pruned DFTs, with no stored tensor.
 
@@ -404,7 +410,11 @@ class _SpectralContraction:
     column by its place: with the two fields as columns of one GEMM, the
     contraction lost exact antisymmetry at K=2 and K=4.)  Swapping X and Y
     thus swaps the fields bit for bit and negates the cross product, and
-    so the result, exactly; X = Y gives exact zeros.
+    so the result, exactly; X = Y gives exact zeros.  The cross product is
+    four full-array products and one difference over the components
+    gathered in cyclic order (``_NEXT``, ``_PREV``), the products and
+    differences of each component in turn, bit for bit.  A loop over the
+    components would run each ufunc over strided inner loops only N long.
     """
 
     def __init__(self, reps: np.ndarray, e1: np.ndarray, e2: np.ndarray,
@@ -474,7 +484,7 @@ class _SpectralContraction:
         n, side, half = self._shape
         fields = (2,) + np.shape(X)[:-1]
         lead = fields[1:]
-        Z = np.stack((X, Y)).take(self._gather, axis=-1)
+        Z = np.array((X, Y)).take(self._gather, axis=-1)
         Z = Z.reshape(fields + self._synthesis.shape)
         a, b = self._synthesis
         cube = (a * Z[..., 0, :] + b * Z[..., 1, :]).view(complex)
@@ -485,11 +495,8 @@ class _SpectralContraction:
             @ self._c2r
         u = u.reshape(lead + (n * n, 3, n))
         v = v.reshape(u.shape)
-        w = np.empty(u.shape)
-        for c in range(3):
-            p, q = (c + 1) % 3, (c + 2) % 3
-            np.subtract(u[..., p, :] * v[..., q, :],
-                        u[..., q, :] * v[..., p, :], out=w[..., c, :])
+        w = (u.take(_NEXT, axis=-2) * v.take(_PREV, axis=-2)
+             - u.take(_PREV, axis=-2) * v.take(_NEXT, axis=-2))
         # [*row, x, y, (component, z)]: z, then x, then y
         W = (w.reshape(lead + (n * n * 3, n)) @ self._r2c).view(complex)
         W = self._from_grid @ W.reshape(lead + (n, n * 3 * half))

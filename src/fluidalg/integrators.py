@@ -18,8 +18,9 @@ A probe field Z can be co-evolved with dZ/dt = D' T(X, D Z), using the same
 RK4 stages and stage-consistent X values, to measure the invariance of the
 probe linking <X, Z> numerically.  There is one step, :func:`_rk4`; with
 a probe it advances the (2, n) stack of X over Z through the same stages
-and update.  A run records copies of the carried states and evaluates all
-records once, at its end (:func:`_trace_records`).
+and update.  A run records copies of the carried states and evaluates the
+float64 invariants of all records at its end (:func:`_trace_records`);
+their low words are evaluated on first read, for all records at once.
 
 The operators return non-finite values unjudged; here a non-finite stage
 or step result raises :class:`NumericalFailure`, and a non-finite Newton
@@ -39,8 +40,8 @@ from .core import (
     FluidAlgebra,
     _is_finite_real,
     _is_index,
+    _lazy_dd_values,
     curl,
-    dd_values,
     energy,
     helicity,
     linking,
@@ -126,7 +127,11 @@ class TraceRecord:
     ``probe_linking`` are :class:`~fluidalg.core.DoubleDouble` values: the
     float value is the float64 invariant of ``state``, and the low word
     carries the invariant of ``state + state_lo`` beyond it, so the
-    difference of two records resolves drifts below one ulp.
+    difference of two records resolves drifts below one ulp.  The low
+    words of a run are evaluated on the first read of any one, for all
+    its records at once, from ``state`` and ``state_lo`` as recorded (so
+    write into neither before); a caller that reads only the float values
+    never pays for them.
     """
 
     t: float
@@ -397,21 +402,19 @@ def _trace_records(alg: FluidAlgebra, rows: list) -> list:
 
     Energy, helicity and, with a probe, the probe linking are evaluated on
     the (R, n) block of the recorded states, whose rows have the bits of
-    each state alone, and :func:`~fluidalg.core.dd_values` attaches the low
-    words of the carried states ``X + X_lo`` and ``Z + Z_lo``.
+    each state alone.  The low words of the carried states ``X + X_lo``
+    and ``Z + Z_lo`` are those of :func:`~fluidalg.core.dd_values`,
+    evaluated on first read.
     """
     _, X, X_lo, Z, Z_lo, _ = zip(*rows)
     block = np.array(X)
     E, H = energy(alg, block), helicity(alg, block)
     P = None if Z[0] is None else linking(alg, block, np.array(Z))
-    # dd_values stacks the rows batch by batch; holding whole blocks while
-    # it runs raised the peak memory of a torus K=3 run by 0.5 MB
-    del block
-    energies = dd_values(alg, "metric", E, X, X_lo)
-    helicities = dd_values(alg, "linking", H, X, X_lo)
+    energies = _lazy_dd_values(alg, "metric", E, X, X_lo)
+    helicities = _lazy_dd_values(alg, "linking", H, X, X_lo)
     linkings = [None] * len(rows)
     if P is not None:
-        linkings = dd_values(alg, "linking", P, X, X_lo, Z, Z_lo)
+        linkings = _lazy_dd_values(alg, "linking", P, X, X_lo, Z, Z_lo)
     return [
         TraceRecord(t=t, state=x, energy=e, helicity=h, probe_linking=p,
                     flag=flag, state_lo=x_lo)

@@ -439,6 +439,92 @@ def test_non_numeric_initial_state_is_config_error(tmp_path, capsys):
     assert err == "config error: initial_state coordinates must be numbers\n"
 
 
+@pytest.mark.parametrize("label, coordinates", [
+    ("initial_state", "[Infinity, 0, 0]"),
+    ("initial_state", "[0, -Infinity, 0]"),
+    ("probe", "[Infinity, 0, 0]"),
+    ("probe", "[0, 0, NaN]"),
+    ("initial_state", "[1" + "0" * 400 + ", 0, 0]"),
+])
+def test_non_finite_state_coordinates_are_config_error(
+        tmp_path, capsys, label, coordinates):
+    # JSON has no Infinity or NaN, but Python's json module reads them
+    states = {"initial_state": "[0, 1, 1]", "probe": "[1, 0, 0]",
+              label: coordinates}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(
+        '{"instance": {"name": "rigid-body", "moments": [1, 2, 3]}, '
+        f'"initial_state": {states["initial_state"]}, '
+        f'"probe": {states["probe"]}, '
+        '"integrator": {"dt": 0.1, "t_end": 0}}')
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(cfg), "--output",
+                 str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"config error: {label} coordinates must be finite\n"
+    assert not out.exists()
+
+
+def _strict_json(path):
+    """The JSON file at ``path``, parsed with NaN and Infinity refused."""
+    def refuse(token):
+        raise ValueError(f"non-strict JSON token {token}")
+
+    with open(path) as fh:
+        return json.load(fh, parse_constant=refuse)
+
+
+def _value_at(doc, key):
+    """The value at the dotted ``key`` of ``doc``, list items by index."""
+    for part in key.split("."):
+        doc = doc[int(part) if isinstance(doc, list) else part]
+    return doc
+
+
+def test_non_finite_summary_values_are_null_and_listed(tmp_path):
+    # one dt=1e30 step gives a finite state whose energy overflows, and the
+    # run ends there: the final invariants and the drifts are infinite
+    cfg = rigid_config(tmp_path, method="rk4-projected", dt=1e30,
+                       t_end=1e30)
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", cfg, "--output", str(out)]) == 0
+    summary = _strict_json(out / "summary.json")
+    assert summary["non_finite"] == [
+        "final.energy", "final.helicity", "max_energy_drift",
+        "max_helicity_drift"]
+    assert all(_value_at(summary, key) is None
+               for key in summary["non_finite"])
+    assert summary["initial"]["energy"] == 5.0
+    assert list(summary)[-1] == "non_finite"
+    # a finite run has no such key
+    cfg = rigid_config(tmp_path)
+    assert main(["simulate", "--config", cfg, "--output", str(out)]) == 0
+    assert "non_finite" not in _strict_json(out / "summary.json")
+
+
+def test_non_finite_defects_are_null_and_listed(tmp_path):
+    # the overflowing algebra above: NaN defects and Jacobiator statistics
+    alg_path = tmp_path / "overflow.json"
+    alg_path.write_text(json.dumps({
+        "dim": 3,
+        "triple": [[0, 1, 2, 1.7e308]],
+        "linking": np.eye(3).tolist(),
+        "metric": np.eye(3).tolist(),
+    }))
+    cfg = write_config(tmp_path / "cfg.json", {
+        "instance": {"name": "custom", "path": str(alg_path)},
+        "diagnostics": {"num_states": 4, "num_triples": 2},
+    })
+    out = tmp_path / "out"
+    assert main(["diagnose", "--config", cfg, "--output", str(out)]) == 3
+    text = (out / "diagnostics.json").read_text()
+    assert "NaN" not in text and "Infinity" not in text
+    report = _strict_json(out / "diagnostics.json")
+    assert report["non_finite"]
+    assert all(_value_at(report, key) is None
+               for key in report["non_finite"])
+
+
 @pytest.mark.parametrize("key, value", [
     ("dt", "Infinity"), ("dt", "NaN"), ("t_end", "Infinity"), ("t_end", "NaN"),
 ])

@@ -8,7 +8,9 @@ exception.  That line starts with the prefix of its exit code, and a
 failed ``validate`` exits 3 whichever instance built the algebra.  Numeric draws for the fields that set the amount of work
 (``dt``, ``t_end``, ``K``, ``n``, ``max_iter``, ``num_states`` and
 ``num_triples``) stay in ranges that run in milliseconds: a legal
-``t_end`` of 1e9 at dt 0.01 is 10^11 steps.
+``t_end`` of 1e9 at dt 0.01 is 10^11 steps.  Every JSON file that a
+fuzzed config's run writes must be strict JSON, with no ``NaN`` or
+``Infinity`` token.
 """
 
 import contextlib
@@ -204,5 +206,42 @@ def test_fuzzed_algebra_file_exits_cleanly(command):
                                            "num_triples": 2}}, fh)
             _check(*_run([command, "--config", cfg, "--output",
                           os.path.join(tmp, "out")]))
+
+    run()
+
+
+def _refuse(token):
+    raise ValueError(f"non-strict JSON token {token}")
+
+
+def _check_strict_json(out):
+    """Every JSON file the run wrote parses with NaN and Infinity refused."""
+    names = os.listdir(out) if os.path.isdir(out) else []
+    for name in names:
+        if name.endswith(".json"):
+            with open(os.path.join(out, name)) as fh:
+                json.load(fh, parse_constant=_refuse)
+
+
+CONFIG_BASES = {**{f"simulate-{name}": ("simulate", base)
+                   for name, base in SIMULATE_BASES.items()},
+                "diagnose": ("diagnose", DIAGNOSE_BASE)}
+
+
+@pytest.mark.parametrize("name", list(CONFIG_BASES))
+def test_fuzzed_config_writes_strict_json(name):
+    command, base = CONFIG_BASES[name]
+
+    @FUZZ
+    @given(_field_and_value(base))
+    def run(field):
+        path, value = field
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg = os.path.join(tmp, "cfg.json")
+            with open(cfg, "w") as fh:
+                json.dump(_replace(base, path, value), fh)
+            out = os.path.join(tmp, "out")
+            _check(*_run([command, "--config", cfg, "--output", out]))
+            _check_strict_json(out)
 
     run()

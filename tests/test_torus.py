@@ -464,3 +464,53 @@ def test_simulate_k3_never_assembles_the_entries(tmp_path, monkeypatch):
     assert alg.triple.nnz == 106264
     assert alg.triple.values.shape == (106264,)
     assert len(calls) == 1
+
+
+def _loop_contraction(op, X, Y):
+    """The spectral contraction with its cross product as a loop over the
+    three components, one ufunc call per product and difference: the
+    reference for the full-array cross product of the kernel."""
+    n, side, half = op._shape
+    fields = (2,) + np.shape(X)[:-1]
+    lead = fields[1:]
+    Z = np.stack((X, Y)).take(op._gather, axis=-1)
+    Z = Z.reshape(fields + op._synthesis.shape)
+    a, b = op._synthesis
+    cube = (a * Z[..., 0, :] + b * Z[..., 1, :]).view(complex)
+    F = op._to_grid @ cube.reshape(fields + (side, side, 3 * half))
+    F = op._to_grid @ F.reshape(fields + (side, n * 3 * half))
+    u, v = F.view(float).reshape(fields + (n * n * 3, 2 * half)) @ op._c2r
+    u = u.reshape(lead + (n * n, 3, n))
+    v = v.reshape(u.shape)
+    w = np.empty(u.shape)
+    for c in range(3):
+        p, q = (c + 1) % 3, (c + 2) % 3
+        np.subtract(u[..., p, :] * v[..., q, :],
+                    u[..., q, :] * v[..., p, :], out=w[..., c, :])
+    W = (w.reshape(lead + (n * n * 3, n)) @ op._r2c).view(complex)
+    W = op._from_grid @ W.reshape(lead + (n, n * 3 * half))
+    W = op._from_grid @ W.reshape(lead + (side, n, 3 * half))
+    RI = W.reshape(lead + (side * side * 3 * half,)).view(float) \
+        .take(op._read, axis=-1)
+    p0, p1, p2 = op._projection
+    return RI[..., 0, :] * p0 + RI[..., 1, :] * p1 + RI[..., 2, :] * p2
+
+
+@pytest.mark.parametrize("K", [2, 3])
+def test_full_array_cross_product_matches_the_component_loop(K):
+    alg, basis = build_torus_algebra(K, max_dim=684)
+    op = alg.triple.operator
+    rng = make_rng(90 + K)
+    X, Y = rng.standard_normal((2, alg.dim))
+    A, B = rng.standard_normal((2, 5, alg.dim))
+    cases = [(X, Y), (beltrami_state(basis), Y), (A, B)]
+    for P, Q in cases:
+        got = op(P, Q)
+        assert got.tobytes() == _loop_contraction(op, P, Q).tobytes()
+        assert np.array_equal(op(Q, P), -got)
+        assert not np.any(op(P, P))
+    # a block through the chunked kernel gives each row its own bits
+    block = alg.triple.contract_pair(A, B)
+    for r in range(len(A)):
+        want = _loop_contraction(op, A[r], B[r])
+        assert block[r].tobytes() == want.tobytes()
