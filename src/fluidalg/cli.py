@@ -68,6 +68,11 @@ EXIT_VALIDATION = 3
 # The random instance holds two n^3 arrays at once: 128 MiB each at this n.
 RANDOM_MAX_N = 256
 
+# Objects and arrays a config may nest, counting the config itself.  The
+# deepest field read, integrator.projection.tol, is 3 deep; the writers
+# recurse over the echoed config, and depth 500 exhausted the stack.
+MAX_CONFIG_DEPTH = 32
+
 INSTANCE_SCHEMAS = [
     ("rigid-body", "moments: [I1, I2, I3], all > 0"),
     ("so3", "no parameters"),
@@ -128,13 +133,36 @@ def _build_parser() -> argparse.ArgumentParser:
 # config handling
 
 
+def _config(args) -> dict:
+    """The config file of ``args``, its ``--set`` overrides applied, then
+    checked for depth, then the seed override applied."""
+    cfg = _apply_overrides(_load_config(args.config),
+                           getattr(args, "overrides", ()))
+    if not _nests_within(cfg, MAX_CONFIG_DEPTH):
+        raise ConfigError(
+            f"config nests deeper than {MAX_CONFIG_DEPTH} objects and arrays")
+    return _override_seeds(cfg, _seed_override())
+
+
+def _nests_within(value, depth: int) -> bool:
+    # whether value nests at most depth objects and arrays; the recursion
+    # stops one level past depth
+    if not isinstance(value, (dict, list)):
+        return True
+    if depth == 0:
+        return False
+    items = value.values() if isinstance(value, dict) else value
+    return all(_nests_within(v, depth - 1) for v in items)
+
+
 def _load_config(path) -> dict:
     try:
-        with open(path) as fh:
+        # JSON text is UTF-8 (RFC 8259)
+        with open(path, encoding="utf-8") as fh:
             cfg = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError("config must be a JSON object")
@@ -150,6 +178,8 @@ def _apply_overrides(cfg: dict, overrides) -> dict:
             value = json.loads(raw)
         except json.JSONDecodeError:
             value = raw
+        except RecursionError as exc:
+            raise ConfigError(f"--set value of {key!r}: {exc}") from exc
         node = cfg
         parts = key.split(".")
         for part in parts[:-1]:
@@ -364,7 +394,8 @@ def _write_states(path, records, dim: int) -> None:
     with open(path, "w", newline="\n") as fh:
         fh.write(header + "\n")
         for r in records:
-            coords = ",".join(_fmt(v) for v in r.state)
+            # repr of a Python float is _fmt of the float64
+            coords = ",".join(map(repr, r.state.tolist()))
             fh.write(f"{_fmt(r.t)},{coords}\n")
 
 
@@ -401,9 +432,7 @@ def _write_json(path, payload: dict) -> None:
 
 
 def cmd_simulate(args) -> int:
-    cfg = _load_config(args.config)
-    cfg = _apply_overrides(cfg, args.overrides)
-    cfg = _override_seeds(cfg, _seed_override())
+    cfg = _config(args)
     spec = _integrator_spec(cfg)
     output_dir = args.output or _path("output_dir",
                                       cfg.get("output_dir", "."))
@@ -466,8 +495,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_diagnose(args) -> int:
-    cfg = _load_config(args.config)
-    cfg = _override_seeds(cfg, _seed_override())
+    cfg = _config(args)
     output_dir = args.output or _path("output_dir",
                                       cfg.get("output_dir", "."))
     diag_cfg = cfg.get("diagnostics", {})

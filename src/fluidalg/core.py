@@ -47,7 +47,12 @@ offsets the slots of each row in one ``np.bincount``, and the spectral
 DFTs are GEMMs batched over the rows (``np.matmul``), each row's of one
 fixed shape.  A GEMM with the rows of a block as its columns would be
 faster but rounds differently, so it is not used.  A kernel contracts a
-block in chunks of rows whose temporaries hold about 64 kB.
+block in the fewest chunks of rows whose temporaries hold at most about
+64 kB, the chunk sizes differing by at most one row.  The dense kernel
+gathers its pair factors from the transposed chunk, so that each index
+copies a run of B floats, and takes the differences back to contiguous
+rows for the GEMVs; a gather moves the data and rounds nothing.  The form
+``{X, Y, Z}`` contracts only the rows whose three arguments differ.
 The arguments of one call are all states or all blocks of one B; any
 other shape raises :class:`AlgebraFormatError` where the functions below
 check their arguments.
@@ -117,8 +122,10 @@ DENSE_DIM_LIMIT = 64
 # which it does in chunks of rows: 64 kB stays in cache and below the size
 # that the C allocator maps fresh, and faults in, on every allocation.  At
 # n = 32 the identity suite ran 2.5x slower with its 50-row blocks
-# contracted in one piece than in 16-row chunks (2-core x86, one BLAS
-# thread).
+# contracted in one piece than in 16-row chunks, and the chunks are made
+# even because a 2-row chunk took about 7.8 us a row against about 4 us
+# at 12-16 rows, so 50 rows run as 13/13/12/12, not 16/16/16/2 (2-core
+# x86, one BLAS thread).
 _BLOCK_TERMS = 1 << 13
 
 # Byte alignment of the fixed matrices of the contraction kernels.  At
@@ -219,9 +226,14 @@ def _in_chunks(kernel, row_terms: int, *blocks):
     step = max(1, _BLOCK_TERMS // row_terms)
     if rows <= step:
         return kernel(*blocks)
+    # the fewest chunks of at most step rows, their sizes differing by at
+    # most one: a short last chunk costs more per row than a full one
+    chunks = -(-rows // step)
+    size, extra = divmod(rows, chunks)
+    starts = [c * size + min(c, extra) for c in range(chunks + 1)]
     return np.concatenate([
-        kernel(*(block[start:start + step] for block in blocks))
-        for start in range(0, rows, step)
+        kernel(*(block[start:stop] for block in blocks))
+        for start, stop in zip(starts, starts[1:])
     ])
 
 
@@ -351,7 +363,7 @@ class TripleForm:
         ``operator(X, Y)`` returns the pair contraction of two states, or
         of two (B, dim) blocks row by row with the bits of each row alone;
         it must be exactly antisymmetric in its arguments, as a pointwise
-        cross product is.  A block is given to it in chunks of
+        cross product is.  A block is given to it in chunks of at most
         ``_BLOCK_TERMS // row_terms`` rows, with ``row_terms`` its
         optional attribute (``dim`` without it).
         ``entries()`` returns the canonical ``(index, values)``, checked,
@@ -499,13 +511,17 @@ class TripleForm:
         row evaluated alone.  A row is exactly 0.0 when two of its
         arguments are equal, and the value exactly negates when the last
         two arguments are swapped, since every kernel of
-        :meth:`contract_pair` is exactly antisymmetric.  A spectral form
-        evaluates it without materializing its entries.
+        :meth:`contract_pair` is exactly antisymmetric.  Such a row is not
+        contracted at all: only the other rows, as contiguous copies, reach
+        the kernel.  A spectral form evaluates it without materializing its
+        entries.
         """
         repeated = ((X == Y).all(axis=-1) | (Y == Z).all(axis=-1)
                     | (X == Z).all(axis=-1))
-        value = np.where(repeated, 0.0,
-                         _dot(X, self.contract_pair(Y, Z)))
+        value = np.zeros(repeated.shape)
+        keep = ~repeated
+        if keep.any():
+            value[keep] = _dot(X[keep], self.contract_pair(Y[keep], Z[keep]))
         return _scalars(value)
 
     def contract_pair(self, X, Y) -> np.ndarray:
@@ -519,8 +535,9 @@ class TripleForm:
         operations:
 
         * dense: the pair differences ``X_i Y_j - X_j Y_i`` for i < j, in
-          ``np.triu_indices`` order, times the packed (n(n-1)/2, n) matrix
-          of the entries ``T[i, j, :]``, as one BLAS GEMV per row;
+          ``np.triu_indices`` order, gathered from the transposed chunk,
+          times the packed (n(n-1)/2, n) matrix of the entries
+          ``T[i, j, :]``, as one BLAS GEMV per contiguous row;
         * sparse: one ``np.bincount`` over the canonical entries, with the
           slots of row r offset by r n, adds the terms landing on k, then
           on i, then on j, each in entry order;
@@ -529,8 +546,8 @@ class TripleForm:
           the two fields and the rows); it never materializes the
           entries.
 
-        A block runs through the kernel in chunks of rows
-        (:func:`_in_chunks`).
+        A block runs through the kernel in the fewest chunks of rows, of
+        sizes differing by at most one (:func:`_in_chunks`).
         """
         if X.ndim == 1:
             return self._kernel(X, Y)
@@ -540,11 +557,16 @@ class TripleForm:
         # the kind's kernel on one state or on a chunk of rows
         if self.dense is not None:
             iu, ju = self._pairs
-            # take, not X[..., iu], keeps the rows of a block contiguous:
-            # one GEMV per contiguous row has the bits of the 1-D kernel
-            Xi, Xj = X.take(iu, axis=-1), X.take(ju, axis=-1)
-            Yi, Yj = Y.take(iu, axis=-1), Y.take(ju, axis=-1)
-            return np.vecmat(Xi * Yj - Xj * Yi, self.dense)
+            if X.ndim == 2:
+                # gathered from the transposed chunk, each index copies a
+                # run of B floats; a state is its own transposed chunk, and
+                # skipping the copies keeps the single-state path as fast
+                X, Y = np.ascontiguousarray(X.T), np.ascontiguousarray(Y.T)
+            D = (X.take(iu, axis=0) * Y.take(ju, axis=0)
+                 - X.take(ju, axis=0) * Y.take(iu, axis=0))
+            # back to contiguous rows: one GEMV per contiguous row has the
+            # bits of the 1-D kernel
+            return np.vecmat(np.ascontiguousarray(D.T), self.dense)
         if self.operator is not None:
             return self.operator(X, Y)
         if not self.values.size:
@@ -1244,10 +1266,12 @@ def load_algebra(path) -> FluidAlgebra:
     violating ``i < j < k`` are rejected.  The full invariant validation
     runs, and failures raise :class:`AlgebraValidationError`.
     """
-    with open(path) as fh:
+    # JSON text is UTF-8 (RFC 8259)
+    with open(path, encoding="utf-8") as fh:
         try:
             payload = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError,
+                RecursionError) as exc:
             raise AlgebraFormatError(f"not valid JSON: {exc}") from exc
     if not isinstance(payload, dict):
         raise AlgebraFormatError("top-level JSON value must be an object")

@@ -66,8 +66,9 @@ def bits(x):
     return np.asarray(x, dtype=float).tobytes()
 
 
-# 40 rows cross the chunks of rows that every kernel here runs at once
-@pytest.mark.parametrize("rows", [0, 1, 7, 40])
+# 40 rows cross the chunks of rows that every kernel here runs at once, 17
+# give chunks of uneven sizes, and 50 is the identity suite's block
+@pytest.mark.parametrize("rows", [0, 1, 7, 17, 40, 50])
 @pytest.mark.parametrize("name", list(ENTRY_POINTS))
 def test_block_rows_have_the_bits_of_single_states(kind_algebra, name, rows):
     alg = kind_algebra
@@ -96,6 +97,49 @@ def test_repeated_arguments_give_exact_zero_rows(kind_algebra):
     for r in range(5):
         assert bits(values[r]) == bits(triple(alg, X[r], Y[r], Z[r]))
     assert np.all(values[3:] != 0.0)
+
+
+def test_only_kept_rows_reach_the_kernel(kind_algebra, monkeypatch):
+    form = kind_algebra.triple
+    kernel, given = form._kernel, []
+
+    def spy(X, Y):
+        given.append((X.copy(), Y.copy()))
+        return kernel(X, Y)
+
+    monkeypatch.setattr(form, "_kernel", spy)
+    X, Y, Z = make_rng(35).standard_normal((3, 6, form.dim))
+    Y[0] = X[0]
+    Z[2] = Y[2]
+    Z[5] = X[5]
+    values = form(X, Y, Z)
+    kept = [1, 3, 4]
+    assert bits(np.concatenate([g[0] for g in given])) == bits(Y[kept])
+    assert bits(np.concatenate([g[1] for g in given])) == bits(Z[kept])
+    assert bits(values[[0, 2, 5]]) == bits(np.zeros(3))
+    # an all-repeated block, and a repeated state, make no kernel call
+    given.clear()
+    assert bits(form(X, X, Z)) == bits(np.zeros(6))
+    assert form(X[0], Y[0], Z[0]) == 0.0
+    assert given == []
+
+
+@pytest.mark.parametrize("row_terms", [1 << 13, 2000, 512])
+def test_chunks_are_the_fewest_with_even_sizes(row_terms):
+    from fluidalg import core
+
+    step = max(1, core._BLOCK_TERMS // row_terms)
+    for rows in range(1, 101):
+        sizes = []
+
+        def kernel(X):
+            sizes.append(len(X))
+            return X
+
+        X = np.arange(rows * 2.0).reshape(rows, 2)
+        assert bits(core._in_chunks(kernel, row_terms, X)) == bits(X)
+        assert len(sizes) == -(-rows // step)
+        assert max(sizes) <= step and max(sizes) - min(sizes) <= 1
 
 
 @pytest.mark.parametrize("name", CHECKED)

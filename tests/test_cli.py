@@ -323,6 +323,91 @@ def test_bad_json_config_is_config_error(tmp_path):
     assert main(["simulate", "--config", str(p)]) == 1
 
 
+def _one_stderr_line(capsys) -> str:
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.endswith("\n"), err
+    return err
+
+
+def test_config_that_is_not_utf8_is_config_error(tmp_path, capsys):
+    p = tmp_path / "bom.json"
+    p.write_bytes(b"\xff\xfe{}")
+    assert main(["simulate", "--config", str(p)]) == 1
+    err = _one_stderr_line(capsys)
+    assert err.startswith(f"config error: config {p} is not valid JSON: ")
+    assert "can't decode byte 0xff" in err
+
+
+def test_config_too_deep_to_parse_is_config_error(tmp_path, capsys):
+    p = tmp_path / "deep.json"
+    p.write_text("[" * 100_000 + "]" * 100_000)
+    assert main(["simulate", "--config", str(p)]) == 1
+    err = _one_stderr_line(capsys)
+    assert err.startswith(f"config error: config {p} is not valid JSON: ")
+    assert "recursion" in err
+
+
+def test_set_value_too_deep_to_parse_is_config_error(tmp_path, capsys):
+    cfg = rigid_config(tmp_path, t_end=0.0)
+    value = "[" * 50_000 + "]" * 50_000
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", cfg, "--output", str(out),
+                 "--set", f"instance.moments={value}"]) == 1
+    err = _one_stderr_line(capsys)
+    assert err.startswith("config error: --set value of 'instance.moments': ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "diagnose"])
+@pytest.mark.parametrize("depth", ["one-past-the-limit", 500])
+def test_deeply_nested_config_fails_before_any_output(tmp_path, capsys,
+                                                      command, depth):
+    if depth == "one-past-the-limit":
+        depth = cli.MAX_CONFIG_DEPTH + 1
+    # instance.note is not read; the config object and the instance take
+    # two levels, and note nests the rest
+    note = 0.0
+    for _ in range(depth - 2):
+        note = [note]
+    cfg = write_config(tmp_path / "cfg.json", {
+        "instance": {"name": "rigid-body", "moments": [1, 2, 3],
+                     "note": note},
+        "initial_state": [0.0, 1.0, 1.0],
+        "integrator": {"method": "rk4", "dt": 1e-3, "t_end": 1e-3},
+    })
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--output", str(out)]) == 1
+    assert _one_stderr_line(capsys) == (
+        f"config error: config nests deeper than {cli.MAX_CONFIG_DEPTH} "
+        "objects and arrays\n")
+    assert not out.exists()
+
+
+def test_config_at_the_nesting_limit_runs(tmp_path):
+    note = 0.0
+    for _ in range(cli.MAX_CONFIG_DEPTH - 2):
+        note = [note]
+    cfg = write_config(tmp_path / "cfg.json", {
+        "instance": {"name": "rigid-body", "moments": [1, 2, 3],
+                     "note": note},
+        "initial_state": [0.0, 1.0, 1.0],
+        "integrator": {"method": "rk4", "dt": 1e-3, "t_end": 1e-3},
+    })
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", cfg, "--output", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["config"]["instance"]["note"] == note
+
+
+def test_set_past_the_nesting_limit_is_config_error(tmp_path, capsys):
+    cfg = rigid_config(tmp_path, t_end=0.0)
+    # the config object and MAX_CONFIG_DEPTH objects below it
+    key = ".".join(["a"] * (cli.MAX_CONFIG_DEPTH + 1))
+    assert main(["simulate", "--config", cfg, "--output",
+                 str(tmp_path / "out"), "--set", f"{key}=1"]) == 1
+    assert "nests deeper than" in _one_stderr_line(capsys)
+
+
 def test_unknown_instance_is_config_error(tmp_path):
     cfg = write_config(
         tmp_path / "cfg.json",
@@ -366,6 +451,21 @@ def test_corrupted_custom_file_is_validation_error(tmp_path):
     )
     assert main(["simulate", "--config", cfg, "--output",
                  str(tmp_path / "out")]) == 3
+
+
+def test_custom_file_that_is_not_utf8_is_validation_error(tmp_path, capsys):
+    alg_path = tmp_path / "alg.json"
+    alg_path.write_bytes(b"\xff\xfe{}")
+    cfg = write_config(tmp_path / "cfg.json", {
+        "instance": {"name": "custom", "path": str(alg_path)},
+        "initial_state": [1.0, 0.0, 0.0],
+        "integrator": {"dt": 0.1, "t_end": 0.1},
+    })
+    assert main(["simulate", "--config", cfg, "--output",
+                 str(tmp_path / "out")]) == 3
+    err = _one_stderr_line(capsys)
+    assert err.startswith("validation error: not valid JSON: ")
+    assert "can't decode byte 0xff" in err
 
 
 @pytest.mark.parametrize("row", [
