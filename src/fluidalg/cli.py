@@ -9,10 +9,12 @@ echoes the fully defaulted config.  ``summary.json`` and
 
 Exit codes: 0 success, 1 config error, 2 numerical failure (partial
 outputs flushed), 3 validation failure.  ``_run`` alone turns exceptions
-into codes: a usage error, a ``ConfigError`` (config fields are checked
-before any library call), an ``OSError``, a ``TorusSizeError`` or a
+into codes: a usage error, a ``ConfigError``, an ``OSError`` or a
 ``GenerationError`` exits 1, and an ``Algebra*Error`` exits 3, so a
-failed ``validate`` exits 3 whichever instance built the algebra.  The
+failed ``validate`` exits 3 whichever instance built the algebra.  Each
+numeric setting is checked once, by the library object that owns it,
+which raises ``ConfigError`` with the line printed here; the CLI checks
+only the config's shape, its paths, the state forms and its own caps.  The
 subcommands return 2 for a failed integration and 3 for a failed
 identity suite.  The environment variable
 ``FLUIDALG_SEED_OVERRIDE`` (integer) overrides every seed in the config,
@@ -35,26 +37,26 @@ from .core import (
     AlgebraDataError,
     AlgebraFormatError,
     AlgebraValidationError,
+    ConfigError,
     FluidAlgebra,
     _is_finite_real,
-    _is_index,
     _is_real,
+    _number,
     g_norm,
     load_algebra,
     make_rng,
     validate,
 )
-from .diagnostics import _MAX_SAMPLE, run_identity_suite
+from .diagnostics import run_identity_suite
 from .instances import (
     GenerationError,
-    TorusSizeError,
     beltrami_state,
     build_torus_algebra,
     random_algebra,
     rigid_body,
     so3,
 )
-from .integrators import METHODS, IntegratorSpec, ProjectionSettings, integrate
+from .integrators import IntegratorSpec, ProjectionSettings, integrate
 
 __all__ = ["main", "entry"]
 
@@ -80,10 +82,6 @@ INSTANCE_SCHEMAS = [
     ("random", f"seed: int; n: int, 1 <= n <= {RANDOM_MAX_N}"),
     ("custom", "path: JSON algebra file (dim/triple/linking/metric)"),
 ]
-
-
-class ConfigError(Exception):
-    """Problem with the run configuration (not the algebra itself)."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -218,26 +216,6 @@ def _override_seeds(cfg: dict, seed) -> dict:
     return cfg
 
 
-def _number(section: str, key: str, value, least, integer: bool = False,
-            strict: bool = False, most=None):
-    """The config field ``key`` of ``section``, checked: with ``integer``
-    an ``int`` >= ``least`` (and <= ``most`` when given), otherwise a
-    finite real number >= ``least``, or > ``least`` when ``strict``,
-    returned as a float.  ``bool`` is not a number here."""
-    if (integer and _is_index(value) and value >= least
-            and (most is None or value <= most)):
-        return value
-    if (not integer and _is_finite_real(value)
-            and (value > least if strict else value >= least)):
-        return float(value)
-    expected = (f"an integer >= {least}" if integer
-                else f"finite and {'>' if strict else '>='} {least}")
-    if most is not None:
-        expected += f" and <= {most}"
-    raise ConfigError(
-        f"bad {section} config: {key} must be {expected}, got {value!r}")
-
-
 def _path(label: str, value) -> str:
     """A path field of the config, checked: a string, never a number,
     which ``open`` reads as a file descriptor (0 is stdin)."""
@@ -258,24 +236,19 @@ def _build_instance(spec) -> tuple:
             or len(moments) != 3
         ):
             raise ConfigError('rigid-body needs "moments": [I1, I2, I3]')
-        return rigid_body(*(_number("instance", "moments", m, 0, strict=True)
-                            for m in moments)), None
+        return rigid_body(*moments), None
     if name == "so3":
         return so3(), None
     if name == "torus":
         if "K" not in spec:
             raise ConfigError('torus needs "K"')
-        K = _number("instance", "K", spec["K"], 1, integer=True)
-        max_dim = _number("instance", "max_dim", spec.get("max_dim", 512), 1,
-                          integer=True)
-        return build_torus_algebra(K, max_dim=max_dim)
+        return build_torus_algebra(spec["K"], max_dim=spec.get("max_dim", 512))
     if name == "random":
         if "seed" not in spec or "n" not in spec:
             raise ConfigError('random needs "seed" and "n"')
-        seed = _number("instance", "seed", spec["seed"], 0, integer=True)
-        n = _number("instance", "n", spec["n"], 1, integer=True,
-                    most=RANDOM_MAX_N)
-        return random_algebra(seed, n), None
+        # the cap is the CLI's own: random_algebra takes any n >= 1
+        _number("instance", "n", spec["n"], 1, integer=True, most=RANDOM_MAX_N)
+        return random_algebra(spec["seed"], spec["n"]), None
     if name == "custom":
         if "path" not in spec:
             raise ConfigError('custom needs "path"')
@@ -340,22 +313,13 @@ def _integrator_spec(cfg: dict) -> IntegratorSpec:
     for key in ("dt", "t_end"):
         if key not in section:
             raise ConfigError(f"integrator config missing {key!r}")
-    method = section.get("method", "rk4")
-    if method not in METHODS:
-        raise ConfigError(f"bad integrator config: method must be one of "
-                          f"{METHODS}, got {method!r}")
     return IntegratorSpec(
-        method=method,
-        dt=_number("integrator", "dt", section["dt"], 0, strict=True),
-        t_end=_number("integrator", "t_end", section["t_end"], 0),
-        record_every=_number("integrator", "record_every",
-                             section.get("record_every", 1), 1, integer=True),
-        projection=ProjectionSettings(
-            max_iter=_number("integrator.projection", "max_iter",
-                             proj.get("max_iter", 10), 1, integer=True),
-            tol=_number("integrator.projection", "tol",
-                        proj.get("tol", 1e-12), 0, strict=True),
-        ),
+        method=section.get("method", "rk4"),
+        dt=section["dt"],
+        t_end=section["t_end"],
+        record_every=section.get("record_every", 1),
+        projection=ProjectionSettings(max_iter=proj.get("max_iter", 10),
+                                      tol=proj.get("tol", 1e-12)),
     )
 
 
@@ -501,14 +465,9 @@ def cmd_diagnose(args) -> int:
     diag_cfg = cfg.get("diagnostics", {})
     if not isinstance(diag_cfg, dict):
         raise ConfigError('"diagnostics" must be an object')
-    num_states = _number("diagnostics", "num_states",
-                         diag_cfg.get("num_states", 20), 2, integer=True,
-                         most=_MAX_SAMPLE)
-    num_triples = _number("diagnostics", "num_triples",
-                          diag_cfg.get("num_triples", 40), 0, integer=True,
-                          most=_MAX_SAMPLE)
-    seed = _number("diagnostics", "seed", diag_cfg.get("seed", 2024), 0,
-                   integer=True)
+    num_states = diag_cfg.get("num_states", 20)
+    num_triples = diag_cfg.get("num_triples", 40)
+    seed = diag_cfg.get("seed", 2024)
 
     alg, _ = _build_instance(cfg.get("instance"))
     validate(alg).require()
@@ -558,7 +517,7 @@ def _run(argv) -> int:
         return args.run(args)
     except SystemExit as exc:
         return 0 if exc.code is None else int(exc.code)
-    except (ConfigError, OSError, TorusSizeError, GenerationError) as exc:
+    except (ConfigError, OSError, GenerationError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (AlgebraValidationError, AlgebraFormatError, AlgebraDataError) as exc:

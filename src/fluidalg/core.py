@@ -79,6 +79,7 @@ from __future__ import annotations
 
 import json
 import numbers
+import reprlib
 import sys
 import warnings
 from dataclasses import asdict, dataclass, field
@@ -87,6 +88,7 @@ from functools import cached_property
 import numpy as np
 
 __all__ = [
+    "ConfigError",
     "AlgebraFormatError",
     "AlgebraDataError",
     "AlgebraValidationError",
@@ -143,6 +145,10 @@ METRIC_EIG_RATIO = 1e-10
 # Above this condition number of L, inverse_curl and induced_bracket emit a
 # ConditioningWarning (validation itself fails only at LINKING_SV_RATIO).
 CONDITION_WARN_THRESHOLD = 1e6
+
+
+class ConfigError(ValueError):
+    """A bad setting: a value outside the range that its owner accepts."""
 
 
 class AlgebraFormatError(ValueError):
@@ -253,6 +259,27 @@ def _is_real(x) -> bool:
 def _is_finite_real(x) -> bool:
     # abs(...) <= max rejects infinities, NaN and ints past the float range
     return _is_real(x) and abs(x) <= sys.float_info.max
+
+
+def _number(section: str, key: str, value, least, integer: bool = False,
+            strict: bool = False, most=None):
+    """The setting ``key`` of ``section``, checked: with ``integer`` an
+    ``int`` >= ``least`` (and <= ``most`` when given), otherwise a finite
+    real number >= ``least``, or > ``least`` when ``strict``, returned as a
+    float.  ``bool`` is not a number here.  Any other value raises
+    :class:`ConfigError` naming the section, as the CLI prints it."""
+    if (integer and _is_index(value) and value >= least
+            and (most is None or value <= most)):
+        return value
+    if (not integer and _is_finite_real(value)
+            and (value > least if strict else value >= least)):
+        return float(value)
+    expected = (f"an integer >= {least}" if integer
+                else f"finite and {'>' if strict else '>='} {least}")
+    if most is not None:
+        expected += f" and <= {most}"
+    raise ConfigError(
+        f"bad {section} config: {key} must be {expected}, got {value!r}")
 
 
 def _is_permutation(cols: np.ndarray) -> bool:
@@ -427,7 +454,8 @@ class TripleForm:
         for row in entries:
             if not (isinstance(row, (list, tuple)) and len(row) == 4
                     and all(map(_is_index, row[:3])) and _is_real(row[3])):
-                raise AlgebraFormatError(f"bad triple entry {row!r}")
+                raise AlgebraFormatError(
+                    f"bad triple entry {reprlib.repr(row)}")
         try:
             index = np.array([row[:3] for row in entries], dtype=np.intp)
             values = np.array([row[3] for row in entries], dtype=float)
@@ -1284,11 +1312,11 @@ def load_algebra(path) -> FluidAlgebra:
     matrices = []
     for name in ("linking", "metric"):
         # ragged rows leave lists among the entries, a bool or a string
-        # would convert to a float, and an int past the float range
-        # overflows
+        # would convert to a float, an int past the float range overflows,
+        # and .flat refuses more than 32 dimensions
         M = np.asarray(payload[name], dtype=object)
         try:
-            if all(map(_is_real, M.flat)):
+            if M.ndim == 2 and all(map(_is_real, M.flat)):
                 matrices.append(M.astype(float))
                 continue
         except OverflowError:

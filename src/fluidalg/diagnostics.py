@@ -19,7 +19,7 @@ import numpy as np
 
 from .core import (
     FluidAlgebra,
-    _is_index,
+    _number,
     curl,
     g_dual_norm,
     g_norm,
@@ -114,19 +114,14 @@ _MAX_SAMPLE = 10 ** 6
 
 
 def _check_sample(num_states, num_triples, seed) -> None:
-    """Raise ``ValueError`` unless the sample sizes and the seed are ``int``
-    values (not ``bool``) with ``2 <= num_states <= _MAX_SAMPLE``,
+    """Raise :class:`ConfigError` unless the sample sizes and the seed are
+    ``int`` values (not ``bool``) with ``2 <= num_states <= _MAX_SAMPLE``,
     ``0 <= num_triples <= _MAX_SAMPLE`` and ``seed >= 0``."""
-    for name, value, least, most in (
-            ("num_states", num_states, 2, _MAX_SAMPLE),
-            ("num_triples", num_triples, 0, _MAX_SAMPLE),
-            ("seed", seed, 0, None)):
-        if not _is_index(value) or value < least:
-            raise ValueError(
-                f"{name} must be an integer >= {least}, got {value!r}")
-        if most is not None and value > most:
-            raise ValueError(
-                f"{name} must be at most {most}, got {value!r}")
+    _number("diagnostics", "num_states", num_states, 2, integer=True,
+            most=_MAX_SAMPLE)
+    _number("diagnostics", "num_triples", num_triples, 0, integer=True,
+            most=_MAX_SAMPLE)
+    _number("diagnostics", "seed", seed, 0, integer=True)
 
 
 def _median(v: np.ndarray) -> float:

@@ -27,14 +27,14 @@ from .core import (
     DENSE_DIM_LIMIT,
     AlgebraFormatError,
     AlgebraValidationError,
+    ConfigError,
     FluidAlgebra,
     TripleForm,
     make_rng,
     _aligned_empty,
     _antisymmetrize,
     _canonical_entries,
-    _is_index,
-    _is_real,
+    _number,
     validate,
 )
 
@@ -164,15 +164,12 @@ def so3(metric=None) -> FluidAlgebra:
 
 def rigid_body(i1: float, i2: float, i3: float) -> FluidAlgebra:
     """Rigid-body family: n = 3, determinant triple form, L = I,
-    G = diag(i1, i2, i3) with positive moments.
+    G = diag(i1, i2, i3) with finite positive moments.
 
     The Euler ODE becomes G dX/dt = X x (G^-1 X).
     """
-    moments = (i1, i2, i3)
-    if not all(_is_real(m) and m > 0 for m in moments):
-        raise ValueError(
-            f"moments must be positive real numbers, got {moments}")
-    moments = tuple(map(float, moments))
+    moments = tuple(_number("instance", "moments", m, 0, strict=True)
+                    for m in (i1, i2, i3))
     alg = from_lie_algebra(
         LieAlgebraInput(LEVI_CIVITA, np.eye(3), np.diag(moments)),
         meta={"name": "rigid-body", "moments": moments},
@@ -184,7 +181,7 @@ def rigid_body(i1: float, i2: float, i3: float) -> FluidAlgebra:
 # spectral flat-torus instance
 
 
-class TorusSizeError(ValueError):
+class TorusSizeError(ConfigError):
     """Requested truncation exceeds the configured dimension cap."""
 
 
@@ -524,10 +521,8 @@ def build_torus_algebra(K: int, max_dim: int = 512):
     kind: contractions run by pruned DFTs on a (3K+1)^3 grid, and the
     closed-form entries are assembled only when first read.
     """
-    if not _is_index(K) or K < 1:
-        raise ValueError(f"K must be an integer >= 1, got {K!r}")
-    if not _is_index(max_dim):
-        raise ValueError(f"max_dim must be an integer, got {max_dim!r}")
+    _number("instance", "K", K, 1, integer=True)
+    _number("instance", "max_dim", max_dim, 1, integer=True)
     # four modes for each of the ((2K+1)^3 - 1) / 2 representatives,
     # counted before the lattice is enumerated
     dim = 2 * ((2 * K + 1) ** 3 - 1)
@@ -612,10 +607,8 @@ def random_algebra(seed: int, n: int) -> FluidAlgebra:
     spawned child sequences, so the output never depends on how many
     retries earlier shapes consumed.
     """
-    if not _is_index(seed) or seed < 0:
-        raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
-    if not _is_index(n) or n < 1:
-        raise ValueError(f"n must be an integer >= 1, got {n!r}")
+    _number("instance", "seed", seed, 0, integer=True)
+    _number("instance", "n", n, 1, integer=True)
     ss = np.random.SeedSequence(seed)
     # L first, so that a failure draws no n^3 array (ss.spawn ignores rng)
     for child in ss.spawn(_RANDOM_LINKING_RETRIES):

@@ -37,10 +37,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (
+    ConfigError,
     FluidAlgebra,
-    _is_finite_real,
-    _is_index,
     _lazy_dd_values,
+    _number,
     curl,
     energy,
     helicity,
@@ -88,15 +88,16 @@ class ProjectionSettings:
     tol: float = 1e-12  # relative constraint tolerance
 
     def __post_init__(self):
-        if not (_is_index(self.max_iter) and self.max_iter >= 1):
-            raise ValueError(
-                f"max_iter must be an integer >= 1, got {self.max_iter!r}")
-        if not (_is_finite_real(self.tol) and self.tol > 0):
-            raise ValueError(f"tol must be finite and > 0, got {self.tol!r}")
+        section = "integrator.projection"
+        _number(section, "max_iter", self.max_iter, 1, integer=True)
+        object.__setattr__(self, "tol",
+                           _number(section, "tol", self.tol, 0, strict=True))
 
 
 @dataclass(frozen=True)
 class IntegratorSpec:
+    """The settings of a run; ``dt`` and ``t_end`` are stored as floats."""
+
     method: str = "rk4"
     dt: float = 1e-3
     t_end: float = 1.0
@@ -105,17 +106,14 @@ class IntegratorSpec:
 
     def __post_init__(self):
         if self.method not in METHODS:
-            raise ValueError(
-                f"method must be one of {METHODS}, got {self.method!r}"
-            )
-        if not (_is_finite_real(self.dt) and self.dt > 0):
-            raise ValueError(f"dt must be finite and > 0, got {self.dt!r}")
-        if not (_is_finite_real(self.t_end) and self.t_end >= 0):
-            raise ValueError(
-                f"t_end must be finite and >= 0, got {self.t_end!r}")
-        if not (_is_index(self.record_every) and self.record_every >= 1):
-            raise ValueError(f"record_every must be an integer >= 1, "
-                             f"got {self.record_every!r}")
+            raise ConfigError(f"bad integrator config: method must be one "
+                              f"of {METHODS}, got {self.method!r}")
+        object.__setattr__(self, "dt", _number(
+            "integrator", "dt", self.dt, 0, strict=True))
+        object.__setattr__(self, "t_end", _number(
+            "integrator", "t_end", self.t_end, 0))
+        _number("integrator", "record_every", self.record_every, 1,
+                integer=True)
 
 
 @dataclass

@@ -746,6 +746,60 @@ def test_bad_integrator_section_message(tmp_path, capsys, integrator,
     assert not out.exists()
 
 
+def _deep(depth):
+    # a list nested depth deep around one number
+    value = 1.0
+    for _ in range(depth):
+        value = [value]
+    return value
+
+
+@pytest.mark.parametrize("name", ["linking", "metric"])
+@pytest.mark.parametrize("depth", [1, 3, 500])
+def test_custom_file_with_a_nested_matrix_is_validation_error(
+        tmp_path, capsys, name, depth):
+    # past 32 dimensions, the matrix's .flat raised a RuntimeError
+    payload = {
+        "dim": 3,
+        "triple": [[0, 1, 2, 1.0]],
+        "linking": np.eye(3).tolist(),
+        "metric": np.eye(3).tolist(),
+        name: _deep(depth),
+    }
+    alg_path = tmp_path / "nested.json"
+    alg_path.write_text(json.dumps(payload))
+    cfg = write_config(tmp_path / "cfg.json", {
+        "instance": {"name": "custom", "path": str(alg_path)},
+        "initial_state": [1.0, 0.0, 0.0],
+        "integrator": {"dt": 0.1, "t_end": 0.1},
+    })
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", cfg, "--output", str(out)]) == 3
+    assert capsys.readouterr().err == (
+        f"validation error: {name} must be a 3 x 3 matrix of numbers\n")
+    assert not out.exists()
+
+
+def test_deeply_nested_triple_entry_gives_a_short_line(tmp_path, capsys):
+    alg_path = tmp_path / "nested.json"
+    alg_path.write_text(json.dumps({
+        "dim": 3,
+        "triple": [[0, 1, 2, _deep(500)]],
+        "linking": np.eye(3).tolist(),
+        "metric": np.eye(3).tolist(),
+    }))
+    cfg = write_config(tmp_path / "cfg.json", {
+        "instance": {"name": "custom", "path": str(alg_path)},
+        "initial_state": [1.0, 0.0, 0.0],
+        "integrator": {"dt": 0.1, "t_end": 0.1},
+    })
+    assert main(["simulate", "--config", cfg, "--output",
+                 str(tmp_path / "out")]) == 3
+    err = _one_stderr_line(capsys)
+    assert err.startswith("validation error: bad triple entry [0, 1, 2, [")
+    assert len(err) < 100
+
+
 @pytest.mark.parametrize("name", ["linking", "metric"])
 @pytest.mark.parametrize("entry", ["1", True])
 def test_custom_file_with_a_non_number_entry_is_validation_error(
