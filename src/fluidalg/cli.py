@@ -2,28 +2,29 @@
 
 Configs are JSON; outputs are deterministic (byte-identical for identical
 inputs on one platform): ``trace.csv`` and ``state.csv`` use LF endings,
-``.`` decimals and shortest round-trip float formatting, ``summary.json``
-echoes the fully defaulted config.  ``summary.json`` and
-``diagnostics.json`` are strict JSON: a non-finite value is written as
-``null``, and its dotted key is listed under a top-level ``non_finite``.
+``.`` decimals and shortest round-trip float formatting; ``summary.json``
+echoes the integrator settings as run, the other sections as given.  The
+JSON outputs are strict: a non-finite value is written as ``null``, and
+its dotted key is listed under a top-level ``non_finite``.
 
 Exit codes: 0 success, 1 config error, 2 numerical failure (partial
 outputs flushed), 3 validation failure.  ``_run`` alone turns exceptions
 into codes: a usage error, a ``ConfigError``, an ``OSError`` or a
 ``GenerationError`` exits 1, and an ``Algebra*Error`` exits 3, so a
 failed ``validate`` exits 3 whichever instance built the algebra.  Each
-numeric setting is checked once, by the library object that owns it,
-which raises ``ConfigError`` with the line printed here; the CLI checks
-only the config's shape, its paths, the state forms and its own caps.  The
-subcommands return 2 for a failed integration and 3 for a failed
-identity suite.  The environment variable
-``FLUIDALG_SEED_OVERRIDE`` (integer) overrides every seed in the config,
-for CI reruns.
+numeric setting is checked and defaulted once, by the library object that
+owns it, which raises ``ConfigError`` with the line printed here; the CLI
+passes on only the settings a config gives and checks only the config's
+shape, its paths, the state forms and its own caps.  The subcommands
+return 2 for a failed integration and 3 for a failed identity suite.
+``FLUIDALG_SEED_OVERRIDE`` (integer) overrides every seed a run uses, for
+CI reruns.
 """
 
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import math
 import os
@@ -78,7 +79,7 @@ MAX_CONFIG_DEPTH = 32
 INSTANCE_SCHEMAS = [
     ("rigid-body", "moments: [I1, I2, I3], all > 0"),
     ("so3", "no parameters"),
-    ("torus", "K: int >= 1; max_dim: int (default 512)"),
+    ("torus", "K: int >= 1; max_dim: int (default {max_dim})"),
     ("random", f"seed: int; n: int, 1 <= n <= {RANDOM_MAX_N}"),
     ("custom", "path: JSON algebra file (dim/triple/linking/metric)"),
 ]
@@ -210,10 +211,16 @@ def _override_seeds(cfg: dict, seed) -> dict:
         val = cfg.get(key)
         if isinstance(val, dict) and "seed" in val:
             val["seed"] = seed
-    diag = cfg.get("diagnostics")
+    # the diagnose seed has a default, so an absent section takes the seed
+    diag = cfg.setdefault("diagnostics", {})
     if isinstance(diag, dict):
         diag["seed"] = seed
     return cfg
+
+
+def _given(section: dict, keys) -> dict:
+    """The settings among ``keys`` that ``section`` gives, by key."""
+    return {key: section[key] for key in keys if key in section}
 
 
 def _path(label: str, value) -> str:
@@ -242,7 +249,7 @@ def _build_instance(spec) -> tuple:
     if name == "torus":
         if "K" not in spec:
             raise ConfigError('torus needs "K"')
-        return build_torus_algebra(spec["K"], max_dim=spec.get("max_dim", 512))
+        return build_torus_algebra(spec["K"], **_given(spec, ("max_dim",)))
     if name == "random":
         if "seed" not in spec or "n" not in spec:
             raise ConfigError('random needs "seed" and "n"')
@@ -314,12 +321,8 @@ def _integrator_spec(cfg: dict) -> IntegratorSpec:
         if key not in section:
             raise ConfigError(f"integrator config missing {key!r}")
     return IntegratorSpec(
-        method=section.get("method", "rk4"),
-        dt=section["dt"],
-        t_end=section["t_end"],
-        record_every=section.get("record_every", 1),
-        projection=ProjectionSettings(max_iter=proj.get("max_iter", 10),
-                                      tol=proj.get("tol", 1e-12)),
+        **_given(section, ("method", "dt", "t_end", "record_every")),
+        projection=ProjectionSettings(**_given(proj, ("max_iter", "tol"))),
     )
 
 
@@ -465,26 +468,18 @@ def cmd_diagnose(args) -> int:
     diag_cfg = cfg.get("diagnostics", {})
     if not isinstance(diag_cfg, dict):
         raise ConfigError('"diagnostics" must be an object')
-    num_states = diag_cfg.get("num_states", 20)
-    num_triples = diag_cfg.get("num_triples", 40)
-    seed = diag_cfg.get("seed", 2024)
 
     alg, _ = _build_instance(cfg.get("instance"))
     validate(alg).require()
 
     report = run_identity_suite(
-        alg, num_states=num_states, seed=seed, num_triples=num_triples
-    )
+        alg, **_given(diag_cfg, ("num_states", "num_triples", "seed")))
     os.makedirs(output_dir, exist_ok=True)
     payload = {
         "tool": "fluidalg",
         "version": __version__,
         "instance": cfg.get("instance"),
-        "diagnostics": {
-            "num_states": num_states,
-            "num_triples": num_triples,
-            "seed": seed,
-        },
+        "diagnostics": report.sample,
     }
     payload.update(report.to_dict())
     _write_json(os.path.join(output_dir, "diagnostics.json"), payload)
@@ -500,9 +495,10 @@ def cmd_diagnose(args) -> int:
 
 
 def cmd_instances(_args) -> int:
+    cap = inspect.signature(build_torus_algebra).parameters["max_dim"].default
     print("built-in instances:")
     for name, schema in INSTANCE_SCHEMAS:
-        print(f"  {name:12s} {schema}")
+        print(f"  {name:12s} {schema.format(max_dim=cap)}")
     return EXIT_OK
 
 

@@ -80,6 +80,8 @@ class IdentityResult:
 class DiagnosticsReport:
     identities: list = field(default_factory=list)
     algebra_summary: dict = field(default_factory=dict)
+    # num_states, num_triples and seed of the sample the suite ran on
+    sample: dict = field(default_factory=dict, init=False)
 
     @property
     def passed(self) -> bool:
@@ -275,6 +277,8 @@ def run_identity_suite(alg: FluidAlgebra, num_states: int = 20,
         ))
 
     report = DiagnosticsReport(identities=identities)
+    report.sample = {"num_states": num_states, "num_triples": num_triples,
+                     "seed": seed}
     report.algebra_summary = {
         "dim": alg.dim,
         "kind": alg.meta.get("kind", "custom"),

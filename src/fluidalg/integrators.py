@@ -32,6 +32,7 @@ and may run concurrently.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -112,6 +113,9 @@ class IntegratorSpec:
             "integrator", "dt", self.dt, 0, strict=True))
         object.__setattr__(self, "t_end", _number(
             "integrator", "t_end", self.t_end, 0))
+        if not math.isfinite(self.t_end / self.dt):
+            raise ConfigError(f"bad integrator config: t_end / dt must be "
+                              f"finite, got {self.t_end!r} / {self.dt!r}")
         _number("integrator", "record_every", self.record_every, 1,
                 integer=True)
 

@@ -158,6 +158,42 @@ def test_seed_override_env(tmp_path, monkeypatch):
     assert summary["config"]["initial_state"]["seed"] == 99
 
 
+@pytest.mark.parametrize("diagnostics", [None, {}, {"num_states": 5}])
+def test_seed_override_reaches_the_default_diagnose_seed(
+        tmp_path, monkeypatch, diagnostics):
+    # a config with no "diagnostics" section runs as one with an empty one
+    payload = {"instance": {"name": "so3"}}
+    if diagnostics is not None:
+        payload["diagnostics"] = diagnostics
+    cfg = write_config(tmp_path / "cfg.json", payload)
+    seeded = write_config(tmp_path / "seeded.json", {
+        "instance": {"name": "so3"},
+        "diagnostics": {**(diagnostics or {}), "seed": 7},
+    })
+    out = tmp_path / "out"
+    monkeypatch.delenv("FLUIDALG_SEED_OVERRIDE", raising=False)
+    assert main(["diagnose", "--config", seeded, "--output", str(out)]) == 0
+    expected = (out / "diagnostics.json").read_bytes()
+    assert json.loads(expected)["diagnostics"]["seed"] == 7
+    monkeypatch.setenv("FLUIDALG_SEED_OVERRIDE", "7")
+    assert main(["diagnose", "--config", cfg, "--output", str(out)]) == 0
+    assert (out / "diagnostics.json").read_bytes() == expected
+
+
+def test_unset_seed_override_keeps_the_default_diagnose_seed(
+        tmp_path, monkeypatch):
+    monkeypatch.delenv("FLUIDALG_SEED_OVERRIDE", raising=False)
+    outputs = []
+    for i, payload in enumerate([{"instance": {"name": "so3"}},
+                                 {"instance": {"name": "so3"},
+                                  "diagnostics": {}}]):
+        cfg = write_config(tmp_path / f"cfg{i}.json", payload)
+        out = tmp_path / "out"
+        assert main(["diagnose", "--config", cfg, "--output", str(out)]) == 0
+        outputs.append((out / "diagnostics.json").read_bytes())
+    assert outputs[0] == outputs[1]
+
+
 def test_projected_method_from_config(tmp_path):
     cfg = rigid_config(tmp_path, method="rk4-projected", dt=1e-2, t_end=1.0)
     out = tmp_path / "out"

@@ -1,10 +1,14 @@
-"""Each numeric setting has one check, in the library object that owns it.
+"""Each numeric setting has one check and one default, in the library
+object that owns it.
 
 The CLI passes these settings through unchecked, so a bad value is refused
-by the library with the same words the CLI prints after ``config error: ``.
+by the library with the same words the CLI prints after ``config error: ``,
+and a key the config leaves out takes the library's default.
 """
 
+import inspect
 import json
+import shutil
 
 import pytest
 
@@ -19,6 +23,7 @@ from fluidalg import (
     so3,
 )
 from fluidalg.cli import main
+from fluidalg.integrators import integrate
 
 _SO3 = {"name": "so3"}
 
@@ -140,3 +145,106 @@ def test_real_settings_are_stored_as_floats():
     moments = rigid_body(1, 2, 3).meta["moments"]
     assert moments == (1.0, 2.0, 3.0)
     assert all(type(m) is float for m in moments)
+
+
+@pytest.mark.parametrize("dt, t_end", [(5e-324, 1.0), (1e-300, 1e10)])
+def test_a_step_count_past_the_float_range_is_refused(tmp_path, capsys, dt,
+                                                      t_end):
+    with pytest.raises(ConfigError) as refused:
+        IntegratorSpec(dt=dt, t_end=t_end)
+    assert str(refused.value) == (
+        f"bad integrator config: t_end / dt must be finite, "
+        f"got {t_end!r} / {dt!r}")
+    command, payload = _simulate(dt=dt, t_end=t_end)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(payload))
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--output", str(out)]) == 1
+    assert capsys.readouterr().err == f"config error: {refused.value}\n"
+    assert not out.exists()
+
+
+def test_a_tiny_step_with_a_zero_horizon_runs():
+    spec = IntegratorSpec(dt=5e-324, t_end=0.0)
+    result = integrate(so3(), [0.0, 1.0, 1.0], spec)
+    assert result.steps == 0 and len(result.records) == 1
+
+
+def _set_default(monkeypatch, func, name, value):
+    """Make ``value`` the default of the parameter ``name`` of ``func``, in
+    the function object that holds it."""
+    func = inspect.unwrap(func)
+    names = [p.name for p in inspect.signature(func).parameters.values()
+             if p.default is not p.empty]
+    defaults = list(func.__defaults__)
+    defaults[names.index(name)] = value
+    monkeypatch.setattr(func, "__defaults__", tuple(defaults))
+
+
+def _outcome(capsys, command, payload, cfg, out):
+    """Exit code, stdout, stderr and output files of ``command`` run on
+    ``payload``; the output directory is removed after."""
+    cfg.write_text(json.dumps(payload))
+    code = main([command, "--config", str(cfg), "--output", str(out)])
+    files = {}
+    if out.exists():
+        files = {f.name: f.read_bytes() for f in sorted(out.iterdir())}
+        shutil.rmtree(out)
+    return code, capsys.readouterr(), files
+
+
+_TORUS2 = {"name": "torus", "K": 2}
+
+# each library default: the function that holds it, a value other than
+# the default, and the command and config given {key: value}, or {} to
+# leave the key out
+_DEFAULTS = {
+    "method": (IntegratorSpec.__init__, "rk4-projected",
+               lambda kv: _simulate(**kv)),
+    "record_every": (IntegratorSpec.__init__, 2,
+                     lambda kv: _simulate(t_end=0.4, **kv)),
+    "max_iter": (ProjectionSettings.__init__, 3,
+                 lambda kv: _simulate(method="rk4-projected", projection=kv)),
+    "tol": (ProjectionSettings.__init__, 1e-9,
+            lambda kv: _simulate(method="rk4-projected", projection=kv)),
+    "num_states": (run_identity_suite, 7, lambda kv: _diagnose(**kv)),
+    "num_triples": (run_identity_suite, 5, lambda kv: _diagnose(**kv)),
+    "seed": (run_identity_suite, 7, lambda kv: _diagnose(**kv)),
+    "max_dim": (build_torus_algebra, 52,
+                lambda kv: _simulate({**_TORUS2, **kv})),
+}
+
+
+@pytest.mark.parametrize("name", _DEFAULTS)
+def test_the_cli_follows_the_library_default(tmp_path, capsys, monkeypatch,
+                                             name):
+    # a config that leaves a setting out runs as one that gives the
+    # library's default, whatever that default is
+    func, value, config = _DEFAULTS[name]
+    monkeypatch.delenv("FLUIDALG_SEED_OVERRIDE", raising=False)
+    paths = tmp_path / "cfg.json", tmp_path / "out"
+    given = _outcome(capsys, *config({name: value}), *paths)
+    _set_default(monkeypatch, func, name, value)
+    assert _outcome(capsys, *config({}), *paths) == given
+
+
+def test_the_echo_reads_the_patched_default(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("FLUIDALG_SEED_OVERRIDE", raising=False)
+    paths = tmp_path / "cfg.json", tmp_path / "out"
+    for name in ("record_every", "num_states", "max_dim"):
+        func, value, _ = _DEFAULTS[name]
+        _set_default(monkeypatch, func, name, value)
+    code, _, files = _outcome(capsys, *_simulate(t_end=0.4), *paths)
+    summary = json.loads(files["summary.json"])
+    assert code == 0 and summary["steps"] == 4 and summary["records"] == 3
+    assert summary["config"]["integrator"]["record_every"] == 2
+    code, _, files = _outcome(capsys, *_diagnose(), *paths)
+    echo = json.loads(files["diagnostics.json"])["diagnostics"]
+    assert code == 0 and echo["num_states"] == 7
+    code, captured, files = _outcome(capsys, *_simulate(_TORUS2), *paths)
+    assert code == 1 and not files
+    assert captured.err.startswith("config error: torus truncation K=2 ")
+    assert captured.err.endswith(" above the cap 52; raise max_dim to "
+                                 "build it anyway\n")
+    assert main(["instances"]) == 0
+    assert "max_dim: int (default 52)" in capsys.readouterr().out
