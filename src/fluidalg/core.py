@@ -28,10 +28,15 @@ sparse kind; and, for the spectral kind of the torus, pruned separable
 DFTs, small GEMMs with fixed matrices, between the kept wavevectors and a
 fixed N^3 grid with N = 3K + 1, the smallest N at which the 3/2 rule
 removes all aliasing from the quadratic product (Orszag, J. Atmos. Sci.
-1971).  Every operation is therefore bit-reproducible on one platform and
-NumPy version.  All three kernels are exactly antisymmetric, and the form
-is evaluated as
-``{X, Y, Z} = X . contract_pair(Y, Z)``.  A dense form stores its packed
+1971).  The spectral operator remembers the grid field of the last first
+argument it was given, keyed by value (shape, dtype and bytes), and a
+call with the same first argument synthesizes only the second field, with
+the bits of a cold call: a probe stage contracts its velocity twice.  Its
+memo is one immutable tuple, replaced whole, so threads sharing an algebra
+stay correct.  The results of every operation are thus pure functions of
+the input values, and every operation is bit-reproducible on one platform
+and NumPy version.  All three kernels are exactly antisymmetric, and the
+form is evaluated as ``{X, Y, Z} = X . contract_pair(Y, Z)``.  A dense form stores its packed
 rows alone and a spectral form no tensor; the canonical entries of both
 are materialized on demand.
 

@@ -412,6 +412,21 @@ class _SpectralContraction:
     gathered in cyclic order (``_NEXT``, ``_PREV``), the products and
     differences of each component in turn, bit for bit.  A loop over the
     components would run each ufunc over strided inner loops only N long.
+
+    A probe step contracts each stage's velocity twice, as
+    ``(V, D V)`` and ``(V, D Z)``, so the operator remembers the grid field
+    of its last first argument (:meth:`_synthesize` makes the fields).  A
+    call whose X equals it synthesizes Y alone and reuses X's field;
+    any other synthesizes (X, Y) as one batch and remembers X's field.
+    A field alone is the same batch of fixed-shape GEMMs, so a hit gives
+    the bits of a cold call.  The memo is keyed by value, X's shape, dtype
+    and bytes, not by identity: an X changed in place misses, and so does
+    ``-0.0`` in the place of ``0.0``.  It is one immutable tuple of the key
+    and X's field, in the two cyclic orders that the cross product reads,
+    frozen and holding X's rows alone; it is read once per call and
+    replaced whole, so threads that share an algebra stay correct.  No
+    key is made for Y; a run without a probe always misses and pays one
+    key, ``X.tobytes()``, per call.
     """
 
     def __init__(self, reps: np.ndarray, e1: np.ndarray, e2: np.ndarray,
@@ -475,25 +490,27 @@ class _SpectralContraction:
         self._r2c = _frozen(trig.reshape(2 * half, n).T / n)
         trig[1:] *= 2.0
         self._c2r = _frozen(trig.reshape(2 * half, n))
+        # (key, field) of the last first argument, or None: see __call__
+        self._memo = None
 
     def __call__(self, X, Y) -> np.ndarray:
         # X and Y are states (dim,) or (B, dim) blocks
         n, side, half = self._shape
-        fields = (2,) + np.shape(X)[:-1]
-        lead = fields[1:]
-        Z = np.array((X, Y)).take(self._gather, axis=-1)
-        Z = Z.reshape(fields + self._synthesis.shape)
-        a, b = self._synthesis
-        cube = (a * Z[..., 0, :] + b * Z[..., 1, :]).view(complex)
-        # [field, *row, kx, ky, (component, kz)]: y, then x, then z
-        F = self._to_grid @ cube.reshape(fields + (side, side, 3 * half))
-        F = self._to_grid @ F.reshape(fields + (side, n * 3 * half))
-        u, v = F.view(float).reshape(fields + (n * n * 3, 2 * half)) \
-            @ self._c2r
-        u = u.reshape(lead + (n * n, 3, n))
-        v = v.reshape(u.shape)
-        w = (u.take(_NEXT, axis=-2) * v.take(_PREV, axis=-2)
-             - u.take(_PREV, axis=-2) * v.take(_NEXT, axis=-2))
+        lead = X.shape[:-1]
+        # read once: another thread sharing the operator may replace it
+        memo = self._memo
+        key = (X.shape, X.dtype.str, X.tobytes())
+        if memo is not None and memo[0] == key:
+            (u_next, u_prev), v = memo[1], self._synthesize(Y[None])[0]
+        else:
+            u, v = self._synthesize(np.array((X, Y)))
+            # X's field in the two cyclic orders that the cross product
+            # reads: fresh arrays, so they hold X's rows alone
+            u_next, u_prev = u.take(_NEXT, axis=-2), u.take(_PREV, axis=-2)
+            u_next.setflags(write=False)
+            u_prev.setflags(write=False)
+            self._memo = (key, (u_next, u_prev))
+        w = u_next * v.take(_PREV, axis=-2) - u_prev * v.take(_NEXT, axis=-2)
         # [*row, x, y, (component, z)]: z, then x, then y
         W = (w.reshape(lead + (n * n * 3, n)) @ self._r2c).view(complex)
         W = self._from_grid @ W.reshape(lead + (n, n * 3 * half))
@@ -501,8 +518,30 @@ class _SpectralContraction:
         W = W.reshape(lead + (side * side * 3 * half,)).view(float)
         RI = W.take(self._read, axis=-1)
         # [representative, polarization, phase] is the local slot order
-        p0, p1, p2 = self._projection
-        return RI[..., 0, :] * p0 + RI[..., 1, :] * p1 + RI[..., 2, :] * p2
+        # the three products in one ufunc call, then summed in order, in
+        # place: the bits of RI_0 p0 + RI_1 p1 + RI_2 p2
+        Q = RI * self._projection
+        out = Q[..., 0, :] + Q[..., 1, :]
+        out += Q[..., 2, :]
+        return out
+
+    def _synthesize(self, S) -> np.ndarray:
+        """The velocity fields on the grid of a ``(fields, *rows, dim)``
+        stack of states, as ``[field, *row, (x, y), component, z]``."""
+        n, side, half = self._shape
+        fields = S.shape[:-1]
+        Z = S.take(self._gather, axis=-1)
+        Z = Z.reshape(fields + self._synthesis.shape)
+        a, b = self._synthesis
+        # in place: the bits of a Z_0 + b Z_1, with one temporary fewer
+        cube = a * Z[..., 0, :]
+        cube += b * Z[..., 1, :]
+        cube = cube.view(complex)
+        # [field, *row, kx, ky, (component, kz)]: y, then x, then z
+        F = self._to_grid @ cube.reshape(fields + (side, side, 3 * half))
+        F = self._to_grid @ F.reshape(fields + (side, n * 3 * half))
+        F = F.view(float).reshape(fields + (n * n * 3, 2 * half)) @ self._c2r
+        return F.reshape(fields + (n * n, 3, n))
 
 
 def build_torus_algebra(K: int, max_dim: int = 512):

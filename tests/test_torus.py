@@ -2,6 +2,8 @@
 
 import itertools
 import json
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -9,15 +11,18 @@ import scipy.linalg
 
 from fluidalg import (
     FluidAlgebra,
+    IntegratorSpec,
     TorusSizeError,
     TripleForm,
     beltrami_state,
     build_torus_algebra,
+    co_evolve_probe,
     curl,
     energy,
     euler_rhs,
     g_norm,
     helicity,
+    integrate,
     inverse_curl,
     linking,
     make_rng,
@@ -31,6 +36,7 @@ from fluidalg import instances
 from fluidalg.cli import main
 from fluidalg.instances import (
     _DET_NOISE,
+    _SpectralContraction,
     _frame,
     _frames,
     _half_lattice,
@@ -514,3 +520,178 @@ def test_full_array_cross_product_matches_the_component_loop(K):
     for r in range(len(A)):
         want = _loop_contraction(op, A[r], B[r])
         assert block[r].tobytes() == want.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# the memo of the spectral operator: the grid field of its last first argument
+
+
+def _fresh_operator(K):
+    """A spectral operator that has never been called: its memo is empty."""
+    reps = np.array(_half_lattice(K))
+    return _SpectralContraction(reps, *_frames(reps), K)
+
+
+def _counted(monkeypatch, op):
+    """The rows that ``op`` synthesizes, one entry per synthesis: 2 per
+    state on a miss, which synthesizes (X, Y), and 1 on a hit."""
+    rows = []
+    synthesize = op._synthesize
+
+    def counted(S):
+        rows.append(int(np.prod(S.shape[:-1])))
+        return synthesize(S)
+
+    monkeypatch.setattr(op, "_synthesize", counted)
+    return rows
+
+
+@pytest.mark.parametrize("K", [2, 3, 4])
+@pytest.mark.parametrize("lead", [(), (3,)])
+def test_memo_hit_gives_the_bits_of_a_cold_call(K, lead, monkeypatch):
+    op = _fresh_operator(K)
+    dim = 4 * len(_half_lattice(K))
+    rows = _counted(monkeypatch, op)
+    rng = make_rng(110 + K)
+    X, Y, W = rng.standard_normal((3,) + lead + (dim,))
+    size = int(np.prod(lead))
+    op(X, Y)
+    assert rows == [2 * size]
+    for Q in (W, Y, X, -W):
+        got = op(X, Q)
+        assert rows[-1] == size  # a hit: Q alone is synthesized
+        assert got.tobytes() == _fresh_operator(K)(X, Q).tobytes()
+
+
+def test_memo_hit_keeps_exact_antisymmetry(monkeypatch):
+    op = _fresh_operator(3)
+    rows = _counted(monkeypatch, op)
+    rng = make_rng(113)
+    X, Y = rng.standard_normal((2, op._projection.shape[1]))
+    b = op(X, Y)
+    zero = op(X, X)
+    assert rows == [2, 1]
+    assert not np.any(zero)
+    assert np.array_equal(op(Y, X), -b)
+    assert np.array_equal(op(Y, X), -b)
+    assert rows == [2, 1, 2, 1]
+
+
+def test_memo_misses_on_an_argument_changed_in_place(monkeypatch):
+    op = _fresh_operator(2)
+    rows = _counted(monkeypatch, op)
+    rng = make_rng(114)
+    X, Y = rng.standard_normal((2, op._projection.shape[1]))
+    op(X, Y)
+    X[7] += 1.0
+    got = op(X, Y)
+    assert rows == [2, 2]
+    assert got.tobytes() == _fresh_operator(2)(X, Y).tobytes()
+
+
+def test_memo_keys_negative_zero_apart(monkeypatch):
+    op = _fresh_operator(2)
+    rows = _counted(monkeypatch, op)
+    rng = make_rng(115)
+    X, Y = rng.standard_normal((2, op._projection.shape[1]))
+    X[3] = 0.0
+    negative = X.copy()
+    negative[3] = -0.0
+    assert np.array_equal(X, negative)
+    op(X, Y)
+    got = op(negative, Y)
+    assert rows == [2, 2]
+    assert got.tobytes() == _fresh_operator(2)(negative, Y).tobytes()
+
+
+def test_memo_hit_on_a_nan_input_matches_a_cold_call(monkeypatch):
+    op = _fresh_operator(2)
+    rows = _counted(monkeypatch, op)
+    rng = make_rng(116)
+    X, Y, W = rng.standard_normal((3, op._projection.shape[1]))
+    X[11] = np.nan
+    with np.errstate(all="ignore"):
+        op(X, Y)
+        got = op(X, W)
+        want = _fresh_operator(2)(X, W)
+    assert rows == [2, 1]
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("other", [
+    lambda A: A.view(np.float32).reshape(2, -1),  # the same byte length
+    lambda A: A.view(np.int64),  # the same shape and bytes
+], ids=["float32", "int64"])
+def test_memo_never_hits_across_dtypes(other, monkeypatch):
+    op = _fresh_operator(2)
+    rows = _counted(monkeypatch, op)
+    rng = make_rng(117)
+    X, Y = rng.standard_normal((2, op._projection.shape[1]))
+    P, Q = other(X), other(Y)
+    assert P.tobytes() == X.tobytes()
+    with np.errstate(all="ignore"):
+        op(X, Y)
+        got = op(P, Q)
+        want = _fresh_operator(2)(P, Q)
+        again = op(X, Y)
+    assert rows == [2, 2 * P[..., 0].size, 2]
+    assert got.tobytes() == want.tobytes()
+    assert again.tobytes() == _fresh_operator(2)(X, Y).tobytes()
+
+
+@pytest.mark.parametrize("probe, expected", [(True, 12), (False, 8)])
+def test_rows_synthesized_in_one_rk4_step(probe, expected, monkeypatch):
+    """A probe stage contracts its velocity twice and synthesizes it once:
+    (V, D V) misses and (V, D Z) hits, 3 rows a stage, where a stage
+    without a probe synthesizes (V, D V), 2 rows."""
+    alg, _ = build_torus_algebra(2)
+    rows = _counted(monkeypatch, alg.triple.operator)
+    rng = make_rng(118)
+    X, Z = rng.standard_normal((2, alg.dim)) / 10.0
+    if probe:
+        co_evolve_probe(alg, X, Z, 1e-3)
+    else:
+        rk4_step(alg, X, 1e-3)
+    assert sum(rows) == expected
+
+
+def _record_bits(result):
+    return [
+        (r.t, r.state.tobytes(), r.state_lo.tobytes(), r.flag,
+         *(np.array([v, v.lo]).tobytes()
+           for v in (r.energy, r.helicity, r.probe_linking)))
+        for r in result.records
+    ]
+
+
+def test_concurrent_probe_runs_on_one_algebra_are_independent():
+    """The memo is mutable state in an operator that threads may share:
+    probe runs started together on one algebra give their records alone."""
+    alg, _ = build_torus_algebra(2)
+    spec = IntegratorSpec(method="rk4", dt=1e-3, t_end=0.03)
+    rng = make_rng(119)
+    # more threads than the cores of a small machine
+    runs = [rng.standard_normal((2, alg.dim)) / 10.0 for _ in range(4)]
+    want = [_record_bits(integrate(alg, X, spec, probe=Z)) for X, Z in runs]
+    assert len({w[-1] for w in want}) == len(want)
+    barrier = threading.Barrier(len(runs))
+    got = {}
+
+    def run(worker):
+        X, Z = runs[worker]
+        barrier.wait(timeout=60)
+        got[worker] = _record_bits(integrate(alg, X, spec, probe=Z))
+
+    threads = [threading.Thread(target=run, args=(w,))
+               for w in range(len(runs))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert [got.get(w) for w in range(len(runs))] == want
