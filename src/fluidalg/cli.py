@@ -8,7 +8,7 @@ JSON outputs are strict: a non-finite value is written as ``null``, and
 its dotted key is listed under a top-level ``non_finite``.
 
 Exit codes: 0 success, 1 config error, 2 numerical failure (partial
-outputs flushed), 3 validation failure.  ``_run`` alone turns exceptions
+outputs flushed), 3 validation failure.  ``main`` alone turns exceptions
 into codes: a usage error, a ``ConfigError``, an ``OSError`` or a
 ``GenerationError`` exits 1, and an ``Algebra*Error`` exits 3, so a
 failed ``validate`` exits 3 whichever instance built the algebra.  Each
@@ -502,8 +502,9 @@ def cmd_instances(_args) -> int:
     return EXIT_OK
 
 
-def _run(argv) -> int:
-    """Parse ``argv`` and run the chosen subcommand.  This is the one place
+def main(argv=None) -> int:
+    """The exit code of the command line ``argv`` (``sys.argv[1:]`` when
+    None): parse it and run the chosen subcommand.  This is the one place
     where an exception becomes an exit code: configuration, file and
     instance-building errors exit 1 and algebra errors exit 3, each with a
     one-line message.  argparse exits 0 for ``--help`` and ``--version``
@@ -519,12 +520,6 @@ def _run(argv) -> int:
     except (AlgebraValidationError, AlgebraFormatError, AlgebraDataError) as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-
-
-def main(argv=None) -> int:
-    """The exit code of the command line ``argv`` (``sys.argv[1:]`` when
-    None)."""
-    return _run(argv)
 
 
 def entry() -> None:

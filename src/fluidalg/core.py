@@ -36,9 +36,17 @@ memo is one immutable tuple, replaced whole, so threads sharing an algebra
 stay correct.  The results of every operation are thus pure functions of
 the input values, and every operation is bit-reproducible on one platform
 and NumPy version.  All three kernels are exactly antisymmetric, and the
-form is evaluated as ``{X, Y, Z} = X . contract_pair(Y, Z)``.  A dense form stores its packed
-rows alone and a spectral form no tensor; the canonical entries of both
-are materialized on demand.
+form is evaluated as ``{X, Y, Z} = X . contract_pair(Y, Z)``.  A dense
+form stores its packed rows alone and a spectral form no tensor; the
+canonical entries of both are materialized on demand.  Each kind is one
+storage class behind one interface (:class:`_Storage`): the packed rows
+(:class:`_PackedRows`), the canonical entries (:class:`_Entries`), and
+the operator with its entry source (:class:`_Spectral`).  A storage
+gives the kernel, its chunk size, the entries, their count, the largest
+entry and the scale of the antisymmetry check, so no other code asks
+which kind a form is.  Packed rows built from entries are written
+straight from them, each entry into its three slots, with no (n, n, n)
+array.
 
 Every operator-layer entry point -- :meth:`TripleForm.contract_pair` and
 ``__call__``, the four products of :class:`FluidAlgebra` with G, G^-1, L
@@ -327,28 +335,173 @@ def _canonical_slots(packed: np.ndarray) -> np.ndarray:
     return (packed != 0.0) & (np.arange(packed.shape[1]) > ju[:, None])
 
 
-def _packed_entries(packed: np.ndarray):
-    """The canonical ``(index, values)`` of packed rows, frozen: the slots
-    k > j of the rows (i, j) in ``np.triu_indices`` order come out sorted
-    by (i, j, k), so they need no check or sort."""
-    iu, ju = np.triu_indices(packed.shape[1], 1)
-    p, k = np.nonzero(_canonical_slots(packed))
-    index, values = np.stack((iu[p], ju[p], k), axis=1), packed[p, k]
-    index.setflags(write=False)
-    values.setflags(write=False)
-    return index, values
+def _checked_dim(dim) -> int:
+    # one rule for every dimension given: an int, not a bool, of at least 1
+    if not _is_index(dim) or dim < 1:
+        raise AlgebraFormatError("dim must be a positive integer")
+    return int(dim)
 
 
-def _packed_rows(array: np.ndarray) -> np.ndarray:
-    """The rows ``array[i, j, :]`` with i < j, in ``np.triu_indices``
-    order, copied straight into a fresh 64-byte-aligned matrix."""
-    n = array.shape[0]
-    packed = _aligned_empty((n * (n - 1) // 2, n))
-    start = 0
-    for i in range(n - 1):
-        packed[start:start + n - 1 - i] = array[i, i + 1:]
-        start += n - 1 - i
-    return packed
+class _Storage:
+    """What a :class:`TripleForm` holds: one subclass per storage kind.
+
+    A storage gives ``kind``; ``dense`` and ``operator``, None but in
+    their own kind; ``kernel(X, Y)``, the pair contraction of one state
+    or one chunk of rows; ``row_terms``, the floats per row in the
+    kernel's largest temporaries; the canonical ``entries``, checked,
+    sorted and frozen; ``nnz``, their count, or None while only
+    assembling them would give it; ``max_abs``; ``to_dense()``; and, for
+    :func:`validate`, the antisymmetry ``defect`` of an input array and
+    the ``scale`` of its threshold.  The defaults below serve a storage
+    whose entries are at hand.
+    """
+
+    dense = operator = None
+    # max |T - antisym(T)| of an input array; entries have none
+    defect = 0.0
+
+    @cached_property
+    def max_abs(self) -> float:
+        return float(np.max(np.abs(self.entries[1]), initial=0.0))
+
+    @property
+    def scale(self) -> float:
+        return max(self.max_abs, 1.0)
+
+    def to_dense(self) -> np.ndarray:
+        out = np.zeros((self.dim,) * 3)
+        (i, j, k), v = self.entries[0].T, self.entries[1]
+        out[i, j, k] = out[j, k, i] = out[k, i, j] = v
+        out[j, i, k] = out[i, k, j] = out[k, j, i] = -v
+        return out
+
+
+class _PackedRows(_Storage):
+    """The dense kind: the packed (n(n-1)/2, n) matrix of the rows
+    ``T[i, j, :]`` with i < j, in ``np.triu_indices`` order, alone."""
+
+    kind = "dense"
+
+    def __init__(self, dim: int, packed: np.ndarray):
+        packed.setflags(write=False)
+        self.dim, self.dense = dim, packed
+        self.row_terms = max(1, packed.shape[0])
+        # the index pairs i < j of the rows, in np.triu_indices order
+        self._pairs = np.triu_indices(dim, 1)
+        # counted without reading the entries off the rows; measured()
+        # puts the largest |entry| of its whole array in place of max_abs
+        self.nnz = int(np.count_nonzero(_canonical_slots(packed)))
+        self.max_abs = float(np.max(np.abs(packed), initial=0.0))
+
+    @classmethod
+    def measured(cls, dim: int, array: np.ndarray) -> "_PackedRows":
+        # the rows array[i, j, :], i < j, copied slab by slab straight into
+        # a fresh 64-byte-aligned matrix, keeping the array's largest
+        # |entry| and its defect max |A - antisym(A)|
+        packed = _aligned_empty((dim * (dim - 1) // 2, dim))
+        t_max, defect, start = 0.0, 0.0, 0
+        for i in range(dim):
+            slab = array[i]
+            t_max = max(t_max, float(np.max(np.abs(slab))))
+            defect = max(defect, float(np.max(np.abs(
+                slab - _antisymmetrize(array, i)))))
+            packed[start:start + dim - 1 - i] = slab[i + 1:]
+            start += dim - 1 - i
+        store = cls(dim, packed)
+        store.max_abs, store.defect = t_max, defect
+        return store
+
+    @cached_property
+    def entries(self):
+        # the slots k > j of the rows (i, j) in np.triu_indices order come
+        # out sorted by (i, j, k), so they need no check or sort
+        iu, ju = self._pairs
+        p, k = np.nonzero(_canonical_slots(self.dense))
+        index, values = np.stack((iu[p], ju[p], k), axis=1), self.dense[p, k]
+        index.setflags(write=False)
+        values.setflags(write=False)
+        return index, values
+
+    def to_dense(self) -> np.ndarray:
+        out = np.zeros((self.dim,) * 3)
+        iu, ju = self._pairs
+        out[iu, ju], out[ju, iu] = self.dense, -self.dense
+        return out
+
+    def kernel(self, X, Y) -> np.ndarray:
+        iu, ju = self._pairs
+        if X.ndim == 2:
+            # gathered from the transposed chunk, each index copies a run
+            # of B floats; a state is its own transposed chunk, and
+            # skipping the copies keeps the single-state path as fast
+            X, Y = np.ascontiguousarray(X.T), np.ascontiguousarray(Y.T)
+        D = (X.take(iu, axis=0) * Y.take(ju, axis=0)
+             - X.take(ju, axis=0) * Y.take(iu, axis=0))
+        # back to contiguous rows: one GEMV per contiguous row has the bits
+        # of the 1-D kernel
+        return np.vecmat(np.ascontiguousarray(D.T), self.dense)
+
+
+class _Entries(_Storage):
+    """The sparse kind: the canonical entries alone."""
+
+    kind = "sparse"
+
+    def __init__(self, dim: int, index, values):
+        self.dim = dim
+        self.entries = index, values = _canonical_entries(dim, index, values)
+        self.nnz = int(values.size)
+        # the index columns i, j, k, each contiguous, which halves the time
+        # of the gathers, and the output slot of each term: k, i, j
+        self._columns = i, j, k = [np.ascontiguousarray(c) for c in index.T]
+        self._targets = np.concatenate((k, i, j))
+        self.row_terms = max(1, self._targets.size)
+
+    def kernel(self, X, Y) -> np.ndarray:
+        v = self.entries[1]
+        if not v.size:
+            return np.zeros(X.shape)
+        i, j, k = self._columns
+        Xi, Xj, Xk = X.take(i, axis=-1), X.take(j, axis=-1), X.take(k, axis=-1)
+        Yi, Yj, Yk = Y.take(i, axis=-1), Y.take(j, axis=-1), Y.take(k, axis=-1)
+        terms = np.concatenate((
+            v * (Xi * Yj - Xj * Yi),
+            v * (Xj * Yk - Xk * Yj),
+            v * (Xk * Yi - Xi * Yk),
+        ), axis=-1)
+        slots = self._targets
+        if X.ndim == 2:
+            # the slots of row r are offset by r n
+            slots = (slots + self.dim * np.arange(X.shape[0])[:, None]).ravel()
+        out = np.bincount(slots, weights=terms.ravel(), minlength=X.size)
+        return out.reshape(X.shape)
+
+
+class _Spectral(_Storage):
+    """The spectral kind: a matrix-free operator, and the source of the
+    entries until they are first read."""
+
+    kind = "spectral"
+    # the unscaled threshold, rather than building the entries to scale it
+    # (on the torus they are at most 1/sqrt(2) in any case)
+    scale = 1.0
+    # no count until the entries are stored: counting would assemble them
+    nnz = None
+
+    def __init__(self, dim: int, operator, entries):
+        self.dim, self._entry_source = dim, entries
+        self.kernel = self.operator = operator
+        self.row_terms = getattr(operator, "row_terms", dim)
+
+    @property
+    def entries(self):
+        # the source gives canonical frozen entries; they are stored before
+        # the source is dropped, so a reader never finds neither
+        source = self._entry_source
+        if source is not None:
+            self._entries, self._entry_source = source(), None
+            self.nnz = int(self._entries[1].size)
+        return self._entries
 
 
 class TripleForm:
@@ -357,34 +510,42 @@ class TripleForm:
     The canonical representation is the list of entries ``(i, j, k, value)``
     with ``i < j < k`` (``index`` and ``values``); the other five index
     orders are implied by full antisymmetry.  The kind fixes what is stored
-    and how :meth:`contract_pair`, the integrator hot path, is computed:
+    and how :meth:`contract_pair`, the integrator hot path, is computed,
+    and each kind is one storage class behind one interface
+    (:class:`_Storage`):
 
     * ``"dense"`` -- the packed (n(n-1)/2, n) matrix of the rows
       ``T[i, j, :]`` with i < j (``dense``) alone, contracted by one BLAS
       GEMV; :meth:`from_dense` gives this kind at every n, and
-      :meth:`from_entries` up to ``DENSE_DIM_LIMIT``;
+      :meth:`from_entries` up to ``DENSE_DIM_LIMIT``, writing each entry
+      straight into its three packed slots;
     * ``"sparse"`` -- the canonical entries alone, contracted by one
       ``np.bincount`` in entry order;
     * ``"spectral"`` -- no stored tensor: a matrix-free operator computes
       the contraction (:meth:`spectral`).
 
     The other two kinds build their entries on the first access to them.
-    Every kind's contraction is *exactly* antisymmetric in its two
-    arguments, and ``__call__`` is ``X . contract_pair(Y, Z)``, so it
-    exactly negates when the last two arguments are swapped and is exactly
-    zero whenever two arguments are equal.
+    Every constructor refuses a ``dim`` that is not an ``int`` (``bool``
+    is not) of at least 1 with :class:`AlgebraFormatError`.  Every kind's
+    contraction is *exactly* antisymmetric in its two arguments, and
+    ``__call__`` is ``X . contract_pair(Y, Z)``, so it exactly negates
+    when the last two arguments are swapped and is exactly zero whenever
+    two arguments are equal.
     """
-
-    # the packed rows of the dense kind, the operator of the spectral kind
-    # and, for both, the source of the entries until they are first read
-    dense = operator = _entry_source = None
-    # max |T - antisym(T)| of an input array, which validate reports
-    _defect = 0.0
 
     def __init__(self, dim: int, index, values):
         """A form of the sparse kind on canonical entries."""
-        self.dim = int(dim)
-        self._index, self._values = _canonical_entries(self.dim, index, values)
+        self._hold(dim, _Entries, index, values)
+
+    def _hold(self, dim, storage, *args) -> "TripleForm":
+        # every constructor ends here: dim is checked before the storage
+        # is built on it
+        self.dim = _checked_dim(dim)
+        self._store = store = storage(self.dim, *args)
+        # the kernel is held by the form, so that a call looks up one name
+        self.kind, self._kernel = store.kind, store.kernel
+        self.dense, self.operator = store.dense, store.operator
+        return self
 
     # -- constructors -------------------------------------------------
 
@@ -406,19 +567,7 @@ class TripleForm:
         contraction or an evaluation of the form.  Two threads making that
         first access together may each compute the same entries.
         """
-        form = cls.__new__(cls)
-        form.dim, form.operator = int(dim), operator
-        form._entry_source = entries
-        return form
-
-    @classmethod
-    def _packed(cls, packed: np.ndarray) -> "TripleForm":
-        # a form of the dense kind on its packed rows, a fresh array
-        packed.setflags(write=False)
-        form = cls.__new__(cls)
-        form.dim, form.dense = packed.shape[1], packed
-        form._entry_source = lambda: _packed_entries(packed)
-        return form
+        return cls.__new__(cls)._hold(dim, _Spectral, operator, entries)
 
     @classmethod
     def from_dense(cls, array) -> "TripleForm":
@@ -432,16 +581,7 @@ class TripleForm:
             )
         if not np.all(np.isfinite(array)):
             raise AlgebraDataError("non-finite value in triple tensor")
-        n = array.shape[0]
-        t_max = defect = 0.0
-        for i in range(n):
-            slab = array[i]
-            t_max = max(t_max, float(np.max(np.abs(slab))))
-            defect = max(defect, float(np.max(np.abs(
-                slab - _antisymmetrize(array, i)))))
-        form = cls._packed(_packed_rows(array))
-        form._max_abs, form._defect = t_max, defect
-        return form
+        return cls.__new__(cls)._hold(len(array), _PackedRows.measured, array)
 
     @classmethod
     def from_entries(cls, dim: int, entries) -> "TripleForm":
@@ -467,72 +607,40 @@ class TripleForm:
         except OverflowError as exc:
             raise AlgebraFormatError(
                 "sparse entry index or value out of range") from exc
-        form = cls(dim, index.reshape(-1, 3), values)
-        if form.dim > DENSE_DIM_LIMIT:
-            return form
-        return cls._packed(_packed_rows(form.to_dense()))
+        return cls._canonical(dim, index.reshape(-1, 3), values)
+
+    @classmethod
+    def _canonical(cls, dim: int, index, values) -> "TripleForm":
+        # a form on arrays of canonical entries, of the kind that
+        # from_entries gives
+        return cls.__new__(cls)._hold(dim, _entry_storage, index, values)
 
     # -- queries ------------------------------------------------------
 
     @property
-    def kind(self) -> str:
-        """The storage kind: ``"dense"``, ``"sparse"`` or ``"spectral"``."""
-        if self.dense is not None:
-            return "dense"
-        return "sparse" if self.operator is None else "spectral"
-
-    def _materialize(self):
-        # the source gives canonical frozen entries; they are stored before
-        # the source is dropped, so a reader never finds neither
-        source = self._entry_source
-        if source is not None:
-            self._index, self._values = source()
-            self._entry_source = None
-
-    @property
     def index(self) -> np.ndarray:
-        self._materialize()
-        return self._index
+        return self._store.entries[0]
 
     @property
     def values(self) -> np.ndarray:
-        self._materialize()
-        return self._values
+        return self._store.entries[1]
 
     @property
     def nnz(self) -> int:
-        if self.dense is not None and self._entry_source is not None:
-            return int(np.count_nonzero(_canonical_slots(self.dense)))
-        return int(self.values.shape[0])
+        # a spectral form is counted by storing its entries
+        return self._store.nnz or int(self.values.size)
 
     def max_abs(self) -> float:
-        return self._max_abs
-
-    @cached_property
-    def _max_abs(self) -> float:
-        # from_dense records that of its input array instead
-        held = self.values if self.dense is None else self.dense
-        return float(np.max(np.abs(held))) if held.size else 0.0
+        """The largest |entry|; for :meth:`from_dense`, that of its input."""
+        return self._store.max_abs
 
     def entry_list(self):
         """Canonical entries as a list of (i, j, k, value) tuples."""
-        return [
-            (int(i), int(j), int(k), float(v))
-            for (i, j, k), v in zip(self.index, self.values)
-        ]
+        return list(zip(*self.index.T.tolist(), self.values.tolist()))
 
     def to_dense(self) -> np.ndarray:
         """A new (n, n, n) array of the form, from its packed rows if dense."""
-        out = np.zeros((self.dim,) * 3)
-        if self.dense is not None:
-            iu, ju = self._pairs
-            out[iu, ju], out[ju, iu] = self.dense, -self.dense
-            return out
-        i, j, k = self.index.T
-        v = self.values
-        out[i, j, k] = out[j, k, i] = out[k, i, j] = v
-        out[j, i, k] = out[i, k, j] = out[k, j, i] = -v
-        return out
+        return self._store.to_dense()
 
     # -- evaluation ---------------------------------------------------
 
@@ -584,68 +692,28 @@ class TripleForm:
         """
         if X.ndim == 1:
             return self._kernel(X, Y)
-        return _in_chunks(self._kernel, self._row_terms, X, Y)
+        return _in_chunks(self._kernel, self._store.row_terms, X, Y)
 
-    def _kernel(self, X, Y) -> np.ndarray:
-        # the kind's kernel on one state or on a chunk of rows
-        if self.dense is not None:
-            iu, ju = self._pairs
-            if X.ndim == 2:
-                # gathered from the transposed chunk, each index copies a
-                # run of B floats; a state is its own transposed chunk, and
-                # skipping the copies keeps the single-state path as fast
-                X, Y = np.ascontiguousarray(X.T), np.ascontiguousarray(Y.T)
-            D = (X.take(iu, axis=0) * Y.take(ju, axis=0)
-                 - X.take(ju, axis=0) * Y.take(iu, axis=0))
-            # back to contiguous rows: one GEMV per contiguous row has the
-            # bits of the 1-D kernel
-            return np.vecmat(np.ascontiguousarray(D.T), self.dense)
-        if self.operator is not None:
-            return self.operator(X, Y)
-        if not self.values.size:
-            return np.zeros(X.shape)
-        i, j, k = self._columns
-        v = self.values
-        Xi, Xj, Xk = X.take(i, axis=-1), X.take(j, axis=-1), X.take(k, axis=-1)
-        Yi, Yj, Yk = Y.take(i, axis=-1), Y.take(j, axis=-1), Y.take(k, axis=-1)
-        terms = np.concatenate((
-            v * (Xi * Yj - Xj * Yi),
-            v * (Xj * Yk - Xk * Yj),
-            v * (Xk * Yi - Xi * Yk),
-        ), axis=-1)
-        slots = self._targets
-        if X.ndim == 2:
-            # the slots of row r are offset by r n
-            slots = (slots + self.dim * np.arange(X.shape[0])[:, None]).ravel()
-        out = np.bincount(slots, weights=terms.ravel(), minlength=X.size)
-        return out.reshape(X.shape)
 
-    @cached_property
-    def _row_terms(self) -> int:
-        # floats per row in the largest temporaries of the kernel, or what
-        # the spectral operator gives instead
-        if self.dense is not None:
-            return max(1, self.dense.shape[0])
-        if self.operator is not None:
-            return getattr(self.operator, "row_terms", self.dim)
-        return max(1, self._targets.size)
-
-    @cached_property
-    def _pairs(self):
-        # the index pairs i < j of the packed rows, in np.triu_indices order
-        return np.triu_indices(self.dim, 1)
-
-    @cached_property
-    def _columns(self):
-        # the index columns i, j, k of the entries, each contiguous, which
-        # halves the time of the gathers of the sparse contraction
-        return tuple(np.ascontiguousarray(c) for c in self.index.T)
-
-    @cached_property
-    def _targets(self) -> np.ndarray:
-        # output slot of each term of the sparse contraction: k, i, j
-        i, j, k = self._columns
-        return np.concatenate((k, i, j))
+def _entry_storage(dim: int, index, values) -> _Storage:
+    """The storage of canonical entries: the entries themselves above
+    ``DENSE_DIM_LIMIT``, else their packed rows in a fresh 64-byte-aligned
+    matrix, written with no (n, n, n) array: entry (a, b, c, v) puts v at
+    row (a, b), column c, -v at row (a, c), column b and v at row (b, c),
+    column a."""
+    if dim > DENSE_DIM_LIMIT:
+        return _Entries(dim, index, values)
+    index, values = _canonical_entries(dim, index, values)
+    packed = _aligned_empty((dim * (dim - 1) // 2, dim))
+    packed.fill(0.0)
+    a, b, c = index.T
+    # the row of the pair (i, j), i < j, in np.triu_indices order is
+    # i (2n - i - 3) / 2 - 1 + j
+    ra, rb = a * (2 * dim - a - 3) // 2 - 1, b * (2 * dim - b - 3) // 2 - 1
+    packed[ra + b, c] = values
+    packed[ra + c, b] = -values
+    packed[rb + c, a] = values
+    return _PackedRows(dim, packed)
 
 
 def _permutation_of(M: np.ndarray):
@@ -831,9 +899,7 @@ class FluidAlgebra:
     """
 
     def __init__(self, dim: int, triple, linking, metric, meta=None):
-        if not _is_index(dim) or dim < 1:
-            raise AlgebraFormatError("dim must be a positive integer")
-        self.dim = int(dim)
+        self.dim = _checked_dim(dim)
         if isinstance(triple, TripleForm):
             tf = triple
         elif isinstance(triple, np.ndarray) and triple.ndim == 3:
@@ -912,16 +978,12 @@ class FluidAlgebra:
         return _as_state(self.dim, X, name, block, like)
 
     def __repr__(self):
-        # no entry count for a spectral form until its entries are stored:
-        # it would assemble them to count them
+        # no entry count where only assembling the entries would give it
+        nnz = self.triple._store.nnz
+        nnz = "" if nnz is None else f", nnz={nnz}"
         tag = self.meta.get("kind", "custom")
-        tf = self.triple
-        lazy = tf.kind == "spectral" and tf._entry_source is not None
-        nnz = "" if lazy else f", nnz={tf.nnz}"
-        return (
-            f"FluidAlgebra(dim={self.dim}, triple={tf.kind!r}{nnz}, "
-            f"kind={tag!r})"
-        )
+        return (f"FluidAlgebra(dim={self.dim}, triple={self.triple.kind!r}"
+                f"{nnz}, kind={tag!r})")
 
 
 # ---------------------------------------------------------------------------
@@ -1001,30 +1063,22 @@ def validate(alg: FluidAlgebra, tol: float = 1e-12) -> ValidationReport:
     nondegeneracy ratios are fixed so that curl solves stay trustworthy at
     double precision.
     """
-    report = ValidationReport()
-
-    tf = alg.triple
-    # a spectral form keeps the unscaled threshold rather than building its
-    # entries (on the torus they are at most 1/sqrt(2) in any case)
-    t_scale = 1.0 if tf.kind == "spectral" else max(tf.max_abs(), 1.0)
-    report.checks.append(
-        CheckResult("triple-antisymmetry", tf._defect, tol * t_scale,
-                    tf._defect <= tol * t_scale)
-    )
-
+    store = alg.triple._store
+    t_threshold = tol * store.scale
     sv = alg._L.singular_values
     l_threshold = LINKING_SV_RATIO * float(sv[0])
     ev = alg._G.eigenvalues
     g_threshold = METRIC_EIG_RATIO * float(ev[-1])
-    report.checks += [
+    return ValidationReport([
+        CheckResult("triple-antisymmetry", store.defect, t_threshold,
+                    store.defect <= t_threshold),
         _symmetry_check(alg._L, tol),
         CheckResult("linking-nondegenerate", float(sv[-1]), l_threshold,
                     bool(sv[-1] >= l_threshold) and sv[0] > 0),
         _symmetry_check(alg._G, tol),
         CheckResult("metric-positive-definite", float(ev[0]), g_threshold,
                     bool(ev[0] > 0.0) and bool(ev[0] >= g_threshold)),
-    ]
-    return report
+    ])
 
 
 # ---------------------------------------------------------------------------
@@ -1311,9 +1365,7 @@ def load_algebra(path) -> FluidAlgebra:
     missing = {"dim", "triple", "linking", "metric"} - set(payload)
     if missing:
         raise AlgebraFormatError(f"missing keys: {sorted(missing)}")
-    dim = payload["dim"]
-    if not _is_index(dim) or dim < 1:
-        raise AlgebraFormatError("dim must be a positive integer")
+    dim = _checked_dim(payload["dim"])
     matrices = []
     for name in ("linking", "metric"):
         # ragged rows leave lists among the entries, a bool or a string

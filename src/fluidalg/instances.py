@@ -554,9 +554,10 @@ def build_torus_algebra(K: int, max_dim: int = 512):
     None (the identity) and the linking form as ``(cols, w)``, so no
     (dim, dim) array is built; ``linking`` and ``metric`` are
     materialized only when first read.
-    The triple form is dense up to ``DENSE_DIM_LIMIT`` (K = 1), assembled
-    in closed form from the selection rule k1 +- k2 +- k3 = 0 and products
-    of trigonometric integrals.  Above it (K >= 2) it is of the spectral
+    The triple form is dense up to ``DENSE_DIM_LIMIT`` (K = 1), its packed
+    rows written straight from the entries, which are assembled in closed
+    form from the selection rule k1 +- k2 +- k3 = 0 and products of
+    trigonometric integrals.  Above it (K >= 2) it is of the spectral
     kind: contractions run by pruned DFTs on a (3K+1)^3 grid, and the
     closed-form entries are assembled only when first read.
     """
@@ -590,7 +591,7 @@ def build_torus_algebra(K: int, max_dim: int = 512):
     w = (lam[:, None] * [-1.0, 1.0, 1.0, -1.0]).ravel()
 
     if dim <= DENSE_DIM_LIMIT:
-        tf = TripleForm(dim, *_torus_entries(rep_arr, e1, e2, K)).to_dense()
+        tf = TripleForm._canonical(dim, *_torus_entries(rep_arr, e1, e2, K))
     else:
         tf = TripleForm.spectral(
             dim, _SpectralContraction(rep_arr, e1, e2, K),

@@ -143,6 +143,36 @@ def test_dim_is_an_integer_never_coerced(dim, accepted):
             FluidAlgebra(dim, *args)
 
 
+# every constructor of TripleForm, and an algebra given such a form
+FORM_BUILDERS = {
+    "sparse": lambda dim: TripleForm(dim, [(0, 1, 2)], [1.0]),
+    "from_entries": lambda dim: TripleForm.from_entries(dim,
+                                                        [[0, 1, 2, 1.0]]),
+    "spectral": lambda dim: TripleForm.spectral(
+        dim, lambda X, Y: np.zeros(X.shape), lambda: None),
+    "algebra": lambda dim: FluidAlgebra(
+        3, TripleForm(dim, [(0, 1, 2)], [1.0]), None, None).triple,
+}
+
+
+@pytest.mark.parametrize("dim", [2.7, 3.9, "3", True, -3, 0, None])
+@pytest.mark.parametrize("build", list(FORM_BUILDERS))
+def test_triple_form_dim_is_an_integer_never_coerced(build, dim):
+    with pytest.raises(AlgebraFormatError, match="dim"):
+        FORM_BUILDERS[build](dim)
+
+
+@pytest.mark.parametrize("build", list(FORM_BUILDERS))
+def test_triple_form_takes_an_integer_dim(build):
+    form = FORM_BUILDERS[build](np.int64(3))
+    assert form.dim == 3 and type(form.dim) is int
+
+
+def test_from_dense_refuses_an_empty_array():
+    with pytest.raises(AlgebraFormatError, match="dim"):
+        TripleForm.from_dense(np.zeros((0, 0, 0)))
+
+
 def test_shape_mismatch_is_structural_error():
     with pytest.raises(AlgebraFormatError):
         FluidAlgebra(3, np.zeros((3, 3, 3)), np.eye(4), np.eye(3))
@@ -321,8 +351,9 @@ def test_a_dense_form_holds_its_packed_rows_alone(n):
     form = random_algebra(n, n).triple
     X, Y = make_rng(n).standard_normal((2, n))
     for _ in range(2):  # after construction, and after a contraction
-        held = [a for a in vars(form).values() if isinstance(a, np.ndarray)]
-        held += [a for t in vars(form).values() if isinstance(t, tuple)
+        held = [a for a in vars(form._store).values()
+                if isinstance(a, np.ndarray)]
+        held += [a for t in vars(form._store).values() if isinstance(t, tuple)
                  for a in t if isinstance(a, np.ndarray)]
         assert form.dense.size == n * n * (n - 1) // 2
         assert max(a.size for a in held) == form.dense.size
@@ -408,7 +439,7 @@ def test_triple_swap_is_exact_negation_for_every_kind(kind):
         assert value == float(X @ alg.triple.contract_pair(Y, Z))
     if kind == "spectral":
         # evaluating the form never materializes its entries
-        assert alg.triple._entry_source is not None
+        assert alg.triple._store._entry_source is not None
 
 
 def test_triple_form_rejects_bad_entries():

@@ -34,6 +34,7 @@ from fluidalg import (
 )
 from fluidalg import instances
 from fluidalg.cli import main
+from fluidalg.core import _canonical_entries
 from fluidalg.instances import (
     _DET_NOISE,
     _SpectralContraction,
@@ -405,6 +406,31 @@ def test_spectral_contraction_matches_the_stored_entries(K):
         expected = stored.contract_pair(X, Y)
         bound = 1e-14 * np.max(np.abs(expected))
         assert np.max(np.abs(got - expected)) <= bound
+
+
+def test_k1_forms_of_each_kind_hold_one_set_of_entries(torus_k1):
+    alg, basis = torus_k1
+    dense = alg.triple
+    assert dense.kind == "dense"
+    frames = (basis.reps, basis.e1, basis.e2, 1)
+    forms = [
+        TripleForm(alg.dim, dense.index, dense.values),
+        TripleForm.spectral(
+            alg.dim, _SpectralContraction(*frames),
+            lambda: _canonical_entries(alg.dim, *_torus_entries(*frames))),
+    ]
+    for form, kind in zip(forms, ["sparse", "spectral"]):
+        assert form.kind == kind
+        assert form.index.tobytes() == dense.index.tobytes()
+        assert form.values.tobytes() == dense.values.tobytes()
+        assert form.nnz == dense.nnz
+        assert form.max_abs() == dense.max_abs() == 0.7071067811865476
+
+
+def test_k1_is_built_from_its_entries_with_no_antisymmetry_defect(torus_k1):
+    # exact by construction: its packed rows are written from its entries
+    checks = {c.name: c for c in validate(torus_k1[0]).checks}
+    assert checks["triple-antisymmetry"].defect == 0.0
 
 
 @pytest.mark.parametrize("K", [2, 3, 4])
