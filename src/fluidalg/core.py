@@ -39,14 +39,14 @@ and NumPy version.  All three kernels are exactly antisymmetric, and the
 form is evaluated as ``{X, Y, Z} = X . contract_pair(Y, Z)``.  A dense
 form stores its packed rows alone and a spectral form no tensor; the
 canonical entries of both are materialized on demand.  Each kind is one
-storage class behind one interface (:class:`_Storage`): the packed rows
-(:class:`_PackedRows`), the canonical entries (:class:`_Entries`), and
-the operator with its entry source (:class:`_Spectral`).  A storage
-gives the kernel, its chunk size, the entries, their count, the largest
-entry and the scale of the antisymmetry check, so no other code asks
-which kind a form is.  Packed rows built from entries are written
-straight from them, each entry into its three slots, with no (n, n, n)
-array.
+subclass of :class:`TripleForm`: the packed rows (:class:`_PackedRows`),
+the canonical entries (:class:`_Entries`), and the operator with its
+entry source (:class:`_Spectral`).  A subclass gives the kernel, its
+chunk size, the entries and their count; :class:`TripleForm` defines the
+rest once -- the largest entry, ``to_dense``, ``contract_pair`` and the
+evaluation -- so no other code asks which kind a form is.  Packed rows
+built from entries are written straight from them, each entry into its
+three slots, with no (n, n, n) array.
 
 Every operator-layer entry point -- :meth:`TripleForm.contract_pair` and
 ``__call__``, the four products of :class:`FluidAlgebra` with G, G^-1, L
@@ -127,11 +127,11 @@ __all__ = [
     "make_rng",
     "save_algebra",
     "load_algebra",
-    "DENSE_DIM_LIMIT",
 ]
 
-# Entry lists give the dense kind up to this dimension, sparse above it.
-DENSE_DIM_LIMIT = 64
+# Entry lists give the dense kind up to this dimension, sparse above it;
+# TripleForm._canonical is its one reader.
+_DENSE_DIM_LIMIT = 64
 
 # Floats per temporary array when a kernel runs on a block of states,
 # which it does in chunks of rows: 64 kB stays in cache and below the size
@@ -154,6 +154,11 @@ _ALIGNMENT = 64
 # trustworthy at double precision.
 LINKING_SV_RATIO = 1e-8
 METRIC_EIG_RATIO = 1e-10
+
+# Symmetry threshold for validation: the antisymmetry defect of T and the
+# symmetry defects of L and G fail above this times the largest |entry| of
+# their form (at least 1).
+SYMMETRY_TOL = 1e-12
 
 # Above this condition number of L, inverse_curl and induced_bracket emit a
 # ConditioningWarning (validation itself fails only at LINKING_SV_RATIO).
@@ -342,168 +347,6 @@ def _checked_dim(dim) -> int:
     return int(dim)
 
 
-class _Storage:
-    """What a :class:`TripleForm` holds: one subclass per storage kind.
-
-    A storage gives ``kind``; ``dense`` and ``operator``, None but in
-    their own kind; ``kernel(X, Y)``, the pair contraction of one state
-    or one chunk of rows; ``row_terms``, the floats per row in the
-    kernel's largest temporaries; the canonical ``entries``, checked,
-    sorted and frozen; ``nnz``, their count, or None while only
-    assembling them would give it; ``max_abs``; ``to_dense()``; and, for
-    :func:`validate`, the antisymmetry ``defect`` of an input array and
-    the ``scale`` of its threshold.  The defaults below serve a storage
-    whose entries are at hand.
-    """
-
-    dense = operator = None
-    # max |T - antisym(T)| of an input array; entries have none
-    defect = 0.0
-
-    @cached_property
-    def max_abs(self) -> float:
-        return float(np.max(np.abs(self.entries[1]), initial=0.0))
-
-    @property
-    def scale(self) -> float:
-        return max(self.max_abs, 1.0)
-
-    def to_dense(self) -> np.ndarray:
-        out = np.zeros((self.dim,) * 3)
-        (i, j, k), v = self.entries[0].T, self.entries[1]
-        out[i, j, k] = out[j, k, i] = out[k, i, j] = v
-        out[j, i, k] = out[i, k, j] = out[k, j, i] = -v
-        return out
-
-
-class _PackedRows(_Storage):
-    """The dense kind: the packed (n(n-1)/2, n) matrix of the rows
-    ``T[i, j, :]`` with i < j, in ``np.triu_indices`` order, alone."""
-
-    kind = "dense"
-
-    def __init__(self, dim: int, packed: np.ndarray):
-        packed.setflags(write=False)
-        self.dim, self.dense = dim, packed
-        self.row_terms = max(1, packed.shape[0])
-        # the index pairs i < j of the rows, in np.triu_indices order
-        self._pairs = np.triu_indices(dim, 1)
-        # counted without reading the entries off the rows; measured()
-        # puts the largest |entry| of its whole array in place of max_abs
-        self.nnz = int(np.count_nonzero(_canonical_slots(packed)))
-        self.max_abs = float(np.max(np.abs(packed), initial=0.0))
-
-    @classmethod
-    def measured(cls, dim: int, array: np.ndarray) -> "_PackedRows":
-        # the rows array[i, j, :], i < j, copied slab by slab straight into
-        # a fresh 64-byte-aligned matrix, keeping the array's largest
-        # |entry| and its defect max |A - antisym(A)|
-        packed = _aligned_empty((dim * (dim - 1) // 2, dim))
-        t_max, defect, start = 0.0, 0.0, 0
-        for i in range(dim):
-            slab = array[i]
-            t_max = max(t_max, float(np.max(np.abs(slab))))
-            defect = max(defect, float(np.max(np.abs(
-                slab - _antisymmetrize(array, i)))))
-            packed[start:start + dim - 1 - i] = slab[i + 1:]
-            start += dim - 1 - i
-        store = cls(dim, packed)
-        store.max_abs, store.defect = t_max, defect
-        return store
-
-    @cached_property
-    def entries(self):
-        # the slots k > j of the rows (i, j) in np.triu_indices order come
-        # out sorted by (i, j, k), so they need no check or sort
-        iu, ju = self._pairs
-        p, k = np.nonzero(_canonical_slots(self.dense))
-        index, values = np.stack((iu[p], ju[p], k), axis=1), self.dense[p, k]
-        index.setflags(write=False)
-        values.setflags(write=False)
-        return index, values
-
-    def to_dense(self) -> np.ndarray:
-        out = np.zeros((self.dim,) * 3)
-        iu, ju = self._pairs
-        out[iu, ju], out[ju, iu] = self.dense, -self.dense
-        return out
-
-    def kernel(self, X, Y) -> np.ndarray:
-        iu, ju = self._pairs
-        if X.ndim == 2:
-            # gathered from the transposed chunk, each index copies a run
-            # of B floats; a state is its own transposed chunk, and
-            # skipping the copies keeps the single-state path as fast
-            X, Y = np.ascontiguousarray(X.T), np.ascontiguousarray(Y.T)
-        D = (X.take(iu, axis=0) * Y.take(ju, axis=0)
-             - X.take(ju, axis=0) * Y.take(iu, axis=0))
-        # back to contiguous rows: one GEMV per contiguous row has the bits
-        # of the 1-D kernel
-        return np.vecmat(np.ascontiguousarray(D.T), self.dense)
-
-
-class _Entries(_Storage):
-    """The sparse kind: the canonical entries alone."""
-
-    kind = "sparse"
-
-    def __init__(self, dim: int, index, values):
-        self.dim = dim
-        self.entries = index, values = _canonical_entries(dim, index, values)
-        self.nnz = int(values.size)
-        # the index columns i, j, k, each contiguous, which halves the time
-        # of the gathers, and the output slot of each term: k, i, j
-        self._columns = i, j, k = [np.ascontiguousarray(c) for c in index.T]
-        self._targets = np.concatenate((k, i, j))
-        self.row_terms = max(1, self._targets.size)
-
-    def kernel(self, X, Y) -> np.ndarray:
-        v = self.entries[1]
-        if not v.size:
-            return np.zeros(X.shape)
-        i, j, k = self._columns
-        Xi, Xj, Xk = X.take(i, axis=-1), X.take(j, axis=-1), X.take(k, axis=-1)
-        Yi, Yj, Yk = Y.take(i, axis=-1), Y.take(j, axis=-1), Y.take(k, axis=-1)
-        terms = np.concatenate((
-            v * (Xi * Yj - Xj * Yi),
-            v * (Xj * Yk - Xk * Yj),
-            v * (Xk * Yi - Xi * Yk),
-        ), axis=-1)
-        slots = self._targets
-        if X.ndim == 2:
-            # the slots of row r are offset by r n
-            slots = (slots + self.dim * np.arange(X.shape[0])[:, None]).ravel()
-        out = np.bincount(slots, weights=terms.ravel(), minlength=X.size)
-        return out.reshape(X.shape)
-
-
-class _Spectral(_Storage):
-    """The spectral kind: a matrix-free operator, and the source of the
-    entries until they are first read."""
-
-    kind = "spectral"
-    # the unscaled threshold, rather than building the entries to scale it
-    # (on the torus they are at most 1/sqrt(2) in any case)
-    scale = 1.0
-    # no count until the entries are stored: counting would assemble them
-    nnz = None
-
-    def __init__(self, dim: int, operator, entries):
-        self.dim, self._entry_source = dim, entries
-        self.kernel = self.operator = operator
-        self.row_terms = getattr(operator, "row_terms", dim)
-
-    @property
-    def entries(self):
-        # the source gives canonical frozen entries; they are stored before
-        # the source is dropped, so a reader never finds neither
-        source = self._entry_source
-        if source is not None:
-            self._entries, self._entry_source = source(), None
-            self.nnz = int(self._entries[1].size)
-        return self._entries
-
-
 class TripleForm:
     """Fully antisymmetric rank-3 form, in one of three storage kinds.
 
@@ -511,20 +354,27 @@ class TripleForm:
     with ``i < j < k`` (``index`` and ``values``); the other five index
     orders are implied by full antisymmetry.  The kind fixes what is stored
     and how :meth:`contract_pair`, the integrator hot path, is computed,
-    and each kind is one storage class behind one interface
-    (:class:`_Storage`):
+    and each kind is one subclass:
 
-    * ``"dense"`` -- the packed (n(n-1)/2, n) matrix of the rows
-      ``T[i, j, :]`` with i < j (``dense``) alone, contracted by one BLAS
-      GEMV; :meth:`from_dense` gives this kind at every n, and
-      :meth:`from_entries` up to ``DENSE_DIM_LIMIT``, writing each entry
-      straight into its three packed slots;
-    * ``"sparse"`` -- the canonical entries alone, contracted by one
-      ``np.bincount`` in entry order;
-    * ``"spectral"`` -- no stored tensor: a matrix-free operator computes
-      the contraction (:meth:`spectral`).
+    * ``"dense"`` (:class:`_PackedRows`) -- the packed (n(n-1)/2, n)
+      matrix of the rows ``T[i, j, :]`` with i < j (``dense``) alone,
+      contracted by one BLAS GEMV; :meth:`from_dense` gives this kind at
+      every n, and :meth:`from_entries` up to dimension 64, writing each
+      entry straight into its three packed slots;
+    * ``"sparse"`` (:class:`_Entries`) -- the canonical entries alone,
+      contracted by one ``np.bincount`` in entry order;
+      ``TripleForm(dim, index, values)`` gives this kind;
+    * ``"spectral"`` (:class:`_Spectral`) -- no stored tensor: a
+      matrix-free operator computes the contraction (:meth:`spectral`).
 
     The other two kinds build their entries on the first access to them.
+    A subclass gives its kernel ``_kernel(X, Y)``, the pair contraction of
+    one state or one chunk of rows; ``_row_terms``, the floats per row in
+    the kernel's largest temporaries; the canonical ``_entries``, checked,
+    sorted and frozen; and ``_nnz``, their count, or None while only
+    assembling them would give it.  ``dense`` and ``operator`` are None
+    but in their own kind.  Everything else is defined once, here, on the
+    entries and the kernel, so no code asks which kind a form is.
     Every constructor refuses a ``dim`` that is not an ``int`` (``bool``
     is not) of at least 1 with :class:`AlgebraFormatError`.  Every kind's
     contraction is *exactly* antisymmetric in its two arguments, and
@@ -533,19 +383,15 @@ class TripleForm:
     two arguments are equal.
     """
 
-    def __init__(self, dim: int, index, values):
-        """A form of the sparse kind on canonical entries."""
-        self._hold(dim, _Entries, index, values)
+    dense = operator = None
+    # max |T - antisym(T)| of an input array, for validate(); entries have
+    # none
+    _defect = 0.0
 
-    def _hold(self, dim, storage, *args) -> "TripleForm":
-        # every constructor ends here: dim is checked before the storage
-        # is built on it
-        self.dim = _checked_dim(dim)
-        self._store = store = storage(self.dim, *args)
-        # the kernel is held by the form, so that a call looks up one name
-        self.kind, self._kernel = store.kind, store.kernel
-        self.dense, self.operator = store.dense, store.operator
-        return self
+    def __new__(cls, *args, **kwargs):
+        # the base class called as TripleForm(dim, index, values) gives a
+        # form of the sparse kind
+        return super().__new__(_Entries if cls is TripleForm else cls)
 
     # -- constructors -------------------------------------------------
 
@@ -567,7 +413,7 @@ class TripleForm:
         contraction or an evaluation of the form.  Two threads making that
         first access together may each compute the same entries.
         """
-        return cls.__new__(cls)._hold(dim, _Spectral, operator, entries)
+        return _Spectral(dim, operator, entries)
 
     @classmethod
     def from_dense(cls, array) -> "TripleForm":
@@ -581,12 +427,27 @@ class TripleForm:
             )
         if not np.all(np.isfinite(array)):
             raise AlgebraDataError("non-finite value in triple tensor")
-        return cls.__new__(cls)._hold(len(array), _PackedRows.measured, array)
+        # the rows array[i, j, :], i < j, copied slab by slab straight into
+        # a fresh 64-byte-aligned matrix, keeping the array's largest
+        # |entry| and its defect max |A - antisym(A)|
+        dim = len(array)
+        packed = _aligned_empty((dim * (dim - 1) // 2, dim))
+        t_max, defect, start = 0.0, 0.0, 0
+        for i in range(dim):
+            slab = array[i]
+            t_max = max(t_max, float(np.max(np.abs(slab))))
+            defect = max(defect, float(np.max(np.abs(
+                slab - _antisymmetrize(array, i)))))
+            packed[start:start + dim - 1 - i] = slab[i + 1:]
+            start += dim - 1 - i
+        form = _PackedRows(dim, packed)
+        form._max_abs, form._defect = t_max, defect
+        return form
 
     @classmethod
     def from_entries(cls, dim: int, entries) -> "TripleForm":
         """Build from canonical ``(i, j, k, value)`` rows with i < j < k:
-        of the dense kind up to ``DENSE_DIM_LIMIT``, else sparse.
+        of the dense kind up to dimension 64, else sparse.
 
         Each row is a list or tuple of three ``int`` indices (not ``bool``)
         and a real value; any other row raises :class:`AlgebraFormatError`,
@@ -611,36 +472,65 @@ class TripleForm:
 
     @classmethod
     def _canonical(cls, dim: int, index, values) -> "TripleForm":
-        # a form on arrays of canonical entries, of the kind that
-        # from_entries gives
-        return cls.__new__(cls)._hold(dim, _entry_storage, index, values)
+        """A form on arrays of canonical entries: the entries themselves
+        above ``_DENSE_DIM_LIMIT``, else their packed rows in a fresh
+        64-byte-aligned matrix, written with no (n, n, n) array: entry
+        (a, b, c, v) puts v at row (a, b), column c, -v at row (a, c),
+        column b and v at row (b, c), column a."""
+        if _checked_dim(dim) > _DENSE_DIM_LIMIT:
+            return _Entries(dim, index, values)
+        index, values = _canonical_entries(dim, index, values)
+        packed = _aligned_empty((dim * (dim - 1) // 2, dim))
+        packed.fill(0.0)
+        a, b, c = index.T
+        # the row of the pair (i, j), i < j, in np.triu_indices order is
+        # i (2n - i - 3) / 2 - 1 + j
+        ra, rb = a * (2 * dim - a - 3) // 2 - 1, b * (2 * dim - b - 3) // 2 - 1
+        packed[ra + b, c] = values
+        packed[ra + c, b] = -values
+        packed[rb + c, a] = values
+        return _PackedRows(dim, packed)
 
     # -- queries ------------------------------------------------------
 
     @property
     def index(self) -> np.ndarray:
-        return self._store.entries[0]
+        return self._entries[0]
 
     @property
     def values(self) -> np.ndarray:
-        return self._store.entries[1]
+        return self._entries[1]
 
     @property
     def nnz(self) -> int:
         # a spectral form is counted by storing its entries
-        return self._store.nnz or int(self.values.size)
+        return self._nnz or int(self.values.size)
+
+    @cached_property
+    def _max_abs(self) -> float:
+        return float(np.max(np.abs(self.values), initial=0.0))
 
     def max_abs(self) -> float:
         """The largest |entry|; for :meth:`from_dense`, that of its input."""
-        return self._store.max_abs
+        return self._max_abs
+
+    @property
+    def _scale(self) -> float:
+        # the scale of validate()'s antisymmetry threshold
+        return max(self._max_abs, 1.0)
 
     def entry_list(self):
         """Canonical entries as a list of (i, j, k, value) tuples."""
         return list(zip(*self.index.T.tolist(), self.values.tolist()))
 
     def to_dense(self) -> np.ndarray:
-        """A new (n, n, n) array of the form, from its packed rows if dense."""
-        return self._store.to_dense()
+        """A new (n, n, n) array of the form, from its canonical entries;
+        every other slot is +0.0."""
+        out = np.zeros((self.dim,) * 3)
+        (i, j, k), v = self.index.T, self.values
+        out[i, j, k] = out[j, k, i] = out[k, i, j] = v
+        out[j, i, k] = out[i, k, j] = out[k, j, i] = -v
+        return out
 
     # -- evaluation ---------------------------------------------------
 
@@ -692,28 +582,113 @@ class TripleForm:
         """
         if X.ndim == 1:
             return self._kernel(X, Y)
-        return _in_chunks(self._kernel, self._store.row_terms, X, Y)
+        return _in_chunks(self._kernel, self._row_terms, X, Y)
 
 
-def _entry_storage(dim: int, index, values) -> _Storage:
-    """The storage of canonical entries: the entries themselves above
-    ``DENSE_DIM_LIMIT``, else their packed rows in a fresh 64-byte-aligned
-    matrix, written with no (n, n, n) array: entry (a, b, c, v) puts v at
-    row (a, b), column c, -v at row (a, c), column b and v at row (b, c),
-    column a."""
-    if dim > DENSE_DIM_LIMIT:
-        return _Entries(dim, index, values)
-    index, values = _canonical_entries(dim, index, values)
-    packed = _aligned_empty((dim * (dim - 1) // 2, dim))
-    packed.fill(0.0)
-    a, b, c = index.T
-    # the row of the pair (i, j), i < j, in np.triu_indices order is
-    # i (2n - i - 3) / 2 - 1 + j
-    ra, rb = a * (2 * dim - a - 3) // 2 - 1, b * (2 * dim - b - 3) // 2 - 1
-    packed[ra + b, c] = values
-    packed[ra + c, b] = -values
-    packed[rb + c, a] = values
-    return _PackedRows(dim, packed)
+class _PackedRows(TripleForm):
+    """The dense kind: the packed (n(n-1)/2, n) matrix of the rows
+    ``T[i, j, :]`` with i < j, in ``np.triu_indices`` order, alone."""
+
+    kind = "dense"
+
+    def __init__(self, dim: int, packed: np.ndarray):
+        self.dim = _checked_dim(dim)
+        packed.setflags(write=False)
+        self.dense = packed
+        self._row_terms = max(1, packed.shape[0])
+        # the index pairs i < j of the rows, in np.triu_indices order
+        self._pairs = np.triu_indices(dim, 1)
+        # counted without reading the entries off the rows; from_dense()
+        # puts the largest |entry| of its whole array in place of _max_abs
+        self._nnz = int(np.count_nonzero(_canonical_slots(packed)))
+        self._max_abs = float(np.max(np.abs(packed), initial=0.0))
+
+    @cached_property
+    def _entries(self):
+        # the slots k > j of the rows (i, j) in np.triu_indices order come
+        # out sorted by (i, j, k), so they need no check or sort
+        iu, ju = self._pairs
+        p, k = np.nonzero(_canonical_slots(self.dense))
+        index, values = np.stack((iu[p], ju[p], k), axis=1), self.dense[p, k]
+        index.setflags(write=False)
+        values.setflags(write=False)
+        return index, values
+
+    def _kernel(self, X, Y) -> np.ndarray:
+        iu, ju = self._pairs
+        if X.ndim == 2:
+            # gathered from the transposed chunk, each index copies a run
+            # of B floats; a state is its own transposed chunk, and
+            # skipping the copies keeps the single-state path as fast
+            X, Y = np.ascontiguousarray(X.T), np.ascontiguousarray(Y.T)
+        D = (X.take(iu, axis=0) * Y.take(ju, axis=0)
+             - X.take(ju, axis=0) * Y.take(iu, axis=0))
+        # back to contiguous rows: one GEMV per contiguous row has the bits
+        # of the 1-D kernel
+        return np.vecmat(np.ascontiguousarray(D.T), self.dense)
+
+
+class _Entries(TripleForm):
+    """The sparse kind: the canonical entries alone."""
+
+    kind = "sparse"
+
+    def __init__(self, dim: int, index, values):
+        self.dim = _checked_dim(dim)
+        self._entries = index, values = _canonical_entries(dim, index, values)
+        self._nnz = int(values.size)
+        # the index columns i, j, k, each contiguous, which halves the time
+        # of the gathers, and the output slot of each term: k, i, j
+        self._columns = i, j, k = [np.ascontiguousarray(c) for c in index.T]
+        self._targets = np.concatenate((k, i, j))
+        self._row_terms = max(1, self._targets.size)
+
+    def _kernel(self, X, Y) -> np.ndarray:
+        v = self._entries[1]
+        if not v.size:
+            return np.zeros(X.shape)
+        i, j, k = self._columns
+        Xi, Xj, Xk = X.take(i, axis=-1), X.take(j, axis=-1), X.take(k, axis=-1)
+        Yi, Yj, Yk = Y.take(i, axis=-1), Y.take(j, axis=-1), Y.take(k, axis=-1)
+        terms = np.concatenate((
+            v * (Xi * Yj - Xj * Yi),
+            v * (Xj * Yk - Xk * Yj),
+            v * (Xk * Yi - Xi * Yk),
+        ), axis=-1)
+        slots = self._targets
+        if X.ndim == 2:
+            # the slots of row r are offset by r n
+            slots = (slots + self.dim * np.arange(X.shape[0])[:, None]).ravel()
+        out = np.bincount(slots, weights=terms.ravel(), minlength=X.size)
+        return out.reshape(X.shape)
+
+
+class _Spectral(TripleForm):
+    """The spectral kind: a matrix-free operator, and the source of the
+    entries until they are first read."""
+
+    kind = "spectral"
+    # the unscaled threshold, rather than building the entries to scale it
+    # (on the torus they are at most 1/sqrt(2) in any case)
+    _scale = 1.0
+    # no count until the entries are stored: counting would assemble them
+    _nnz = None
+
+    def __init__(self, dim: int, operator, entries):
+        self.dim = _checked_dim(dim)
+        self._entry_source = entries
+        self._kernel = self.operator = operator
+        self._row_terms = getattr(operator, "row_terms", self.dim)
+
+    @property
+    def _entries(self):
+        # the source gives canonical frozen entries; they are stored before
+        # the source is dropped, so a reader never finds neither
+        source = self._entry_source
+        if source is not None:
+            self._stored, self._entry_source = source(), None
+            self._nnz = int(self._stored[1].size)
+        return self._stored
 
 
 def _permutation_of(M: np.ndarray):
@@ -979,7 +954,7 @@ class FluidAlgebra:
 
     def __repr__(self):
         # no entry count where only assembling the entries would give it
-        nnz = self.triple._store.nnz
+        nnz = self.triple._nnz
         nnz = "" if nnz is None else f", nnz={nnz}"
         tag = self.meta.get("kind", "custom")
         return (f"FluidAlgebra(dim={self.dim}, triple={self.triple.kind!r}"
@@ -1040,14 +1015,14 @@ def _antisymmetrize(A: np.ndarray, rows=slice(None)) -> np.ndarray:
     ) / 6.0
 
 
-def _symmetry_check(M: _Matrix, tol: float) -> CheckResult:
-    # max |M - M^T| against tol times the matrix's scale
-    threshold = tol * max(M.max_abs, 1.0)
+def _symmetry_check(M: _Matrix) -> CheckResult:
+    # max |M - M^T| against SYMMETRY_TOL times the matrix's scale
+    threshold = SYMMETRY_TOL * max(M.max_abs, 1.0)
     return CheckResult(f"{M.name}-symmetry", M.symmetry_defect, threshold,
                        M.symmetry_defect <= threshold)
 
 
-def validate(alg: FluidAlgebra, tol: float = 1e-12) -> ValidationReport:
+def validate(alg: FluidAlgebra) -> ValidationReport:
     """Check the three structural invariants, returning measured defects.
 
     * full antisymmetry of the triple tensor: the defect
@@ -1059,23 +1034,25 @@ def validate(alg: FluidAlgebra, tol: float = 1e-12) -> ValidationReport:
     * symmetry and positive definiteness of the metric (minimum eigenvalue
       at least ``1e-10`` of the maximum).
 
-    ``tol`` scales the antisymmetry/symmetry defect thresholds; the
+    The antisymmetry and symmetry defects fail above ``SYMMETRY_TOL`` =
+    1e-12 times the largest |entry| of their form (at least 1; 1 for a
+    spectral form, whose entries are not built to scale it).  The
     nondegeneracy ratios are fixed so that curl solves stay trustworthy at
     double precision.
     """
-    store = alg.triple._store
-    t_threshold = tol * store.scale
+    tf = alg.triple
+    t_threshold = SYMMETRY_TOL * tf._scale
     sv = alg._L.singular_values
     l_threshold = LINKING_SV_RATIO * float(sv[0])
     ev = alg._G.eigenvalues
     g_threshold = METRIC_EIG_RATIO * float(ev[-1])
     return ValidationReport([
-        CheckResult("triple-antisymmetry", store.defect, t_threshold,
-                    store.defect <= t_threshold),
-        _symmetry_check(alg._L, tol),
+        CheckResult("triple-antisymmetry", tf._defect, t_threshold,
+                    tf._defect <= t_threshold),
+        _symmetry_check(alg._L),
         CheckResult("linking-nondegenerate", float(sv[-1]), l_threshold,
                     bool(sv[-1] >= l_threshold) and sv[0] > 0),
-        _symmetry_check(alg._G, tol),
+        _symmetry_check(alg._G),
         CheckResult("metric-positive-definite", float(ev[0]), g_threshold,
                     bool(ev[0] > 0.0) and bool(ev[0] >= g_threshold)),
     ])

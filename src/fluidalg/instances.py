@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (
-    DENSE_DIM_LIMIT,
     AlgebraFormatError,
     AlgebraValidationError,
     ConfigError,
@@ -57,6 +56,11 @@ __all__ = [
 # budget before giving up (reached by 2 of 20 seeds at n = 128, 6 at 256).
 _RANDOM_LINKING_MIN_EIG = 0.1
 _RANDOM_LINKING_RETRIES = 16
+
+# Relative tolerance of from_lie_algebra's checks of its input: the (i, j)
+# antisymmetry of the structure constants, the symmetry of the pairing and
+# its invariance.
+LIE_INPUT_TOL = 1e-10
 
 
 def _levi_civita() -> np.ndarray:
@@ -101,14 +105,13 @@ class LieAlgebraInput:
         return self.structure_constants.shape[0]
 
 
-def from_lie_algebra(spec: LieAlgebraInput, tol: float = 1e-10,
-                     meta=None) -> FluidAlgebra:
+def from_lie_algebra(spec: LieAlgebraInput, meta=None) -> FluidAlgebra:
     """Build the fluid algebra {X,Y,Z} = P([X,Y], Z), <,> = P, metric free.
 
     The pairing invariance is validated (not assumed); a violation beyond
-    ``tol`` times the natural scale is rejected reporting the worst basis
-    triple.  Full antisymmetry of the resulting tensor is then validated
-    through the ordinary algebra validation.
+    ``LIE_INPUT_TOL`` = 1e-10 times the natural scale is rejected
+    reporting the worst basis triple.  Full antisymmetry of the resulting
+    tensor is then validated through the ordinary algebra validation.
     """
     c = spec.structure_constants
     P = spec.pairing
@@ -120,20 +123,20 @@ def from_lie_algebra(spec: LieAlgebraInput, tol: float = 1e-10,
     scale = max(float(np.max(np.abs(c))) * max(float(np.max(np.abs(P))), 1.0),
                 1.0)
     anti = float(np.max(np.abs(c + c.transpose(1, 0, 2))))
-    if anti > tol * scale:
+    if anti > LIE_INPUT_TOL * scale:
         raise AlgebraValidationError(
             f"structure constants not antisymmetric in (i, j): "
             f"defect {anti:.3e}"
         )
     sym = float(np.max(np.abs(P - P.T)))
-    if sym > tol * scale:
+    if sym > LIE_INPUT_TOL * scale:
         raise AlgebraValidationError(
             f"pairing not symmetric: defect {sym:.3e}"
         )
     # invariance: P([e_i,e_j], e_k) + P(e_j, [e_i,e_k]) = 0
     inv = np.einsum("ijm,mk->ijk", c, P) + np.einsum("ikm,jm->ijk", c, P)
     worst = float(np.max(np.abs(inv)))
-    if worst > tol * scale:
+    if worst > LIE_INPUT_TOL * scale:
         i, j, k = np.unravel_index(np.argmax(np.abs(inv)), inv.shape)
         raise AlgebraValidationError(
             f"pairing is not invariant: worst basis triple "
@@ -554,12 +557,12 @@ def build_torus_algebra(K: int, max_dim: int = 512):
     None (the identity) and the linking form as ``(cols, w)``, so no
     (dim, dim) array is built; ``linking`` and ``metric`` are
     materialized only when first read.
-    The triple form is dense up to ``DENSE_DIM_LIMIT`` (K = 1), its packed
-    rows written straight from the entries, which are assembled in closed
-    form from the selection rule k1 +- k2 +- k3 = 0 and products of
-    trigonometric integrals.  Above it (K >= 2) it is of the spectral
-    kind: contractions run by pruned DFTs on a (3K+1)^3 grid, and the
-    closed-form entries are assembled only when first read.
+    The triple form is dense at K = 1, its packed rows written straight
+    from the entries, which are assembled in closed form from the
+    selection rule k1 +- k2 +- k3 = 0 and products of trigonometric
+    integrals.  At K >= 2 it is of the spectral kind: contractions run by
+    pruned DFTs on a (3K+1)^3 grid, and the closed-form entries are
+    assembled only when first read.
     """
     _number("instance", "K", K, 1, integer=True)
     _number("instance", "max_dim", max_dim, 1, integer=True)
@@ -590,7 +593,12 @@ def build_torus_algebra(K: int, max_dim: int = 512):
     cols = (4 * np.arange(m)[:, None] + [3, 2, 1, 0]).ravel()
     w = (lam[:, None] * [-1.0, 1.0, 1.0, -1.0]).ravel()
 
-    if dim <= DENSE_DIM_LIMIT:
+    # dense at K = 1 and spectral above, the faster kernel at each K: one
+    # contract_pair on one state took 24 us dense against 45-56 us
+    # spectral at K = 1 (dim 52), and 65-68 us spectral against 360-380 us
+    # sparse at K = 2 (dim 248); best of 7 timeit repeats, 2-core x86, one
+    # BLAS thread
+    if K == 1:
         tf = TripleForm._canonical(dim, *_torus_entries(rep_arr, e1, e2, K))
     else:
         tf = TripleForm.spectral(

@@ -114,7 +114,7 @@ def test_random_algebra_is_deterministic():
 
 
 def test_random_algebra_validates():
-    assert validate(random_algebra(1, 5), tol=1e-12).passed
+    assert validate(random_algebra(1, 5)).passed
 
 
 def test_small_n_has_zero_triple():

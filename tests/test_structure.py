@@ -310,6 +310,14 @@ def test_the_names_the_benchmark_reaches_are_there():
                       (FluidAlgebra, "solve_metric"),
                       (FluidAlgebra, "solve_linking")]:
         assert isinstance(vars(cls)[name], types.FunctionType)
+    # spans.py wraps contract_pair on TripleForm alone, so no kind may
+    # define its own contraction or evaluation
+    kinds = TripleForm.__subclasses__()
+    assert {kind.kind for kind in kinds} == {"dense", "sparse", "spectral"}
+    for kind in kinds:
+        assert not {"contract_pair", "__call__"} & set(vars(kind))
+    form = TripleForm(3, [[0, 1, 2]], [1.0])
+    assert form.kind == "sparse" and isinstance(form, TripleForm)
     for module, name in [(cli, "_write_trace"), (cli, "_write_states"),
                          (cli, "_write_json"), (integrators, "_rk4")]:
         function = getattr(module, name)
@@ -336,7 +344,7 @@ def test_dense_is_the_packed_matrix_of_the_dense_kind_alone(kind_algebra):
 def test_repr_does_not_assemble_spectral_entries():
     alg = build_torus_algebra(2)[0]
     text = repr(alg)
-    assert alg.triple._store._entry_source is not None
+    assert alg.triple._entry_source is not None
     assert "'spectral'" in text and "nnz" not in text
     nnz = alg.triple.nnz
     assert f"nnz={nnz}" in repr(alg)

@@ -425,6 +425,8 @@ def test_k1_forms_of_each_kind_hold_one_set_of_entries(torus_k1):
         assert form.values.tobytes() == dense.values.tobytes()
         assert form.nnz == dense.nnz
         assert form.max_abs() == dense.max_abs() == 0.7071067811865476
+        # one to_dense for every kind: the same array, zero signs included
+        assert form.to_dense().tobytes() == dense.to_dense().tobytes()
 
 
 def test_k1_is_built_from_its_entries_with_no_antisymmetry_defect(torus_k1):
