@@ -8,7 +8,9 @@
   ``G dX/dt = X x (G^-1 X)`` (free rigid body in disguise).
 * :func:`build_torus_algebra` -- spectral Galerkin truncation of the
   divergence-free, mean-zero velocity fields on the unit flat 3-torus,
-  cut off at max-norm wavenumber K.
+  cut off at max-norm wavenumber K.  The level's basis,
+  :class:`TorusBasis`, is a value of K alone: its lattice, frames and
+  curl weights, from which the torus assembly and contraction are built.
 * :func:`random_algebra` -- seeded random algebras for property testing.
 
 Sign convention: the determinant orientation fixes the overall sign of the
@@ -19,7 +21,7 @@ time in the Euler ODE and nothing else.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,6 +35,7 @@ from .core import (
     _aligned_empty,
     _antisymmetrize,
     _canonical_entries,
+    _is_index,
     _number,
     validate,
 )
@@ -197,49 +200,71 @@ class TorusMode:
     phase: str  # "cos" or "sin"
 
 
-@dataclass
 class TorusBasis:
-    """Metadata mapping torus algebra coordinates to Fourier modes.
+    """The basis of the torus truncation at |k|_inf <= K, a value of K alone.
 
     The basis covers one representative per +-k pair for all
     0 < |k|_inf <= K, with two polarizations orthogonal to k and two
     phases, on the unit-volume torus (x in [0,1)^3, wavevectors 2 pi k).
     Per representative the four coordinates are ordered
     (pol 1, cos), (pol 1, sin), (pol 2, cos), (pol 2, sin).
+
+    It holds the (m, 3) integer representatives ``reps``, their
+    polarization frames ``e1`` and ``e2``, and the curl weights
+    ``lam = 2 pi |k|``, all read-only, since a torus algebra reads its
+    entries from them when first asked; the :class:`TorusMode` of a
+    coordinate is made when asked for.  K is checked as
+    :func:`build_torus_algebra` checks it.
     """
 
-    K: int
-    reps: np.ndarray  # (m, 3) integer half-lattice representatives
-    e1: np.ndarray  # (m, 3) first polarization vectors
-    e2: np.ndarray  # (m, 3) second polarization vectors
-    modes: list = field(default_factory=list)  # 4m TorusMode records
+    def __init__(self, K: int):
+        self.K = _number("instance", "K", K, 1, integer=True)
+        self.reps = np.array(_half_lattice(K), dtype=int)
+        self.e1, self.e2 = _frames(self.reps)
+        self.lam = 2.0 * np.pi * np.linalg.norm(self.reps, axis=1)
+        for array in (self.reps, self.e1, self.e2, self.lam):
+            array.setflags(write=False)
 
     @property
     def dim(self) -> int:
         return 4 * self.reps.shape[0]
 
-    def mode(self, p: int) -> TorusMode:
-        return self.modes[p]
+    def linking(self):
+        """The linking form as the weighted permutation ``(cols, w)``,
+        ``L[r, cols[r]] = w[r]``: within mode k, in local order
+        (c1, s1, c2, s2), curl(c1) = -lam s2, curl(c2) = +lam s1, and
+        symmetrically."""
+        cols = (4 * np.arange(len(self.reps))[:, None] + [3, 2, 1, 0]).ravel()
+        w = (self.lam[:, None] * [-1.0, 1.0, 1.0, -1.0]).ravel()
+        return cols, w
 
-    def polarization_vector(self, rep_index: int, a: int) -> np.ndarray:
-        return self.e1[rep_index] if a == 1 else self.e2[rep_index]
+    def mode(self, p: int) -> TorusMode:
+        """The mode of coordinate p, an integer in [0, dim)."""
+        if not (_is_index(p) and 0 <= p < self.dim):
+            raise IndexError(
+                f"mode index must be an integer in [0, {self.dim}), "
+                f"got {p!r}")
+        polarization, phase = _LOCAL_ORDER[p % 4]
+        return TorusMode(tuple(self.reps[p // 4].tolist()), polarization,
+                         phase)
+
+    @property
+    def modes(self) -> list:
+        """The 4m modes in coordinate order."""
+        return [self.mode(p) for p in range(self.dim)]
 
     def field_at(self, p: int, points: np.ndarray) -> np.ndarray:
         """Evaluate basis field p at Cartesian points of shape (..., 3)."""
-        mode = self.modes[p]
-        rep_index = p // 4
-        e = self.polarization_vector(rep_index, mode.polarization)
+        mode = self.mode(p)
+        e = (self.e1 if mode.polarization == 1 else self.e2)[p // 4]
         phase = 2.0 * np.pi * (np.asarray(points) @ np.asarray(mode.k, float))
         trig = np.cos(phase) if mode.phase == "cos" else np.sin(phase)
         return np.sqrt(2.0) * trig[..., None] * e
 
     def analytic_curl_eigenvalues(self) -> np.ndarray:
-        """Sorted curl eigenvalues: +-2 pi |k| twice per representative."""
-        out = []
-        for k in self.reps:
-            lam = 2.0 * np.pi * float(np.linalg.norm(k))
-            out.extend([lam, lam, -lam, -lam])
-        return np.sort(np.array(out))
+        """Sorted curl eigenvalues: +-2 pi |k| twice per representative,
+        the weights of :meth:`linking`."""
+        return np.sort(self.linking()[1])
 
 
 def _half_lattice(K: int):
@@ -297,7 +322,7 @@ _LOCAL_ORDER = [(1, "cos"), (1, "sin"), (2, "cos"), (2, "sin")]
 _DET_NOISE = 1e-14
 
 
-def _representative_triples(rep_arr: np.ndarray, K: int):
+def _representative_triples(basis: TorusBasis):
     """Multisets r1 <= r2 <= r3 of representatives whose wavevectors admit
     a signed zero sum, with the sign vectors (1, s2, s3) of
     k1 + s2 k2 + s3 k3 = 0.
@@ -307,18 +332,19 @@ def _representative_triples(rep_arr: np.ndarray, K: int):
     sign solution is unique: the other sign vectors would force one
     wavevector to vanish, and k1 + k2 + k3 is lexicographically positive.
     """
-    m = rep_arr.shape[0]
+    reps, K = basis.reps, basis.K
+    m = reps.shape[0]
     side = 2 * K + 1
     rep_of = np.full((side,) * 3, -1, dtype=np.intp)
     sign_of = np.zeros((side,) * 3, dtype=np.intp)
     for sign in (1, -1):
-        cells = tuple((sign * rep_arr + K).T)
+        cells = tuple((sign * reps + K).T)
         rep_of[cells] = np.arange(m)
         sign_of[cells] = sign
     r1, r2 = np.triu_indices(m)
     found = []
     for s in (1, -1):
-        c = rep_arr[r1] + s * rep_arr[r2]
+        c = reps[r1] + s * reps[r2]
         inside = np.all(np.abs(c) <= K, axis=1)
         cell = tuple((c[inside] + K).T)
         a, b, r3 = r1[inside], r2[inside], rep_of[cell]
@@ -330,8 +356,7 @@ def _representative_triples(rep_arr: np.ndarray, K: int):
     return [np.concatenate(parts) for parts in zip(*found)]
 
 
-def _torus_entries(rep_arr: np.ndarray, e1: np.ndarray, e2: np.ndarray,
-                   K: int):
+def _torus_entries(basis: TorusBasis):
     """Canonical ``(index, values)`` of the torus triple form, in closed
     form from the selection rule k1 +- k2 +- k3 = 0.
 
@@ -342,9 +367,9 @@ def _torus_entries(rep_arr: np.ndarray, e1: np.ndarray, e2: np.ndarray,
     of sine factors; with none it is 1/4, and with sines in slots a and b
     it is -s_a s_b / 4.
     """
-    r1, r2, r3, sign2, sign3 = _representative_triples(rep_arr, K)
+    r1, r2, r3, sign2, sign3 = _representative_triples(basis)
     # the 8 polarization dets of each triple cover all of its local slots
-    pol = np.stack([e1, e2], axis=1)
+    pol = np.stack([basis.e1, basis.e2], axis=1)
     choice = np.indices((2, 2, 2)).reshape(3, -1)
     dets = np.linalg.det(np.stack(
         [pol[r[:, None], a] for r, a in zip((r1, r2, r3), choice)], axis=-1
@@ -432,8 +457,8 @@ class _SpectralContraction:
     key, ``X.tobytes()``, per call.
     """
 
-    def __init__(self, reps: np.ndarray, e1: np.ndarray, e2: np.ndarray,
-                 K: int):
+    def __init__(self, basis: TorusBasis):
+        reps, K = basis.reps, basis.K
         n, side, half = 3 * K + 1, 2 * K + 1, K + 1
         self._shape = (n, side, half)
         # sets the chunks of a block's rows (see TripleForm.spectral): the
@@ -460,7 +485,7 @@ class _SpectralContraction:
         sign[stored, 1] = -flip
         sign[np.ravel_multi_index(origin, cube)] = 0.0
         # the cube's floats are laid out [kx, ky, component, kz, re/im]
-        frame = np.stack([e1, e2])  # (polarization, representative, 3)
+        frame = np.stack([basis.e1, basis.e2])  # (polarization, rep, 3)
         p, xy, c, z, ri = np.indices((2, side * side, 3, half, 2))
         s = xy * half + z
         # the synthesis gathers, for polarization p, the (cos, sin) slot
@@ -550,13 +575,15 @@ class _SpectralContraction:
 def build_torus_algebra(K: int, max_dim: int = 512):
     """Galerkin truncation of the torus fluid algebra at |k|_inf <= K.
 
-    Returns ``(algebra, basis)``.  The basis is L2-orthonormal so the
-    metric is the identity; the linking form couples the cos/sin pair
-    within each mode with weight 2 pi |k| (curl eigenvalues +-2 pi |k|).
-    Both are given to the algebra as weighted permutations, the metric as
-    None (the identity) and the linking form as ``(cols, w)``, so no
-    (dim, dim) array is built; ``linking`` and ``metric`` are
-    materialized only when first read.
+    Returns ``(algebra, basis)``, with ``basis`` the
+    :class:`TorusBasis` of K, built once after the cap on the dimension
+    is checked.  The basis is L2-orthonormal so the metric is the
+    identity; the linking form, :meth:`TorusBasis.linking`, couples the
+    cos/sin pair within each mode with weight 2 pi |k| (curl eigenvalues
+    +-2 pi |k|).  Both are given to the algebra as weighted permutations,
+    the metric as None (the identity) and the linking form as
+    ``(cols, w)``, so no (dim, dim) array is built; ``linking`` and
+    ``metric`` are materialized only when first read.
     The triple form is dense at K = 1, its packed rows written straight
     from the entries, which are assembled in closed form from the
     selection rule k1 +- k2 +- k3 = 0 and products of trigonometric
@@ -574,24 +601,7 @@ def build_torus_algebra(K: int, max_dim: int = 512):
             f"torus truncation K={K} has dimension {dim}, above the cap "
             f"{max_dim}; raise max_dim to build it anyway"
         )
-    reps = _half_lattice(K)
-    m = len(reps)
-    rep_arr = np.array(reps, dtype=int)
-    e1, e2 = _frames(rep_arr)
-
-    modes = [
-        TorusMode(k, pol, phase)
-        for k in reps
-        for (pol, phase) in _LOCAL_ORDER
-    ]
-    basis = TorusBasis(K=K, reps=rep_arr, e1=e1, e2=e2, modes=modes)
-
-    # linking form: within mode k, in local order (c1, s1, c2, s2),
-    # curl(c1) = -lam s2, curl(c2) = +lam s1, and symmetrically; each row
-    # has one nonzero, L[r, cols[r]] = w[r]
-    lam = 2.0 * np.pi * np.linalg.norm(rep_arr, axis=1)
-    cols = (4 * np.arange(m)[:, None] + [3, 2, 1, 0]).ravel()
-    w = (lam[:, None] * [-1.0, 1.0, 1.0, -1.0]).ravel()
+    basis = TorusBasis(K)
 
     # dense at K = 1 and spectral above, the faster kernel at each K: one
     # contract_pair on one state took 24 us dense against 45-56 us
@@ -599,14 +609,13 @@ def build_torus_algebra(K: int, max_dim: int = 512):
     # sparse at K = 2 (dim 248); best of 7 timeit repeats, 2-core x86, one
     # BLAS thread
     if K == 1:
-        tf = TripleForm._canonical(dim, *_torus_entries(rep_arr, e1, e2, K))
+        tf = TripleForm._canonical(dim, *_torus_entries(basis))
     else:
         tf = TripleForm.spectral(
-            dim, _SpectralContraction(rep_arr, e1, e2, K),
-            lambda: _canonical_entries(
-                dim, *_torus_entries(rep_arr, e1, e2, K)))
+            dim, _SpectralContraction(basis),
+            lambda: _canonical_entries(dim, *_torus_entries(basis)))
     alg = FluidAlgebra(
-        dim, tf, (cols, w), None, meta={"kind": "torus", "K": K}
+        dim, tf, basis.linking(), None, meta={"kind": "torus", "K": K}
     )
     validate(alg).require()
     return alg, basis
@@ -619,18 +628,11 @@ def beltrami_state(basis: TorusBasis) -> np.ndarray:
     wavevector (the ABC-flow pattern), normalized to unit energy.  Being a
     curl eigenvector it is a steady state of the Euler ODE.
     """
+    # local order (c1, s1, c2, s2); +2pi eigenvectors are c2+s1 and c1-s2
+    unit = 4 * np.flatnonzero(np.sum(basis.reps ** 2, axis=1) == 1)
     X = np.zeros(basis.dim)
-    hit = False
-    for r, k in enumerate(basis.reps):
-        if int(k @ k) != 1:
-            continue
-        hit = True
-        base = 4 * r
-        # local order (c1, s1, c2, s2); +2pi eigenvectors are c2+s1 and c1-s2
-        X[base + 1] += 1.0  # s1
-        X[base + 2] += 1.0  # c2
-    if not hit:
-        raise ValueError("basis has no |k| = 1 shell")
+    X[unit + 1] = 1.0  # s1
+    X[unit + 2] = 1.0  # c2
     return X / np.linalg.norm(X)
 
 

@@ -366,7 +366,9 @@ def integrate(alg: FluidAlgebra, X0, spec: IntegratorSpec,
     for step in range(total_steps):
         t = step * spec.dt
         dt = spec.dt if step < n_full else remainder
-        t_next = (step + 1) * spec.dt if step < n_full else spec.t_end
+        is_last = step == total_steps - 1
+        # the last step ends at t_end, not at (n dt)'s rounding of it
+        t_next = spec.t_end if is_last else (step + 1) * spec.dt
         try:
             # each step returns new arrays, so they are written in place
             X, X_lo = _rk4(alg, X, X_lo, dt, t, has_probe)
@@ -390,7 +392,6 @@ def integrate(alg: FluidAlgebra, X0, spec: IntegratorSpec,
                 _record(t, flag=",".join(flags))
             break
         result.steps = step + 1
-        is_last = step == total_steps - 1
         if (step + 1) % spec.record_every == 0 or is_last:
             flag = ",".join(pending_flags)
             pending_flags = []

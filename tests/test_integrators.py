@@ -189,6 +189,16 @@ def test_record_every_and_final_record(rigid123):
     assert len(times) == 4
 
 
+@pytest.mark.parametrize("dt, t_end", [(0.1, 0.3), (0.3, 0.9)])
+def test_last_full_step_is_recorded_at_t_end(rigid123, dt, t_end):
+    # n dt rounds away from t_end: 0.30000000000000004 and 0.8999999999999999
+    assert 3 * dt != t_end
+    spec = IntegratorSpec(method="rk4", dt=dt, t_end=t_end)
+    res = integrate(rigid123, [0.0, 1.0, 1.0], spec)
+    assert res.steps == 3
+    assert [r.t for r in res.records] == [0.0, dt, 2 * dt, t_end]
+
+
 def test_determinism_bitwise(random_n6):
     rng = make_rng(71)
     X0 = rng.standard_normal(6)

@@ -10,8 +10,11 @@ import pytest
 import scipy.linalg
 
 from fluidalg import (
+    ConfigError,
     FluidAlgebra,
     IntegratorSpec,
+    TorusBasis,
+    TorusMode,
     TorusSizeError,
     TripleForm,
     beltrami_state,
@@ -176,6 +179,84 @@ def test_beltrami_state_is_steady(torus_k1):
     assert np.max(np.abs(DX - lam * X)) <= 1e-12
     scale = alg.triple.max_abs() * g_norm(alg, X) * g_norm(alg, DX)
     assert np.linalg.norm(euler_rhs(alg, X)) <= 1e-12 * scale
+
+
+# ---------------------------------------------------------------------------
+# the basis as a value of K
+
+
+@pytest.mark.parametrize("K", [1, 2, 3])
+def test_basis_is_a_value_of_K(K):
+    alg, built = build_torus_algebra(K, max_dim=684)
+    basis = TorusBasis(K)
+    for a, b in [(basis.reps, built.reps), (basis.e1, built.e1),
+                 (basis.e2, built.e2)]:
+        assert a.tobytes() == b.tobytes()
+    # read-only: the spectral form reads its entries from the basis later
+    for a in (basis.reps, basis.e1, basis.e2, basis.lam):
+        assert not a.flags.writeable
+    assert basis.dim == alg.dim
+    assert (basis.analytic_curl_eigenvalues().tobytes()
+            == np.sort(alg._L.w).tobytes())
+    # an independent enumeration: lexicographically positive wavevectors in
+    # order, each with the local order of its four coordinates
+    reps = [k for k in itertools.product(range(-K, K + 1), repeat=3)
+            if any(k) and next(c for c in k if c != 0) > 0]
+    local = [(1, "cos"), (1, "sin"), (2, "cos"), (2, "sin")]
+    modes = basis.modes
+    assert modes == [TorusMode(k, pol, phase)
+                     for k in reps for pol, phase in local]
+    assert all(type(c) is int for mode in modes for c in mode.k)
+
+
+@pytest.mark.parametrize("K", [1, 2, 3, 4])
+def test_curl_eigenvalues_have_the_bits_of_the_representative_loop(K):
+    basis = TorusBasis(K)
+    out = []
+    for k in basis.reps:
+        lam = 2.0 * np.pi * float(np.linalg.norm(k))
+        out.extend([lam, lam, -lam, -lam])
+    expected = np.sort(np.array(out))
+    assert basis.analytic_curl_eigenvalues().tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("K", [1, 2, 3])
+def test_beltrami_state_has_the_bits_of_the_shell_loop(K):
+    basis = TorusBasis(K)
+    X = np.zeros(basis.dim)
+    for r, k in enumerate(basis.reps):
+        if int(k @ k) == 1:
+            X[4 * r + 1] += 1.0
+            X[4 * r + 2] += 1.0
+    expected = X / np.linalg.norm(X)
+    assert beltrami_state(basis).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("K", [0, 1.5, True])
+def test_basis_refuses_K_as_build_torus_algebra_does(K):
+    with pytest.raises(ConfigError) as built:
+        build_torus_algebra(K)
+    with pytest.raises(ConfigError) as basis:
+        TorusBasis(K)
+    assert str(basis.value) == str(built.value)
+
+
+@pytest.mark.parametrize("p", [-1, True, 2.0, 52, "0"])
+def test_mode_refuses_an_index_outside_the_basis(torus_k1, p):
+    _, basis = torus_k1
+    with pytest.raises(IndexError, match=r"integer in \[0, 52\)"):
+        basis.mode(p)
+    with pytest.raises(IndexError, match=r"integer in \[0, 52\)"):
+        basis.field_at(p, np.zeros((1, 3)))
+
+
+def test_mode_takes_a_numpy_integer(torus_k1):
+    _, basis = torus_k1
+    assert (basis.mode(np.int64(5)) == basis.mode(5)
+            == TorusMode((0, 1, -1), 1, "sin"))
+    points = midpoint_grid(2)
+    assert np.array_equal(basis.field_at(np.int64(51), points),
+                          basis.field_at(51, points))
 
 
 def test_mixed_state_invariants_are_finite(torus_k1):
@@ -412,12 +493,11 @@ def test_k1_forms_of_each_kind_hold_one_set_of_entries(torus_k1):
     alg, basis = torus_k1
     dense = alg.triple
     assert dense.kind == "dense"
-    frames = (basis.reps, basis.e1, basis.e2, 1)
     forms = [
         TripleForm(alg.dim, dense.index, dense.values),
         TripleForm.spectral(
-            alg.dim, _SpectralContraction(*frames),
-            lambda: _canonical_entries(alg.dim, *_torus_entries(*frames))),
+            alg.dim, _SpectralContraction(basis),
+            lambda: _canonical_entries(alg.dim, *_torus_entries(basis))),
     ]
     for form, kind in zip(forms, ["sparse", "spectral"]):
         assert form.kind == kind
@@ -556,8 +636,7 @@ def test_full_array_cross_product_matches_the_component_loop(K):
 
 def _fresh_operator(K):
     """A spectral operator that has never been called: its memo is empty."""
-    reps = np.array(_half_lattice(K))
-    return _SpectralContraction(reps, *_frames(reps), K)
+    return _SpectralContraction(TorusBasis(K))
 
 
 def _counted(monkeypatch, op):
