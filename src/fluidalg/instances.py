@@ -9,8 +9,9 @@
 * :func:`build_torus_algebra` -- spectral Galerkin truncation of the
   divergence-free, mean-zero velocity fields on the unit flat 3-torus,
   cut off at max-norm wavenumber K.  The level's basis,
-  :class:`TorusBasis`, is a value of K alone: its lattice, frames and
-  curl weights, from which the torus assembly and contraction are built.
+  :class:`TorusBasis`, is a value of K alone: its lattice table, frames
+  and curl weights, from which the torus assembly and contraction are
+  built.
 * :func:`random_algebra` -- seeded random algebras for property testing.
 
 Sign convention: the determinant orientation fixes the overall sign of the
@@ -210,19 +211,36 @@ class TorusBasis:
     (pol 1, cos), (pol 1, sin), (pol 2, cos), (pol 2, sin).
 
     It holds the (m, 3) integer representatives ``reps``, their
-    polarization frames ``e1`` and ``e2``, and the curl weights
-    ``lam = 2 pi |k|``, all read-only, since a torus algebra reads its
-    entries from them when first asked; the :class:`TorusMode` of a
-    coordinate is made when asked for.  K is checked as
-    :func:`build_torus_algebra` checks it.
+    polarization frames ``e1`` and ``e2``, the curl weights
+    ``lam = 2 pi |k|`` and the lattice table, all read-only, since a torus
+    algebra reads its entries from them when first asked; the
+    :class:`TorusMode` of a coordinate is made when asked for.  K is
+    checked as :func:`build_torus_algebra` checks it.
+
+    The lattice table is the one map from wavevectors to representatives:
+    at the cell ``k + K`` of the (2K+1)^3 cube, ``rep_of`` holds the index
+    of the representative of +-k and ``sign_of`` the sign (+1 or -1) that
+    turns it into k, with -1 and 0 at the origin.  The representatives
+    are the wavevectors whose first nonzero component is positive, in
+    lexicographic order.  The torus assembly and the spectral contraction
+    read their wavevectors' representatives from this table.
     """
 
     def __init__(self, K: int):
         self.K = _number("instance", "K", K, 1, integer=True)
-        self.reps = np.array(_half_lattice(K), dtype=int)
+        side = 2 * K + 1
+        # C order over [-K, K]^3 is lexicographic: the cells after the
+        # origin are the representatives in order, and the cell as far
+        # before it holds the negative of one
+        offset = np.arange(side ** 3, dtype=np.intp) - side ** 3 // 2
+        self.rep_of = (np.abs(offset) - 1).reshape((side,) * 3)
+        self.sign_of = np.sign(offset).reshape((side,) * 3)
+        cells = np.unravel_index(np.flatnonzero(offset > 0), (side,) * 3)
+        self.reps = np.stack(cells, axis=1) - K
         self.e1, self.e2 = _frames(self.reps)
         self.lam = 2.0 * np.pi * np.linalg.norm(self.reps, axis=1)
-        for array in (self.reps, self.e1, self.e2, self.lam):
+        for array in (self.rep_of, self.sign_of, self.reps, self.e1,
+                      self.e2, self.lam):
             array.setflags(write=False)
 
     @property
@@ -265,21 +283,6 @@ class TorusBasis:
         """Sorted curl eigenvalues: +-2 pi |k| twice per representative,
         the weights of :meth:`linking`."""
         return np.sort(self.linking()[1])
-
-
-def _half_lattice(K: int):
-    """Lexicographically positive integer wavevectors with |k|_inf <= K."""
-    reps = []
-    for k in itertools.product(range(-K, K + 1), repeat=3):
-        if k == (0, 0, 0):
-            continue
-        for comp in k:
-            if comp > 0:
-                reps.append(k)
-                break
-            if comp < 0:
-                break
-    return sorted(reps)
 
 
 def _frame(k: np.ndarray):
@@ -327,30 +330,22 @@ def _representative_triples(basis: TorusBasis):
     a signed zero sum, with the sign vectors (1, s2, s3) of
     k1 + s2 k2 + s3 k3 = 0.
 
-    A lookup table over the (2K+1)^3 lattice maps c = k1 + s k2 to the
-    representative of +-c and to the sign of that representative.  The
-    sign solution is unique: the other sign vectors would force one
-    wavevector to vanish, and k1 + k2 + k3 is lexicographically positive.
+    The basis's lattice table maps c = k1 + s k2 to the representative of
+    +-c and to the sign of that representative.  The sign solution is
+    unique: the other sign vectors would force one wavevector to vanish,
+    and k1 + k2 + k3 is lexicographically positive.
     """
     reps, K = basis.reps, basis.K
-    m = reps.shape[0]
-    side = 2 * K + 1
-    rep_of = np.full((side,) * 3, -1, dtype=np.intp)
-    sign_of = np.zeros((side,) * 3, dtype=np.intp)
-    for sign in (1, -1):
-        cells = tuple((sign * reps + K).T)
-        rep_of[cells] = np.arange(m)
-        sign_of[cells] = sign
-    r1, r2 = np.triu_indices(m)
+    r1, r2 = np.triu_indices(reps.shape[0])
     found = []
     for s in (1, -1):
         c = reps[r1] + s * reps[r2]
         inside = np.all(np.abs(c) <= K, axis=1)
         cell = tuple((c[inside] + K).T)
-        a, b, r3 = r1[inside], r2[inside], rep_of[cell]
+        a, b, r3 = r1[inside], r2[inside], basis.rep_of[cell]
         keep = r3 >= b  # the zero vector maps to -1
         # k1 + s k2 = sigma k3, so the signs are (1, s, -sigma)
-        sigma = sign_of[cell][keep]
+        sigma = basis.sign_of[cell][keep]
         found.append((a[keep], b[keep], r3[keep],
                       np.full(sigma.shape, s), -sigma))
     return [np.concatenate(parts) for parts in zip(*found)]
@@ -419,7 +414,9 @@ class _SpectralContraction:
     vectors of representative k (``A = X_c1 e1 + X_c2 e2``, ``B`` from the
     sin slots), the field's Fourier coefficient at k is ``(A - iB) / sqrt 2``.
     Conversely, the cos and sin coordinates of a field w along polarization
-    e are ``sqrt 2 e . Re w^(k)`` and ``-sqrt 2 e . Im w^(k)``.
+    e are ``sqrt 2 e . Re w^(k)`` and ``-sqrt 2 e . Im w^(k)``.  Each
+    wavevector's representative and sign come from the basis's lattice
+    table (see :class:`TorusBasis`).
 
     The fields are sampled on an N^3 grid, N = 3K + 1.  Their product
     holds wavenumbers up to 2K per axis; its aliases onto |k| <= K come
@@ -468,22 +465,20 @@ class _SpectralContraction:
         # row 2.0 and 3.0 ms (2-core x86, one BLAS thread, best of 45)
         self.row_terms = 2 * 3 * n ** 3
         m = reps.shape[0]
-        # the cube [kx + K, ky + K, kz] holds k when k_z >= 0, else -k,
-        # whose coefficient is the conjugate; in the plane k_z = 0 it holds
-        # -k as well, as the conjugate of k, and the origin holds zero
-        cube = (side, side, half)
+        # the cube [kx + K, ky + K, kz] is the half k_z >= 0 of the basis's
+        # lattice table: the slot of wavevector c holds the coefficient of
+        # sigma r, with r the representative of +-c and sigma its sign,
+        # the conjugate of r's when sigma = -1.  The origin holds zero: it
+        # gathers coordinate 0 with sign 0
+        rep = np.maximum(basis.rep_of[:, :, K:].ravel(), 0)
+        sigma = basis.sign_of[:, :, K:].ravel()
+        # (re, im) signs of a coefficient against (A, B)
+        sign = np.stack([np.abs(sigma), -sigma], axis=1)
+        # the slot where each representative's coefficient is read: k when
+        # k_z >= 0, else -k
         flip = np.where(reps[:, 2] < 0, -1, 1)
-        origin = np.array([K, K, 0])
-        stored = np.ravel_multi_index((flip[:, None] * reps + origin).T, cube)
-        plane = np.flatnonzero(reps[:, 2] == 0)
-        # the representative of each slot's coefficient, 0 at the origin
-        rep = np.zeros(side * side * half, dtype=np.intp)
-        rep[stored] = np.arange(m)
-        rep[np.ravel_multi_index((origin - reps[plane]).T, cube)] = plane
-        # (re, im) signs of a coefficient against (A, B); zero at the origin
-        sign = np.ones((rep.size, 2))
-        sign[stored, 1] = -flip
-        sign[np.ravel_multi_index(origin, cube)] = 0.0
+        stored = np.ravel_multi_index(
+            (flip[:, None] * reps + [K, K, 0]).T, (side, side, half))
         # the cube's floats are laid out [kx, ky, component, kz, re/im]
         frame = np.stack([basis.e1, basis.e2])  # (polarization, rep, 3)
         p, xy, c, z, ri = np.indices((2, side * side, 3, half, 2))

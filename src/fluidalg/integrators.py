@@ -153,12 +153,6 @@ class IntegrationResult:
     failure_message: str = ""
     projection_failures: int = 0
 
-    def __iter__(self):
-        return iter(self.records)
-
-    def __len__(self):
-        return len(self.records)
-
 
 # Overflow ends a step through the finiteness checks below, as a
 # NumericalFailure with a one-line message; NumPy's floating-point warnings

@@ -4,6 +4,7 @@ import itertools
 import json
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -43,7 +44,6 @@ from fluidalg.instances import (
     _SpectralContraction,
     _frame,
     _frames,
-    _half_lattice,
     _torus_entries,
 )
 
@@ -239,6 +239,85 @@ def test_basis_refuses_K_as_build_torus_algebra_does(K):
     with pytest.raises(ConfigError) as basis:
         TorusBasis(K)
     assert str(basis.value) == str(built.value)
+
+
+@pytest.mark.parametrize("K", [1, 2, 3, 4])
+def test_lattice_table_maps_each_cell_to_its_representative(K):
+    basis = TorusBasis(K)
+    side = 2 * K + 1
+    for table in (basis.rep_of, basis.sign_of):
+        assert table.shape == (side,) * 3
+        assert table.dtype == np.intp
+        assert not table.flags.writeable
+    origin = (K, K, K)
+    assert basis.rep_of[origin] == -1
+    assert basis.sign_of[origin] == 0
+    for c in itertools.product(range(-K, K + 1), repeat=3):
+        if not any(c):
+            continue
+        cell = tuple(np.add(c, K))
+        rep = basis.reps[basis.rep_of[cell]]
+        assert tuple(basis.sign_of[cell] * rep) == c
+
+
+def _operator_arrays_by_mirror(basis):
+    """The spectral operator's gather, synthesis, read and projection, with
+    the half cube built apart from the lattice table: each representative
+    flipped into k_z >= 0, the plane k_z = 0 mirrored and the origin
+    zeroed."""
+    reps, K = basis.reps, basis.K
+    side, half = 2 * K + 1, K + 1
+    m = reps.shape[0]
+    cube = (side, side, half)
+    flip = np.where(reps[:, 2] < 0, -1, 1)
+    origin = np.array([K, K, 0])
+    stored = np.ravel_multi_index((flip[:, None] * reps + origin).T, cube)
+    plane = np.flatnonzero(reps[:, 2] == 0)
+    rep = np.zeros(side * side * half, dtype=np.intp)
+    rep[stored] = np.arange(m)
+    rep[np.ravel_multi_index((origin - reps[plane]).T, cube)] = plane
+    sign = np.ones((rep.size, 2))
+    sign[stored, 1] = -flip
+    sign[np.ravel_multi_index(origin, cube)] = 0.0
+    frame = np.stack([basis.e1, basis.e2])
+    p, xy, c, z, ri = np.indices((2, side * side, 3, half, 2))
+    s = xy * half + z
+    gather = (4 * rep[s] + 2 * p + ri).ravel()
+    synthesis = (np.sqrt(0.5) * frame[p, rep[s], c]
+                 * sign[s, ri]).reshape(2, -1)
+    c, r, p, ri = np.indices((3, m, 2, 2))
+    xy, z = np.divmod(stored[r], half)
+    read = (((xy * 3 + c) * half + z) * 2 + ri).reshape(3, -1)
+    projection = (np.sqrt(2.0) * frame[p, r, c]
+                  * sign[stored[r], ri]).reshape(3, -1)
+    return gather, synthesis, read, projection
+
+
+@pytest.mark.parametrize("K", [1, 2, 3, 4])
+def test_operator_arrays_from_the_table_have_the_bits_of_the_mirror(K):
+    basis = TorusBasis(K)
+    op = _SpectralContraction(basis)
+    got = (op._gather, op._synthesis, op._read, op._projection)
+    for a, b in zip(got, _operator_arrays_by_mirror(basis)):
+        assert (a.dtype, a.shape) == (b.dtype, b.shape)
+        assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("K", [30, 10 ** 4])
+def test_dimension_cap_is_checked_before_the_lattice_exists(K, monkeypatch):
+    def refused(K):
+        raise AssertionError("the basis was built past the cap")
+
+    monkeypatch.setattr(instances, "TorusBasis", refused)
+    tracemalloc.start()
+    try:
+        with pytest.raises(TorusSizeError, match="above the cap"):
+            build_torus_algebra(K)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the K = 30 table alone is 2 x 61^3 x 8 bytes, 3.6 MB
+    assert peak < 64 * 1024
 
 
 @pytest.mark.parametrize("p", [-1, True, 2.0, 52, "0"])
@@ -466,7 +545,7 @@ def test_simulate_torus_k2_with_probe_is_byte_identical(tmp_path):
 
 @pytest.mark.parametrize("K", [1, 2, 3, 4])
 def test_batched_frames_equal_the_per_representative_frame(K):
-    reps = np.array(_half_lattice(K))
+    reps = TorusBasis(K).reps
     e1, e2 = _frames(reps)
     for r, k in enumerate(reps):
         f1, f2 = _frame(k)
@@ -657,7 +736,7 @@ def _counted(monkeypatch, op):
 @pytest.mark.parametrize("lead", [(), (3,)])
 def test_memo_hit_gives_the_bits_of_a_cold_call(K, lead, monkeypatch):
     op = _fresh_operator(K)
-    dim = 4 * len(_half_lattice(K))
+    dim = TorusBasis(K).dim
     rows = _counted(monkeypatch, op)
     rng = make_rng(110 + K)
     X, Y, W = rng.standard_normal((3,) + lead + (dim,))
