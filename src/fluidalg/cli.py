@@ -29,7 +29,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict
 
 import numpy as np
 
@@ -331,7 +330,9 @@ def _echo_config(cfg: dict, spec: IntegratorSpec, output_dir: str) -> dict:
         "instance": cfg.get("instance"),
         "initial_state": cfg.get("initial_state"),
         "probe": cfg.get("probe"),
-        "integrator": asdict(spec),
+        # the spec's fields in order, the projection's nested as a dict
+        "integrator": {**spec._asdict(),
+                       "projection": spec.projection._asdict()},
         "output_dir": output_dir,
     }
 

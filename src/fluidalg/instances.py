@@ -22,7 +22,6 @@ time in the Euler ODE and nothing else.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,6 +32,8 @@ from .core import (
     FluidAlgebra,
     TripleForm,
     make_rng,
+    _FrozenRecord,
+    _Record,
     _aligned_empty,
     _antisymmetrize,
     _canonical_entries,
@@ -85,8 +86,7 @@ LEVI_CIVITA.setflags(write=False)
 # Lie-algebra instances
 
 
-@dataclass
-class LieAlgebraInput:
+class LieAlgebraInput(_Record):
     """A Lie algebra with an invariant pairing and a free metric choice.
 
     ``structure_constants[i, j, k]`` gives [e_i, e_j] = sum_k c[i,j,k] e_k.
@@ -95,14 +95,12 @@ class LieAlgebraInput:
     ``metric`` is any symmetric positive definite matrix.
     """
 
-    structure_constants: np.ndarray
-    pairing: np.ndarray
-    metric: np.ndarray
+    __slots__ = ("structure_constants", "pairing", "metric")
 
-    def __post_init__(self):
-        self.structure_constants = np.asarray(self.structure_constants, float)
-        self.pairing = np.asarray(self.pairing, float)
-        self.metric = np.asarray(self.metric, float)
+    def __init__(self, structure_constants, pairing, metric):
+        self.structure_constants = np.asarray(structure_constants, float)
+        self.pairing = np.asarray(pairing, float)
+        self.metric = np.asarray(metric, float)
 
     @property
     def dim(self) -> int:
@@ -192,13 +190,15 @@ class TorusSizeError(ConfigError):
     """Requested truncation exceeds the configured dimension cap."""
 
 
-@dataclass(frozen=True)
-class TorusMode:
+class TorusMode(_FrozenRecord):
     """One real basis field sqrt(2) * trig(2 pi k.x) * e_a(k)."""
 
-    k: tuple  # integer wavevector, lexicographically positive representative
-    polarization: int  # 1 or 2
-    phase: str  # "cos" or "sin"
+    __slots__ = ("k", "polarization", "phase")
+
+    # k: the integer wavevector, the lexicographically positive
+    # representative; polarization: 1 or 2; phase: "cos" or "sin"
+    def __init__(self, k: tuple, polarization: int, phase: str):
+        self._set(k=k, polarization=polarization, phase=phase)
 
 
 class TorusBasis:

@@ -33,13 +33,14 @@ and may run concurrently.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .core import (
     ConfigError,
     FluidAlgebra,
+    _FrozenRecord,
+    _Record,
     _lazy_dd_values,
     _number,
     curl,
@@ -83,45 +84,41 @@ class NumericalFailure(RuntimeError):
         self.t = t
 
 
-@dataclass(frozen=True)
-class ProjectionSettings:
-    max_iter: int = 10
-    tol: float = 1e-12  # relative constraint tolerance
+class ProjectionSettings(_FrozenRecord):
+    """The Newton projection's settings; ``tol`` is the relative constraint
+    tolerance, stored as a float."""
 
-    def __post_init__(self):
+    __slots__ = ("max_iter", "tol")
+
+    def __init__(self, max_iter: int = 10, tol: float = 1e-12):
         section = "integrator.projection"
-        _number(section, "max_iter", self.max_iter, 1, integer=True)
-        object.__setattr__(self, "tol",
-                           _number(section, "tol", self.tol, 0, strict=True))
+        _number(section, "max_iter", max_iter, 1, integer=True)
+        self._set(max_iter=max_iter,
+                  tol=_number(section, "tol", tol, 0, strict=True))
 
 
-@dataclass(frozen=True)
-class IntegratorSpec:
+class IntegratorSpec(_FrozenRecord):
     """The settings of a run; ``dt`` and ``t_end`` are stored as floats."""
 
-    method: str = "rk4"
-    dt: float = 1e-3
-    t_end: float = 1.0
-    record_every: int = 1
-    projection: ProjectionSettings = field(default_factory=ProjectionSettings)
+    __slots__ = ("method", "dt", "t_end", "record_every", "projection")
 
-    def __post_init__(self):
-        if self.method not in METHODS:
+    # one default ProjectionSettings serves every spec, as it is a value
+    def __init__(self, method="rk4", dt=1e-3, t_end=1.0, record_every=1,
+                 projection=ProjectionSettings()):
+        if method not in METHODS:
             raise ConfigError(f"bad integrator config: method must be one "
-                              f"of {METHODS}, got {self.method!r}")
-        object.__setattr__(self, "dt", _number(
-            "integrator", "dt", self.dt, 0, strict=True))
-        object.__setattr__(self, "t_end", _number(
-            "integrator", "t_end", self.t_end, 0))
-        if not math.isfinite(self.t_end / self.dt):
+                              f"of {METHODS}, got {method!r}")
+        dt = _number("integrator", "dt", dt, 0, strict=True)
+        t_end = _number("integrator", "t_end", t_end, 0)
+        if not math.isfinite(t_end / dt):
             raise ConfigError(f"bad integrator config: t_end / dt must be "
-                              f"finite, got {self.t_end!r} / {self.dt!r}")
-        _number("integrator", "record_every", self.record_every, 1,
-                integer=True)
+                              f"finite, got {t_end!r} / {dt!r}")
+        _number("integrator", "record_every", record_every, 1, integer=True)
+        self._set(method=method, dt=dt, t_end=t_end,
+                  record_every=record_every, projection=projection)
 
 
-@dataclass
-class TraceRecord:
+class TraceRecord(_Record):
     """One recorded point of an integration.
 
     ``state`` is the float64 high word of the carried state and
@@ -136,22 +133,25 @@ class TraceRecord:
     never pays for them.
     """
 
-    t: float
-    state: np.ndarray
-    energy: float
-    helicity: float
-    probe_linking: float | None = None
-    flag: str = ""
-    state_lo: np.ndarray | None = None
+    __slots__ = ("t", "state", "energy", "helicity", "probe_linking",
+                 "flag", "state_lo")
+
+    def __init__(self, t, state, energy, helicity, probe_linking=None,
+                 flag="", state_lo=None):
+        self.t, self.state, self.state_lo = t, state, state_lo
+        self.energy, self.helicity = energy, helicity
+        self.probe_linking, self.flag = probe_linking, flag
 
 
-@dataclass
-class IntegrationResult:
-    records: list
-    steps: int
-    failed: bool = False
-    failure_message: str = ""
-    projection_failures: int = 0
+class IntegrationResult(_Record):
+    __slots__ = ("records", "steps", "failed", "failure_message",
+                 "projection_failures")
+
+    def __init__(self, records: list, steps: int, failed: bool = False,
+                 failure_message: str = "", projection_failures: int = 0):
+        self.records, self.steps, self.failed = records, steps, failed
+        self.failure_message = failure_message
+        self.projection_failures = projection_failures
 
 
 # Overflow ends a step through the finiteness checks below, as a

@@ -1,6 +1,8 @@
 """Core forms, validation, curl pair, and the algebra file format."""
 
+import fractions
 import json
+import reprlib
 import warnings
 
 import numpy as np
@@ -455,6 +457,41 @@ def test_triple_form_rejects_bad_entries():
         TripleForm.from_entries(3, [[0, 1, 2 ** 70, 1.0]])
     with pytest.raises(AlgebraFormatError):
         TripleForm.from_entries(3, {"0": [0, 1, 2, 1.0]})
+
+
+@pytest.mark.parametrize("row", [
+    [True, 1, 2, 1.0],          # a bool index
+    [0, 1.0, 2, 1.0],           # a float index
+    [0, 1, np.float64(2), 1.0],
+    [0, 1, 2, "1.0"],           # a string value
+    [0, 1, 2, True],
+    [0, 1, 2, None],
+    [0, 1, 2],                  # three items
+    (0, 1, 2, 1.0, 1.0),
+    "0123",
+])
+def test_from_entries_names_the_first_bad_row(row):
+    rows = [[0, 1, 3, 1.0], row, [1, 2, 3, "x"]]
+    with pytest.raises(AlgebraFormatError) as info:
+        TripleForm.from_entries(4, rows)
+    assert str(info.value) == f"bad triple entry {reprlib.repr(row)}"
+
+
+class _Row(list):
+    pass
+
+
+def test_from_entries_takes_numpy_scalars_and_other_reals():
+    rows = [
+        [0, 1, 2, 1.5],
+        (np.int64(0), np.int32(1), np.uint8(3), np.float64(-2.0)),
+        _Row([1, 2, 3, np.float32(0.5)]),
+        [0, 2, 3, fractions.Fraction(1, 4)],
+    ]
+    plain = [[0, 1, 2, 1.5], [0, 1, 3, -2.0], [1, 2, 3, 0.5],
+             [0, 2, 3, 0.25]]
+    form = TripleForm.from_entries(4, rows)
+    assert form.entry_list() == TripleForm.from_entries(4, plain).entry_list()
 
 
 # ---------------------------------------------------------------------------

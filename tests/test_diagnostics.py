@@ -1,6 +1,7 @@
 """Identity suite coverage and reporting."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -244,6 +245,35 @@ def test_block_suite_reports_the_bits_of_the_per_sample_loop(kind_algebra,
                              num_triples=num_triples).to_dict()
     expected = _per_sample_suite(alg, num_states, 11, num_triples).to_dict()
     assert _hexed(got) == _hexed(expected)
+
+
+@pytest.mark.parametrize("num_triples", [0, 55])
+@pytest.mark.parametrize("num_states", [2, 3, 49, 50, 51, 101, 200])
+def test_states_drawn_by_block_give_the_bits_of_one_draw(num_states,
+                                                         num_triples):
+    # sizes at and around the 50-row blocks: a last block of one or two
+    # rows takes its neighbours from the next block and from rows 0 and 1
+    alg = random_algebra(3, 6)
+    got = run_identity_suite(alg, num_states=num_states, seed=5,
+                             num_triples=num_triples).to_dict()
+    expected = _per_sample_suite(alg, num_states, 5, num_triples).to_dict()
+    assert json.dumps(_hexed(got)) == json.dumps(_hexed(expected))
+
+
+def test_suite_memory_does_not_grow_with_the_sample():
+    alg = random_algebra(7, 32)
+    run_identity_suite(alg, num_states=50, num_triples=0)  # warm the caches
+    peaks = []
+    for num_states in (200, 5000):
+        tracemalloc.start()
+        try:
+            run_identity_suite(alg, num_states=num_states, num_triples=0)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    # all 5000 states at n = 32 hold 1.28 MB, with their two shifted
+    # copies 3.84 MB
+    assert peaks[1] - peaks[0] < 0.5e6
 
 
 def test_block_suite_contracts_once_per_block(monkeypatch):
