@@ -61,7 +61,9 @@ DFTs are GEMMs batched over the rows (``np.matmul``), each row's of one
 fixed shape.  A GEMM with the rows of a block as its columns would be
 faster but rounds differently, so it is not used.  A kernel contracts a
 block in the fewest chunks of rows whose temporaries hold at most about
-64 kB, the chunk sizes differing by at most one row.  The dense kernel
+128 KiB, the chunk sizes differing by at most one row, and makes its
+products, differences and weights in place in arrays that it owns, with
+the operations and order of a fresh array each.  The dense kernel
 gathers its pair factors from the transposed chunk, so that each index
 copies a run of B floats, and takes the differences back to contiguous
 rows for the GEMVs; a gather moves the data and rounds nothing.  The form
@@ -133,15 +135,26 @@ __all__ = [
 _DENSE_DIM_LIMIT = 64
 
 # Floats per temporary array when a kernel runs on a block of states,
-# which it does in chunks of rows: 64 kB stays in cache and below the size
-# that the C allocator maps fresh, and faults in, on every allocation.  At
-# n = 32 the identity suite (200 states, 200 triples) took about 17 ms
-# with its 50-row blocks run in one piece against 12.8 ms in 13-row
-# chunks, first call in a fresh process, and the chunks are made even
-# because a 2-row chunk took about 7.8 us a row against about 4 us at
-# 12-16 rows, so 50 rows run as 13/13/12/12, not 16/16/16/2 (2-core x86,
-# one BLAS thread).
-_BLOCK_TERMS = 1 << 13
+# which it does in chunks of rows: 128 KiB, the size from which the C
+# allocator maps an array fresh and faults it in, or trims it back to the
+# system once freed.  The kernels make their products and differences in
+# place, so a chunk holds few such arrays.  `fluidalg diagnose` (200
+# states, 200 triples, 50-row blocks, timed run_identity_suite, median of
+# 7 fresh processes, 2-core x86, one BLAS thread) took, at 1 << 12, 13,
+# 14, 15 and 16:
+#   n =  9:  2.8,  2.8,  2.8,  2.8,  2.8 ms (50 rows in one piece at all);
+#   n = 32: 13.3, 12.2, 11.1, 15.9, 15.9 ms;
+#   n = 48: 37.0, 27.4, 26.0, 24.8, 23.6 ms;
+#   n = 64: 57.5, 50.0, 51.3, 51.2, 48.6 ms.
+# At n = 32, one 50-row piece (temporaries of 198 kB) costs 43% more than
+# 25/25 rows: the allocator maps or trims those temporaries at every call.
+# At n = 48 and 64 the algebra's (n, n, n) array has already raised its
+# threshold above them, and fewer chunks win.  1 << 14 is the fastest at
+# n = 32 and about 10% and 6% behind the fastest at 48 and 64.  The chunks
+# are made even, since a short chunk costs more per row (a 2-row chunk
+# about twice as much as a 12-16-row one): 50 rows run as 25/25 at
+# n = 32, not 33/17.
+_BLOCK_TERMS = 1 << 14
 
 # Byte alignment of the fixed matrices of the contraction kernels.  At
 # n = 32 the dense kernel's GEMV of a 50-row block took 80-87 us with its
@@ -550,6 +563,7 @@ class TripleForm:
         the kernel.  A spectral form evaluates it without materializing its
         entries.
         """
+        X, Y, Z = (np.asarray(A, dtype=float) for A in (X, Y, Z))
         repeated = ((X == Y).all(axis=-1) | (Y == Z).all(axis=-1)
                     | (X == Z).all(axis=-1))
         value = np.zeros(repeated.shape)
@@ -562,10 +576,11 @@ class TripleForm:
         """Return b with ``b[m] = sum_ij T[i,j,m] X_i Y_j``.
 
         ``X`` and ``Y`` are single states (n,) or (B, n) blocks of one
-        shape; a block gives, row for row, the bits of its rows contracted
-        alone.  One kernel per storage kind, each exactly antisymmetric in
-        X and Y (``contract_pair(Y, X)`` is ``-contract_pair(X, Y)`` bit for
-        bit, and ``contract_pair(X, X)`` is zero) and with a fixed order of
+        shape, of any real dtype, contracted as their float64 values; a
+        block gives, row for row, the bits of its rows contracted alone.
+        One kernel per storage kind, each exactly antisymmetric in X and Y
+        (``contract_pair(Y, X)`` is ``-contract_pair(X, Y)`` bit for bit,
+        and ``contract_pair(X, X)`` is zero) and with a fixed order of
         operations:
 
         * dense: the pair differences ``X_i Y_j - X_j Y_i`` for i < j, in
@@ -583,6 +598,7 @@ class TripleForm:
         A block runs through the kernel in the fewest chunks of rows, of
         sizes differing by at most one (:func:`_in_chunks`).
         """
+        X, Y = np.asarray(X, dtype=float), np.asarray(Y, dtype=float)
         if X.ndim == 1:
             return self._kernel(X, Y)
         return _in_chunks(self._kernel, self._row_terms, X, Y)
@@ -619,16 +635,24 @@ class _PackedRows(TripleForm):
 
     def _kernel(self, X, Y) -> np.ndarray:
         iu, ju = self._pairs
-        if X.ndim == 2:
+        block = X.ndim == 2
+        if block:
             # gathered from the transposed chunk, each index copies a run
             # of B floats; a state is its own transposed chunk, and
             # skipping the copies keeps the single-state path as fast
             X, Y = np.ascontiguousarray(X.T), np.ascontiguousarray(Y.T)
-        D = (X.take(iu, axis=0) * Y.take(ju, axis=0)
-             - X.take(ju, axis=0) * Y.take(iu, axis=0))
-        # back to contiguous rows: one GEMV per contiguous row has the bits
-        # of the 1-D kernel
-        return np.vecmat(np.ascontiguousarray(D.T), self.dense)
+        # X_i Y_j - X_j Y_i, each product and the difference made in place
+        # in a gather that the kernel owns
+        D = X.take(iu, axis=0)
+        D *= Y.take(ju, axis=0)
+        E = X.take(ju, axis=0)
+        E *= Y.take(iu, axis=0)
+        D -= E
+        if block:
+            # back to contiguous rows: one GEMV per contiguous row has the
+            # bits of the 1-D kernel
+            D = np.ascontiguousarray(D.T)
+        return np.vecmat(D, self.dense)
 
 
 class _Entries(TripleForm):
@@ -648,20 +672,24 @@ class _Entries(TripleForm):
 
     def _kernel(self, X, Y) -> np.ndarray:
         v = self._entries[1]
-        if not v.size:
+        if not (v.size and X.size):
             return np.zeros(X.shape)
-        i, j, k = self._columns
-        Xi, Xj, Xk = X.take(i, axis=-1), X.take(j, axis=-1), X.take(k, axis=-1)
-        Yi, Yj, Yk = Y.take(i, axis=-1), Y.take(j, axis=-1), Y.take(k, axis=-1)
-        terms = np.concatenate((
-            v * (Xi * Yj - Xj * Yi),
-            v * (Xj * Yk - Xk * Yj),
-            v * (Xk * Yi - Xi * Yk),
-        ), axis=-1)
+        Xi, Xj, Xk = (X.take(c, axis=-1) for c in self._columns)
+        Yi, Yj, Yk = (Y.take(c, axis=-1) for c in self._columns)
+        # the terms (X_i Y_j - X_j Y_i) v, (X_j Y_k - X_k Y_j) v and
+        # (X_k Y_i - X_i Y_k) v of each row, laid out (3, nnz), made in
+        # place in one buffer, with one more for the second products
+        terms = np.empty(X.shape[:-1] + (3, v.size))
+        second = np.empty(X.shape[:-1] + (v.size,))
+        for t, (a, b, c, d) in zip(np.moveaxis(terms, -2, 0), (
+                (Xi, Yj, Xj, Yi), (Xj, Yk, Xk, Yj), (Xk, Yi, Xi, Yk))):
+            np.multiply(a, b, out=t)
+            t -= np.multiply(c, d, out=second)
+            t *= v
         slots = self._targets
-        if X.ndim == 2:
-            # the slots of row r are offset by r n
-            slots = (slots + self.dim * np.arange(X.shape[0])[:, None]).ravel()
+        if X.ndim == 2 and len(X) > 1:
+            # the slots of row r are offset by r n; a lone row keeps them
+            slots = (slots + self.dim * np.arange(len(X))[:, None]).ravel()
         out = np.bincount(slots, weights=terms.ravel(), minlength=X.size)
         return out.reshape(X.shape)
 

@@ -433,10 +433,12 @@ class _SpectralContraction:
     contraction lost exact antisymmetry at K=2 and K=4.)  Swapping X and Y
     thus swaps the fields bit for bit and negates the cross product, and
     so the result, exactly; X = Y gives exact zeros.  The cross product is
-    four full-array products and one difference over the components
-    gathered in cyclic order (``_NEXT``, ``_PREV``), the products and
-    differences of each component in turn, bit for bit.  A loop over the
-    components would run each ufunc over strided inner loops only N long.
+    two full-array products and one difference over the components
+    gathered in cyclic order (``_NEXT``, ``_PREV``), made in place in the
+    two gathers of Y's field: the products and differences of each
+    component in turn, bit for bit.  A loop over the components would run
+    each ufunc over strided inner loops only N long.  X and Y of any real
+    dtype are contracted as their float64 values.
 
     A probe step contracts each stage's velocity twice, as
     ``(V, D V)`` and ``(V, D Z)``, so the operator remembers the grid field
@@ -460,9 +462,10 @@ class _SpectralContraction:
         self._shape = (n, side, half)
         # sets the chunks of a block's rows (see TripleForm.spectral): the
         # largest temporaries, the two fields' 3 components on the grid,
-        # give 3 rows to a chunk at K=2 and 1 from K=3 on.  A 50-row block
-        # then took 1.1 and 3.0 ms, in one piece 1.5 and 5.0 ms, row by
-        # row 2.0 and 3.0 ms (2-core x86, one BLAS thread, best of 45)
+        # give 7 rows to a chunk at K=2, 2 at K=3 and 1 from K=4 on.  A
+        # 50-row block then took 0.87 and 2.25 ms, in one piece 0.74 and
+        # 2.04 ms, row by row 1.8 and 2.8 ms (tools/kernel_times.py, best
+        # of 5 passes over 20 blocks, 2-core x86, one BLAS thread)
         self.row_terms = 2 * 3 * n ** 3
         m = reps.shape[0]
         # the cube [kx + K, ky + K, kz] is the half k_z >= 0 of the basis's
@@ -523,27 +526,35 @@ class _SpectralContraction:
         # read once: another thread sharing the operator may replace it
         memo = self._memo
         key = (X.shape, X.dtype.str, X.tobytes())
+        # the fields are made in place from float64 gathers of the states
+        Y = np.asarray(Y, dtype=float)
         if memo is not None and memo[0] == key:
             (u_next, u_prev), v = memo[1], self._synthesize(Y[None])[0]
         else:
-            u, v = self._synthesize(np.array((X, Y)))
+            u, v = self._synthesize(np.array((X, Y), dtype=float))
             # X's field in the two cyclic orders that the cross product
             # reads: fresh arrays, so they hold X's rows alone
             u_next, u_prev = u.take(_NEXT, axis=-2), u.take(_PREV, axis=-2)
             u_next.setflags(write=False)
             u_prev.setflags(write=False)
             self._memo = (key, (u_next, u_prev))
-        w = u_next * v.take(_PREV, axis=-2) - u_prev * v.take(_NEXT, axis=-2)
+        # in place in the gathers of v: the bits of
+        # u_next v_prev - u_prev v_next
+        w = v.take(_PREV, axis=-2)
+        w *= u_next
+        t = v.take(_NEXT, axis=-2)
+        t *= u_prev
+        w -= t
         # [*row, x, y, (component, z)]: z, then x, then y
         W = (w.reshape(lead + (n * n * 3, n)) @ self._r2c).view(complex)
         W = self._from_grid @ W.reshape(lead + (n, n * 3 * half))
         W = self._from_grid @ W.reshape(lead + (side, n, 3 * half))
         W = W.reshape(lead + (side * side * 3 * half,)).view(float)
-        RI = W.take(self._read, axis=-1)
-        # [representative, polarization, phase] is the local slot order
-        # the three products in one ufunc call, then summed in order, in
-        # place: the bits of RI_0 p0 + RI_1 p1 + RI_2 p2
-        Q = RI * self._projection
+        Q = W.take(self._read, axis=-1)
+        # [representative, polarization, phase] is the local slot order.
+        # The read floats R times the projection p in one ufunc call, in
+        # place, then summed in order: the bits of R_0 p_0 + R_1 p_1 + R_2 p_2
+        Q *= self._projection
         out = Q[..., 0, :] + Q[..., 1, :]
         out += Q[..., 2, :]
         return out
@@ -556,9 +567,12 @@ class _SpectralContraction:
         Z = S.take(self._gather, axis=-1)
         Z = Z.reshape(fields + self._synthesis.shape)
         a, b = self._synthesis
-        # in place: the bits of a Z_0 + b Z_1, with one temporary fewer
+        # in place, the second product in the gather: the bits of
+        # a Z_0 + b Z_1
         cube = a * Z[..., 0, :]
-        cube += b * Z[..., 1, :]
+        Z1 = Z[..., 1, :]
+        Z1 *= b
+        cube += Z1
         cube = cube.view(complex)
         # [field, *row, kx, ky, (component, kz)]: y, then x, then z
         F = self._to_grid @ cube.reshape(fields + (side, side, 3 * half))

@@ -6,6 +6,7 @@ import pytest
 
 from fluidalg import (
     AlgebraFormatError,
+    TripleForm,
     build_torus_algebra,
     curl,
     energy,
@@ -75,7 +76,7 @@ def test_block_rows_have_the_bits_of_single_states(kind_algebra, name, rows):
     f, nargs = ENTRY_POINTS[name]
     blocks = make_rng(31).standard_normal((nargs, rows, alg.dim))
     got = f(alg, *blocks)
-    assert isinstance(got, np.ndarray)
+    assert isinstance(got, np.ndarray) and got.dtype == np.float64
     expected_shape = (rows,) if name in SCALAR_VALUED else (rows, alg.dim)
     assert got.shape == expected_shape
     for r in range(rows):
@@ -124,7 +125,7 @@ def test_only_kept_rows_reach_the_kernel(kind_algebra, monkeypatch):
     assert given == []
 
 
-@pytest.mark.parametrize("row_terms", [1 << 13, 2000, 512])
+@pytest.mark.parametrize("row_terms", [1 << 14, 1 << 13, 2000, 512])
 def test_chunks_are_the_fewest_with_even_sizes(row_terms):
     from fluidalg import core
 
@@ -140,6 +141,69 @@ def test_chunks_are_the_fewest_with_even_sizes(row_terms):
         assert bits(core._in_chunks(kernel, row_terms, X)) == bits(X)
         assert len(sizes) == -(-rows // step)
         assert max(sizes) <= step and max(sizes) - min(sizes) <= 1
+
+
+def _sparse_torus(K):
+    form = build_torus_algebra(K)[0].triple
+    return TripleForm(form.dim, form.index, form.values)
+
+
+# one form of each kind whose blocks the kernel splits into chunks
+CHUNKED_FORMS = {
+    "dense": lambda: random_algebra(7, 32).triple,
+    "sparse": lambda: _sparse_torus(2),
+    "spectral": lambda: build_torus_algebra(2)[0].triple,
+}
+
+
+@pytest.mark.parametrize("kind", list(CHUNKED_FORMS))
+def test_blocks_across_chunk_boundaries_have_the_bits_of_single_states(
+        kind, monkeypatch):
+    from fluidalg import core
+
+    form = CHUNKED_FORMS[kind]()
+    assert form.kind == kind
+    kernel, chunks = form._kernel, []
+
+    def spy(X, Y):
+        chunks.append(len(X) if X.ndim == 2 else None)
+        return kernel(X, Y)
+
+    monkeypatch.setattr(form, "_kernel", spy)
+    step = max(1, core._BLOCK_TERMS // form._row_terms)
+    rng = make_rng(36)
+    for rows in sorted({step - 1, step, step + 1, 2 * step + 1}):
+        X, Y, Z = rng.standard_normal((3, rows, form.dim))
+        chunks.clear()
+        pair = form.contract_pair(X, Y)
+        assert len(chunks) == max(1, -(-rows // step)) and sum(chunks) == rows
+        value = form(Z, X, Y)
+        for r in range(rows):
+            assert bits(pair[r]) == bits(form.contract_pair(X[r], Y[r]))
+            assert bits(value[r]) == bits(form(Z[r], X[r], Y[r]))
+
+
+def test_states_of_any_real_dtype_contract_as_their_float64_values(
+        kind_algebra):
+    form = kind_algebra.triple
+    rng = make_rng(37)
+    ints = rng.integers(-3, 4, (3, 4, form.dim))
+    floats = rng.standard_normal((3, 4, form.dim))
+    cases = {
+        "int64": ints,
+        "int64/float64": (ints[0], floats[1], ints[2]),
+        "float64/int64": (floats[0], ints[1], floats[2]),
+        "float32": floats.astype(np.float32),
+    }
+    for name, states in cases.items():
+        wide = [np.asarray(A, dtype=float) for A in states]
+        for rows in (slice(None), 0):  # the block, and its first state
+            X, Y, Z = (A[rows] for A in states)
+            U, V, W = (A[rows] for A in wide)
+            got, want = form.contract_pair(X, Y), form.contract_pair(U, V)
+            assert got.dtype == np.float64, name
+            assert bits(got) == bits(want), name
+            assert bits(form(X, Y, Z)) == bits(form(U, V, W)), name
 
 
 @pytest.mark.parametrize("name", CHECKED)
@@ -164,8 +228,9 @@ def test_bad_block_shapes_raise_format_error(name):
 
 @pytest.mark.parametrize("K", [2, 3, 4])
 def test_spectral_blocks_have_the_bits_of_single_states(K):
-    # grids of 7^3, 10^3 and 13^3; contract_pair runs a block in chunks of
-    # 3 rows at K = 2 and of 1 row above, the operator in one piece
+    # grids of 7^3, 10^3 and 13^3; contract_pair runs these 3 rows in one
+    # piece at K = 2, as 2 + 1 at K = 3 and row by row at K = 4, the
+    # operator in one piece
     alg = build_torus_algebra(K, max_dim=1456)[0]
     X, Y = make_rng(33).standard_normal((2, 3, alg.dim))
     for got in (alg.triple.contract_pair(X, Y), alg.triple.operator(X, Y)):

@@ -1,0 +1,85 @@
+"""Time the pair contraction of each storage kind of the triple form.
+
+    PYTHONPATH=src python3 tools/kernel_times.py [--repeat 7] [--pool 20]
+
+For each algebra below it prints, as one Markdown table, the microseconds
+of ``TripleForm.contract_pair`` on one state and the microseconds per row
+on a 50-row block, the identity suite's block.  Each figure is the best
+of ``--repeat`` passes over a pool of ``--pool`` distinct pairs, so that
+no pass reruns one cache-hot pair and a spectral form always misses its
+memo.  It checks nothing and has no thresholds.  Set-up (building the
+algebras, the sparse form's entries among them) is not timed.  BLAS runs
+on one thread, as in the benchmark.
+"""
+
+import os
+
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import argparse  # noqa: E402
+import time  # noqa: E402
+
+import numpy as np  # noqa: E402
+
+from fluidalg import (  # noqa: E402
+    TripleForm,
+    build_torus_algebra,
+    make_rng,
+    random_algebra,
+    rigid_body,
+)
+
+BLOCK_ROWS = 50
+
+
+def _sparse_torus(K: int) -> TripleForm:
+    form = build_torus_algebra(K)[0].triple
+    return TripleForm(form.dim, form.index, form.values)
+
+
+# name -> builder of the triple form
+FORMS = {
+    "rigid body, n=3": lambda: rigid_body(1.0, 2.0, 3.0).triple,
+    "random(7), n=32": lambda: random_algebra(7, 32).triple,
+    "torus K=1, n=52": lambda: build_torus_algebra(1)[0].triple,
+    "torus K=2 entries, n=248": lambda: _sparse_torus(2),
+    "torus K=2, n=248": lambda: build_torus_algebra(2)[0].triple,
+    "torus K=3, n=684": lambda: build_torus_algebra(3, max_dim=684)[0].triple,
+}
+
+
+def best_us(contract, pool, repeat: int) -> float:
+    """The fastest pass over the pool, in microseconds per pair."""
+    best = float("inf")
+    for _ in range(repeat):
+        start = time.perf_counter()
+        for X, Y in pool:
+            contract(X, Y)
+        best = min(best, time.perf_counter() - start)
+    return best / len(pool) * 1e6
+
+
+def main(argv=None) -> None:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--repeat", type=int, default=7,
+                        help="passes over each pool (default 7)")
+    parser.add_argument("--pool", type=int, default=20,
+                        help="distinct pairs in each pool (default 20)")
+    args = parser.parse_args(argv)
+    if args.repeat < 1 or args.pool < 1:
+        parser.error("--repeat and --pool must be at least 1")
+    rng = make_rng(0)
+    print("| form | kind | one state (µs) | 50-row block (µs/row) |")
+    print("|---|---|---:|---:|")
+    for name, build in FORMS.items():
+        form = build()
+        states = rng.standard_normal((args.pool, 2, form.dim))
+        blocks = rng.standard_normal((args.pool, 2, BLOCK_ROWS, form.dim))
+        single = best_us(form.contract_pair, states, args.repeat)
+        block = best_us(form.contract_pair, blocks, args.repeat) / BLOCK_ROWS
+        print(f"| {name} | {form.kind} | {single:.1f} | {block:.2f} |")
+
+
+if __name__ == "__main__":
+    main()
