@@ -45,8 +45,12 @@ entry source (:class:`_Spectral`).  A subclass gives the kernel, its
 chunk size, the entries and their count; :class:`TripleForm` defines the
 rest once -- the largest entry, ``to_dense``, ``contract_pair`` and the
 evaluation -- so no other code asks which kind a form is.  Packed rows
-built from entries are written straight from them, each entry into its
-three slots, with no (n, n, n) array.
+are written in one place, from canonical entries, each entry into its
+three slots, with no (n, n, n) array.  An (n, n, n) array gives its
+nonzero slots i < j < k as those entries, and its other slots are only
+measured, so every kind contracts the form that ``to_dense`` gives back.
+One rule in n and the entry count picks the dense or the sparse kind of
+every form built from entries or from an array.
 
 Every operator-layer entry point -- :meth:`TripleForm.contract_pair` and
 ``__call__``, the four products of :class:`FluidAlgebra` with G, G^-1, L
@@ -130,9 +134,44 @@ __all__ = [
     "load_algebra",
 ]
 
-# Entry lists give the dense kind up to this dimension, sparse above it;
-# TripleForm._canonical is its one reader.
-_DENSE_DIM_LIMIT = 64
+# The kind of a form given by its canonical entries, by one rule in its
+# dimension n and its entry count nnz: dense when its packed rows,
+# n^2 (n-1)/2 floats, are at most _SPARSE_CALL_FLOATS +
+# _SPARSE_ENTRY_FLOATS * nnz, sparse otherwise.  The rule weighs the two
+# kernels' costs in floats of the dense GEMV: the sparse kernel costs
+# about as much as 50 of them per entry, plus 100 000 per call for its
+# fixed NumPy overhead.  TripleForm._canonical is its one reader.
+# Contraction times in us, on one state / per row of a 50-row block; the
+# named forms are rows of tools/kernel_times.py, the others random forms
+# thinned to nnz entries, timed the same way (best of 5 passes over 20
+# pairs, 2-core x86, one BLAS thread):
+#     n     nnz  floats/entry  rule       dense            sparse
+#    24      22      300      dense    4.8 /   1.0     11.3 /   0.8
+#    45     120      371      dense   11.2 /   7.8     12.3 /   2.8  so(10)
+#    52     472      146      dense   12.6 /   8.9     16.2 /   9.8  torus K=1
+#    64     430      300      sparse  16.4 /  13.0     16.4 /   8.6
+#    66     220      644      sparse  23.6 /  20.4     13.6 /   4.7  so(12)
+#    80    3370       75      dense   43.1 /  35.0     45.8 /  48.0
+#    80    2528      100      sparse  41.9 /  31.7     37.2 /  39.1
+#   100    8250       60      dense  135.9 / 137.4    102.8 / 104.9
+#   100  161700        3      dense  133.3 / 135.3     2739 /  2751  random
+#   150   33525       50      dense  448.5 / 450.5    457.5 / 463.5
+#   200   88444       45      dense  958.5 / 968.0     1318 /  1326
+#   248   12984      585      sparse  1748 /  1761    146.6 / 151.0  torus K=2
+# Rows of up to 1 MB (n <= 64) stay in cache; past that the GEMV costs
+# about twice as much per float, and the crossover falls from 150-300
+# floats per entry to about 50 from n = 100 on.  The fixed term keeps
+# small forms dense, where the sparse kernel's overhead dominates.  The
+# rule follows the one-state times, those of a simulation: the worst miss
+# there is 1.3x (n = 100, 60 floats per entry), while on blocks, which
+# share that overhead, a small form of few entries runs up to 2.8x
+# faster sparse (so(10)).  The rule also caps the rows at 400 bytes per
+# entry plus 800 kB, against the 80 bytes per entry that the sparse kind
+# keeps.  No absolute cap is needed: a form near full density, as a
+# random one (3 floats per entry), is dense at every n, and its rows take
+# fewer bytes than its entries would.
+_SPARSE_ENTRY_FLOATS = 50
+_SPARSE_CALL_FLOATS = 100_000
 
 # Floats per temporary array when a kernel runs on a block of states,
 # which it does in chunks of rows: 128 KiB, the size from which the C
@@ -318,9 +357,15 @@ def _is_permutation(cols: np.ndarray) -> bool:
     return np.array_equal(np.sort(cols), np.arange(cols.size))
 
 
+def _read_only(*arrays):
+    for array in arrays:
+        array.setflags(write=False)
+    return arrays
+
+
 def _canonical_entries(dim: int, index, values):
-    """Check canonical ``i < j < k`` entries and return them sorted by
-    ``(i, j, k)`` as frozen arrays."""
+    """Check canonical ``i < j < k`` entries and return the nonzero ones
+    sorted by ``(i, j, k)`` as frozen arrays."""
     index = np.asarray(index, dtype=np.intp).reshape(-1, 3)
     values = np.asarray(values, dtype=float).reshape(-1)
     if index.shape[0] != values.shape[0]:
@@ -338,19 +383,27 @@ def _canonical_entries(dim: int, index, values):
     order = np.lexsort((index[:, 2], index[:, 1], index[:, 0]))
     index = index[order]
     values = values[order]
-    if index.shape[0] > 1:
-        same = np.all(index[1:] == index[:-1], axis=1)
-        if same.any():
-            raise AlgebraFormatError("duplicate sparse entry")
-    index.setflags(write=False)
-    values.setflags(write=False)
-    return index, values
+    if np.all(index[1:] == index[:-1], axis=1).any():
+        raise AlgebraFormatError("duplicate sparse entry")
+    # a zero entry is no entry, so every kind counts the same ones
+    nonzero = values != 0.0
+    return _read_only(index[nonzero], values[nonzero])
 
 
-def _canonical_slots(packed: np.ndarray) -> np.ndarray:
-    """The nonzero canonical slots (k > j) of packed rows ``T[i, j, :]``."""
-    ju = np.triu_indices(packed.shape[1], 1)[1]
-    return (packed != 0.0) & (np.arange(packed.shape[1]) > ju[:, None])
+def _canonical_slots(array: np.ndarray):
+    """The nonzero slots i < j < k of a cubic array as canonical entries,
+    frozen, sorted by (i, j, k) as they are read, so that they need no
+    check or sort: for each i, the last (n-1-i)(n-2-i)/2 pairs j < k of
+    ``np.triu_indices``, those with j > i."""
+    dim = _checked_dim(len(array))
+    ju, ku = np.triu_indices(dim, 1)
+    counts = np.arange(dim - 1, -1, -1) * np.arange(dim - 2, -2, -1) // 2
+    ends = np.cumsum(counts)
+    p = np.arange(ends[-1]) + np.repeat(ju.size - ends, counts)
+    index = np.stack((np.repeat(np.arange(dim), counts), ju[p], ku[p]), axis=1)
+    values = array[tuple(index.T)]
+    nonzero = values != 0.0
+    return _read_only(index[nonzero], values[nonzero])
 
 
 def _checked_dim(dim) -> int:
@@ -371,16 +424,21 @@ class TripleForm:
 
     * ``"dense"`` (:class:`_PackedRows`) -- the packed (n(n-1)/2, n)
       matrix of the rows ``T[i, j, :]`` with i < j (``dense``) alone,
-      contracted by one BLAS GEMV; :meth:`from_dense` gives this kind at
-      every n, and :meth:`from_entries` up to dimension 64, writing each
-      entry straight into its three packed slots;
+      written from the entries, each into its three packed slots, and
+      contracted by one BLAS GEMV;
     * ``"sparse"`` (:class:`_Entries`) -- the canonical entries alone,
       contracted by one ``np.bincount`` in entry order;
       ``TripleForm(dim, index, values)`` gives this kind;
     * ``"spectral"`` (:class:`_Spectral`) -- no stored tensor: a
       matrix-free operator computes the contraction (:meth:`spectral`).
 
-    The other two kinds build their entries on the first access to them.
+    :meth:`from_entries` and :meth:`from_dense` give the dense or the
+    sparse kind by one rule in n and the entry count, whichever contracts
+    faster (``_SPARSE_ENTRY_FLOATS``): dense for a random algebra at every
+    n and for the K=1 torus, sparse for the torus K=2 entries and for so(m)
+    from m = 12.  The dense and spectral kinds build their entries on the
+    first access to them.  A zero entry is dropped, so every kind counts
+    the same entries.
     A subclass gives its kernel ``_kernel(X, Y)``, the pair contraction of
     one state or one chunk of rows; ``_row_terms``, the floats per row in
     the kernel's largest temporaries; the canonical ``_entries``, checked,
@@ -430,9 +488,11 @@ class TripleForm:
 
     @classmethod
     def from_dense(cls, array) -> "TripleForm":
-        """A form of the dense kind on the rows ``array[i, j, :]``, i < j,
-        recording the array's largest |entry| (:meth:`max_abs`) and its
-        antisymmetry defect ``max |A - antisym(A)|`` (:func:`validate`)."""
+        """A form on the nonzero canonical slots ``array[i, j, k]``,
+        i < j < k, as :meth:`from_entries` takes them, recording the
+        array's largest |entry| (:meth:`max_abs`) and its antisymmetry
+        defect ``max |A - antisym(A)|`` (:func:`validate`); the other slots
+        are read for these two alone."""
         array = np.asarray(array, dtype=float)
         if array.ndim != 3 or len(set(array.shape)) != 1:
             raise AlgebraFormatError(
@@ -440,27 +500,21 @@ class TripleForm:
             )
         if not np.all(np.isfinite(array)):
             raise AlgebraDataError("non-finite value in triple tensor")
-        # the rows array[i, j, :], i < j, copied slab by slab straight into
-        # a fresh 64-byte-aligned matrix, keeping the array's largest
-        # |entry| and its defect max |A - antisym(A)|
-        dim = len(array)
-        packed = _aligned_empty((dim * (dim - 1) // 2, dim))
-        t_max, defect, start = 0.0, 0.0, 0
-        for i in range(dim):
-            slab = array[i]
+        # slab by slab, so that no temporary holds n^3 floats: the largest
+        # |entry| and the defect
+        t_max = defect = 0.0
+        for i, slab in enumerate(array):
             t_max = max(t_max, float(np.max(np.abs(slab))))
             defect = max(defect, float(np.max(np.abs(
                 slab - _antisymmetrize(array, i)))))
-            packed[start:start + dim - 1 - i] = slab[i + 1:]
-            start += dim - 1 - i
-        form = _PackedRows(dim, packed)
+        form = cls._canonical(len(array), *_canonical_slots(array))
         form._max_abs, form._defect = t_max, defect
         return form
 
     @classmethod
     def from_entries(cls, dim: int, entries) -> "TripleForm":
-        """Build from canonical ``(i, j, k, value)`` rows with i < j < k:
-        of the dense kind up to dimension 64, else sparse.
+        """Build from canonical ``(i, j, k, value)`` rows with i < j < k,
+        of the kind that the rule of :meth:`_canonical` picks.
 
         Each row is a list or tuple of three ``int`` indices (not ``bool``)
         and a real value; any other row raises :class:`AlgebraFormatError`,
@@ -484,28 +538,20 @@ class TripleForm:
         except OverflowError as exc:
             raise AlgebraFormatError(
                 "sparse entry index or value out of range") from exc
-        return cls._canonical(dim, index.reshape(-1, 3), values)
+        dim = _checked_dim(dim)
+        return cls._canonical(dim, *_canonical_entries(dim, index, values))
 
     @classmethod
     def _canonical(cls, dim: int, index, values) -> "TripleForm":
-        """A form on arrays of canonical entries: the entries themselves
-        above ``_DENSE_DIM_LIMIT``, else their packed rows in a fresh
-        64-byte-aligned matrix, written with no (n, n, n) array: entry
-        (a, b, c, v) puts v at row (a, b), column c, -v at row (a, c),
-        column b and v at row (b, c), column a."""
-        if _checked_dim(dim) > _DENSE_DIM_LIMIT:
-            return _Entries(dim, index, values)
-        index, values = _canonical_entries(dim, index, values)
-        packed = _aligned_empty((dim * (dim - 1) // 2, dim))
-        packed.fill(0.0)
-        a, b, c = index.T
-        # the row of the pair (i, j), i < j, in np.triu_indices order is
-        # i (2n - i - 3) / 2 - 1 + j
-        ra, rb = a * (2 * dim - a - 3) // 2 - 1, b * (2 * dim - b - 3) // 2 - 1
-        packed[ra + b, c] = values
-        packed[ra + c, b] = -values
-        packed[rb + c, a] = values
-        return _PackedRows(dim, packed)
+        """A form on canonical entries, checked, sorted and frozen as
+        :func:`_canonical_entries` gives them: of the dense kind when its
+        packed rows, n^2 (n-1)/2 floats, are at most
+        ``_SPARSE_CALL_FLOATS + _SPARSE_ENTRY_FLOATS * nnz``, else of the
+        sparse kind."""
+        floats = dim * dim * (dim - 1) // 2
+        if floats <= _SPARSE_CALL_FLOATS + _SPARSE_ENTRY_FLOATS * values.size:
+            return _PackedRows(dim, index, values)
+        return _Entries(dim, index, values, checked=True)
 
     # -- queries ------------------------------------------------------
 
@@ -610,28 +656,41 @@ class _PackedRows(TripleForm):
 
     kind = "dense"
 
-    def __init__(self, dim: int, packed: np.ndarray):
-        self.dim = _checked_dim(dim)
+    def __init__(self, dim: int, index, values):
+        # the one writer of packed rows: from canonical entries, as
+        # TripleForm._canonical takes them, into a fresh 64-byte-aligned
+        # matrix with no (n, n, n) array.  Entry (a, b, c, v) puts v at row
+        # (a, b), column c, -v at row (a, c), column b and v at row (b, c),
+        # column a; the entries themselves are not kept
+        self.dim = dim = _checked_dim(dim)
+        packed = _aligned_empty((dim * (dim - 1) // 2, dim))
+        packed.fill(0.0)
+        a, b, c = index.T
+        # the row of the pair (i, j), i < j, in np.triu_indices order is
+        # first[i] + j
+        first = np.arange(dim) * (2 * dim - np.arange(dim) - 3) // 2 - 1
+        packed[first[a] + b, c] = values
+        packed[first[a] + c, b] = -values
+        packed[first[b] + c, a] = values
         packed.setflags(write=False)
         self.dense = packed
         self._row_terms = max(1, packed.shape[0])
         # the index pairs i < j of the rows, in np.triu_indices order
         self._pairs = np.triu_indices(dim, 1)
-        # counted without reading the entries off the rows; from_dense()
-        # puts the largest |entry| of its whole array in place of _max_abs
-        self._nnz = int(np.count_nonzero(_canonical_slots(packed)))
-        self._max_abs = float(np.max(np.abs(packed), initial=0.0))
+        # from_dense() puts the largest |entry| of its whole array in place
+        # of _max_abs
+        self._nnz = int(values.size)
+        self._max_abs = float(np.max(np.abs(values), initial=0.0))
 
     @cached_property
     def _entries(self):
-        # the slots k > j of the rows (i, j) in np.triu_indices order come
-        # out sorted by (i, j, k), so they need no check or sort
+        # the nonzero slots k > j of the rows (i, j) in np.triu_indices
+        # order come out sorted by (i, j, k), so they need no check or sort
         iu, ju = self._pairs
-        p, k = np.nonzero(_canonical_slots(self.dense))
-        index, values = np.stack((iu[p], ju[p], k), axis=1), self.dense[p, k]
-        index.setflags(write=False)
-        values.setflags(write=False)
-        return index, values
+        p, k = np.nonzero((self.dense != 0.0)
+                          & (np.arange(self.dim) > ju[:, None]))
+        return _read_only(np.stack((iu[p], ju[p], k), axis=1),
+                          self.dense[p, k])
 
     def _kernel(self, X, Y) -> np.ndarray:
         iu, ju = self._pairs
@@ -660,9 +719,12 @@ class _Entries(TripleForm):
 
     kind = "sparse"
 
-    def __init__(self, dim: int, index, values):
+    def __init__(self, dim: int, index, values, checked: bool = False):
+        # checked: the entries come as _canonical_entries gives them
         self.dim = _checked_dim(dim)
-        self._entries = index, values = _canonical_entries(dim, index, values)
+        if not checked:
+            index, values = _canonical_entries(dim, index, values)
+        self._entries = index, values
         self._nnz = int(values.size)
         # the index columns i, j, k, each contiguous, which halves the time
         # of the gathers, and the output slot of each term: k, i, j
@@ -728,10 +790,7 @@ def _permutation_of(M: np.ndarray):
     rows, cols = np.nonzero(M)
     if not (np.array_equal(rows, np.arange(len(M))) and _is_permutation(cols)):
         return None
-    w = M[rows, cols]
-    cols.setflags(write=False)
-    w.setflags(write=False)
-    return cols, w
+    return _read_only(cols, M[rows, cols])
 
 
 def _checked_permutation(dim: int, value, name: str):
@@ -752,10 +811,7 @@ def _checked_permutation(dim: int, value, name: str):
     w = w.astype(float)
     if not np.all(np.isfinite(w)):
         raise AlgebraDataError(f"non-finite value in {name} weights")
-    cols = cols.astype(np.intp)
-    cols.setflags(write=False)
-    w.setflags(write=False)
-    return cols, w
+    return _read_only(cols.astype(np.intp), w)
 
 
 class _Matrix:

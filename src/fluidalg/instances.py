@@ -593,8 +593,9 @@ def build_torus_algebra(K: int, max_dim: int = 512):
     the metric as None (the identity) and the linking form as
     ``(cols, w)``, so no (dim, dim) array is built; ``linking`` and
     ``metric`` are materialized only when first read.
-    The triple form is dense at K = 1, its packed rows written straight
-    from the entries, which are assembled in closed form from the
+    At K = 1 the triple form is of the kind that the entries' rule picks
+    (:meth:`TripleForm.from_entries`), dense, its packed rows written
+    straight from the entries, which are assembled in closed form from the
     selection rule k1 +- k2 +- k3 = 0 and products of trigonometric
     integrals.  At K >= 2 it is of the spectral kind: contractions run by
     pruned DFTs on a (3K+1)^3 grid, and the closed-form entries are
@@ -612,17 +613,18 @@ def build_torus_algebra(K: int, max_dim: int = 512):
         )
     basis = TorusBasis(K)
 
-    # dense at K = 1 and spectral above, the faster kernel at each K: one
-    # contract_pair on one state took 24 us dense against 45-56 us
-    # spectral at K = 1 (dim 52), and 65-68 us spectral against 360-380 us
-    # sparse at K = 2 (dim 248); best of 7 timeit repeats, 2-core x86, one
-    # BLAS thread
+    def entries():
+        return _canonical_entries(dim, *_torus_entries(basis))
+
+    # the entries' kind (dense) at K = 1 and spectral above, the faster
+    # kernel at each K: one contract_pair on one state took 24 us dense
+    # against 45-56 us spectral at K = 1 (dim 52), and 65-68 us spectral
+    # against 360-380 us sparse at K = 2 (dim 248); best of 7 timeit
+    # repeats, 2-core x86, one BLAS thread
     if K == 1:
-        tf = TripleForm._canonical(dim, *_torus_entries(basis))
+        tf = TripleForm._canonical(dim, *entries())
     else:
-        tf = TripleForm.spectral(
-            dim, _SpectralContraction(basis),
-            lambda: _canonical_entries(dim, *_torus_entries(basis)))
+        tf = TripleForm.spectral(dim, _SpectralContraction(basis), entries)
     alg = FluidAlgebra(
         dim, tf, basis.linking(), None, meta={"kind": "torus", "K": K}
     )

@@ -79,6 +79,26 @@ def test_repeated_runs_byte_identical(tmp_path):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
+def test_a_saved_random_algebra_simulates_with_the_bits_of_the_instance(
+        tmp_path):
+    # the file holds the canonical entries, which are all that the random
+    # instance contracts, so the custom run writes the same trace
+    path = tmp_path / "random32.json"
+    save_algebra(random_algebra(4, 32), path)
+    traces = []
+    for instance in ({"name": "random", "seed": 4, "n": 32},
+                     {"name": "custom", "path": str(path)}):
+        cfg = write_config(tmp_path / "config.json", {
+            "instance": instance,
+            "initial_state": {"seed": 5, "norm": 1.0},
+            "integrator": {"method": "rk4", "dt": 0.25, "t_end": 25.0,
+                           "record_every": 1},
+        })
+        out = tmp_path / instance["name"]
+        assert main(["simulate", "--config", cfg, "--output", str(out)]) == 0
+        traces.append((out / "trace.csv").read_bytes())
+    assert traces[0] == traces[1]
+
 def test_summary_drifts_match_independent_reader(tmp_path):
     # recompute the drift fields from trace.csv with the csv module only
     cfg = write_config(

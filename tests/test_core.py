@@ -1,7 +1,9 @@
 """Core forms, validation, curl pair, and the algebra file format."""
 
 import fractions
+import itertools
 import json
+import math
 import reprlib
 import warnings
 
@@ -13,10 +15,12 @@ from fluidalg import (
     AlgebraFormatError,
     ConditioningWarning,
     FluidAlgebra,
+    LieAlgebraInput,
     TripleForm,
     build_torus_algebra,
     curl,
     energy,
+    from_lie_algebra,
     g_norm,
     helicity,
     inverse_curl,
@@ -31,6 +35,7 @@ from fluidalg import (
     validate,
 )
 from fluidalg import core
+from fluidalg.cli import RANDOM_MAX_N
 from fluidalg.core import _antisymmetrize, _canonical_entries
 from fluidalg.diagnostics import run_identity_suite
 
@@ -364,20 +369,22 @@ def test_a_dense_form_holds_its_packed_rows_alone(n):
 
 @pytest.mark.parametrize("n", [6, 32, 65, 128])
 def test_packed_rows_are_64_byte_aligned_with_the_bits_of_the_array(n):
+    # the rows are those of the array's canonical slots i < j < k alone,
+    # extended by antisymmetry: the other slots of an antisymmetrized
+    # array differ from them in their last bits, and are not read
     array = _antisymmetrize(make_rng(n).standard_normal((n, n, n)))
     pairs = np.triu_indices(n, 1)
-    forms = [(TripleForm.from_dense(array), array),
-             (TripleForm.from_dense(np.asfortranarray(array)), array)]
-    if n <= 64:
-        # the rows below the diagonal come from the entries, not the array
-        form = forms[0][0]
-        forms.append((
-            TripleForm.from_entries(n, [list(e) for e in form.entry_list()]),
-            TripleForm(n, form.index, form.values).to_dense()))
-    for form, dense in forms:
+    index = np.array(list(itertools.combinations(range(n), 3)))
+    canonical = TripleForm(n, index, array[tuple(index.T)]).to_dense()
+    assert not np.array_equal(canonical[pairs], array[pairs])
+    form = TripleForm.from_dense(array)
+    forms = [form, TripleForm.from_dense(np.asfortranarray(array)),
+             TripleForm.from_entries(n, [list(e) for e in form.entry_list()])]
+    for form in forms:
+        assert form.kind == "dense"
         assert form.dense.ctypes.data % 64 == 0
         assert not form.dense.flags.writeable
-        assert form.dense.tobytes() == dense[pairs].tobytes()
+        assert form.dense.tobytes() == canonical[pairs].tobytes()
 
 
 @pytest.mark.parametrize("build", [
@@ -400,6 +407,141 @@ def test_dense_entries_come_canonical_without_a_sort(build, monkeypatch):
     assert again[0].dtype == index.dtype and again[1].dtype == values.dtype
     assert again[0].tobytes() == index.tobytes()
     assert again[1].tobytes() == values.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# one set of entries and one rule for the kind
+
+
+def _so(m):
+    """so(m) by from_lie_algebra, in the basis E_ab = e_a e_b^T - e_b e_a^T
+    (a < b), in which the pairing -tr(XY)/2 is the identity."""
+    a, b = np.triu_indices(m, 1)
+    E = np.zeros((a.size, m, m))
+    E[np.arange(a.size), a, b], E[np.arange(a.size), b, a] = 1.0, -1.0
+    # [E_r, E_s] = sum_t c[r, s, t] E_t, read off at the slots (a_t, b_t)
+    c = (E[:, None] @ E[None] - E[None] @ E[:, None])[..., a, b]
+    return from_lie_algebra(LieAlgebraInput(c, np.eye(a.size),
+                                            np.eye(a.size)))
+
+
+def test_a_zero_entry_is_no_entry_in_any_kind():
+    rows = [[0, 1, 2, 0.0], [0, 1, 3, 1.5], [1, 2, 3, -0.0]]
+    index, values = [r[:3] for r in rows], [r[3] for r in rows]
+    forms = [TripleForm.from_entries(4, rows), TripleForm(4, index, values)]
+    assert [form.kind for form in forms] == ["dense", "sparse"]
+    for form in forms:
+        assert form.nnz == 1
+        assert form.entry_list() == [(0, 1, 3, 1.5)]
+    assert forms[0].to_dense().tobytes() == forms[1].to_dense().tobytes()
+
+
+@pytest.mark.parametrize("n", [32, 100])
+def test_a_reloaded_random_algebra_is_dense_with_the_bits_in_memory(tmp_path,
+                                                                   n):
+    alg = random_algebra(0, n)
+    save_algebra(alg, tmp_path / "alg.json")
+    again = load_algebra(tmp_path / "alg.json")
+    assert alg.triple.kind == again.triple.kind == "dense"
+    assert again.triple.dense.tobytes() == alg.triple.dense.tobytes()
+    X, Y = make_rng(n).standard_normal((2, 7, n))
+    for form in (alg.triple, again.triple):
+        assert np.array_equal(form.contract_pair(X[0], Y[0]),
+                              alg.triple.contract_pair(X[0], Y[0]))
+        assert np.array_equal(form.contract_pair(X, Y),
+                              alg.triple.contract_pair(X, Y))
+
+
+def test_from_dense_contracts_the_form_that_to_dense_gives():
+    # A[0, 1, 1] is no canonical slot: the form is zero, and the array's
+    # defect and largest entry are still measured and reported
+    A = np.zeros((3, 3, 3))
+    A[0, 1, 1] = 1.0
+    alg = FluidAlgebra(3, A, np.eye(3), np.eye(3))
+    form = alg.triple
+    e = np.eye(3)
+    assert not form.to_dense().any()
+    assert np.array_equal(form.contract_pair(e[0], e[1]), np.zeros(3))
+    assert form.nnz == 0 and form.max_abs() == 1.0
+    check = validate(alg).checks[0]
+    assert check.name == "triple-antisymmetry" and not check.passed
+    assert check.defect == form._defect == 1.0
+
+
+@pytest.mark.parametrize("build, kind", [
+    (lambda: random_algebra(7, 32), "dense"),
+    (lambda: _so(12), "sparse"),
+], ids=["random-n32", "so12"])
+def test_from_dense_checks_and_sorts_no_slot_again(build, kind, monkeypatch):
+    # the slots come canonical and sorted from the array's C order
+    def refuse(*args):
+        raise AssertionError("the entries were checked and sorted again")
+
+    monkeypatch.setattr(core, "_canonical_entries", refuse)
+    form = build().triple
+    assert form.kind == kind
+    monkeypatch.undo()
+    again = _canonical_entries(form.dim, form.index, form.values)
+    assert again[0].tobytes() == form.index.tobytes()
+    assert again[1].tobytes() == form.values.tobytes()
+
+
+def _kinds(n, nnz, monkeypatch):
+    # the kind that the rule picks for nnz entries at n, with no form built
+    monkeypatch.setattr(core, "_PackedRows", lambda *args: "dense")
+    monkeypatch.setattr(core, "_Entries", lambda *args, **kw: "sparse")
+    return TripleForm._canonical(n, None, np.broadcast_to(1.0, (nnz,)))
+
+
+def test_a_random_algebra_is_dense_up_to_the_cli_cap(monkeypatch):
+    assert {_kinds(n, math.comb(n, 3), monkeypatch)
+            for n in range(1, RANDOM_MAX_N + 1)} == {"dense"}
+
+
+@pytest.mark.parametrize("n", [3, 65, 100])
+def test_a_random_algebra_is_dense_by_either_constructor(n):
+    form = random_algebra(n, n).triple
+    again = TripleForm.from_entries(n, [list(e) for e in form.entry_list()])
+    assert form.kind == again.kind == "dense"
+    assert again.dense.tobytes() == form.dense.tobytes()
+
+
+def test_the_torus_k1_is_dense_and_its_k2_entries_sparse():
+    k1 = build_torus_algebra(1)[0].triple
+    assert k1.kind == "dense"
+    assert 146 < 52 * 52 * 51 / 2 / k1.nnz < 147
+    k2 = build_torus_algebra(2)[0].triple
+    entries = TripleForm.from_entries(248, [list(e) for e in k2.entry_list()])
+    assert entries.kind == "sparse"
+    assert 585 < 248 * 248 * 247 / 2 / entries.nnz < 586
+
+
+@pytest.mark.parametrize("m, kind", [(5, "dense"), (8, "dense"),
+                                     (12, "sparse"), (14, "sparse")])
+def test_so_n_is_sparse_past_the_crossover(m, kind):
+    alg = _so(m)
+    form = alg.triple
+    assert form.kind == kind
+    assert form.nnz == math.comb(m, 3)
+    assert validate(alg).passed
+    X, Y = make_rng(m).standard_normal((2, alg.dim))
+    expected = np.einsum("ijk,i,j->k", form.to_dense(), X, Y)
+    assert np.max(np.abs(form.contract_pair(X, Y) - expected)) <= 1e-13 * (
+        np.linalg.norm(X) * np.linalg.norm(Y))
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("build", [
+    lambda n: TripleForm.from_dense(np.zeros((n, n, n))),
+    lambda n: TripleForm.from_entries(n, []),
+    lambda n: TripleForm(n, np.zeros((0, 3), int), []),
+], ids=["from_dense", "from_entries", "sparse"])
+def test_a_form_with_no_entry_builds_and_contracts_to_zeros(build, n):
+    form = build(n)
+    assert form.nnz == 0 and form.max_abs() == 0.0
+    X, Y = make_rng(n).standard_normal((2, 3, n))
+    assert np.array_equal(form.contract_pair(X[0], Y[0]), np.zeros(n))
+    assert np.array_equal(form.contract_pair(X, Y), np.zeros((3, n)))
 
 
 @pytest.mark.parametrize("n", [6, 32, "torus-k1"])

@@ -2,9 +2,15 @@
 
     PYTHONPATH=src python3 tools/kernel_times.py [--repeat 7] [--pool 20]
 
-For each algebra below it prints, as one Markdown table, the microseconds
-of ``TripleForm.contract_pair`` on one state and the microseconds per row
-on a 50-row block, the identity suite's block.  Each figure is the best
+For each algebra below it prints, as one Markdown table, the packed
+floats n^2 (n-1)/2 per canonical entry, which with n picks the kind of a
+form given by its entries (``core._SPARSE_ENTRY_FLOATS``), the
+microseconds of ``TripleForm.contract_pair`` on one state and the
+microseconds per row on a 50-row block, the identity suite's block.  The
+rows on either side of that rule are forms that it makes dense (random
+n=100 built from its entries, the K=1 torus) and sparse (so(12), built
+by ``from_lie_algebra``), and the entries of the K=1 and K=2 tori built
+sparse for comparison.  Each figure is the best
 of ``--repeat`` passes over a pool of ``--pool`` distinct pairs, so that
 no pass reruns one cache-hot pair and a spectral form always misses its
 memo.  It checks nothing and has no thresholds.  Set-up (building the
@@ -23,8 +29,10 @@ import time  # noqa: E402
 import numpy as np  # noqa: E402
 
 from fluidalg import (  # noqa: E402
+    LieAlgebraInput,
     TripleForm,
     build_torus_algebra,
+    from_lie_algebra,
     make_rng,
     random_algebra,
     rigid_body,
@@ -38,11 +46,31 @@ def _sparse_torus(K: int) -> TripleForm:
     return TripleForm(form.dim, form.index, form.values)
 
 
+def _from_entries(form: TripleForm) -> TripleForm:
+    return TripleForm.from_entries(form.dim,
+                                   [list(e) for e in form.entry_list()])
+
+
+def _so(m: int) -> TripleForm:
+    # so(m) in the basis E_ab = e_a e_b^T - e_b e_a^T (a < b), whose
+    # pairing -tr(XY)/2 is the identity: C(m, 3) entries, each +-1
+    a, b = np.triu_indices(m, 1)
+    E = np.zeros((a.size, m, m))
+    E[np.arange(a.size), a, b], E[np.arange(a.size), b, a] = 1.0, -1.0
+    c = (E[:, None] @ E[None] - E[None] @ E[:, None])[..., a, b]
+    identity = np.eye(a.size)
+    return from_lie_algebra(LieAlgebraInput(c, identity, identity)).triple
+
+
 # name -> builder of the triple form
 FORMS = {
     "rigid body, n=3": lambda: rigid_body(1.0, 2.0, 3.0).triple,
     "random(7), n=32": lambda: random_algebra(7, 32).triple,
+    "random(0) entries, n=100": lambda: _from_entries(
+        random_algebra(0, 100).triple),
     "torus K=1, n=52": lambda: build_torus_algebra(1)[0].triple,
+    "torus K=1 entries, n=52": lambda: _sparse_torus(1),
+    "so(12), n=66": lambda: _so(12),
     "torus K=2 entries, n=248": lambda: _sparse_torus(2),
     "torus K=2, n=248": lambda: build_torus_algebra(2)[0].triple,
     "torus K=3, n=684": lambda: build_torus_algebra(3, max_dim=684)[0].triple,
@@ -70,15 +98,18 @@ def main(argv=None) -> None:
     if args.repeat < 1 or args.pool < 1:
         parser.error("--repeat and --pool must be at least 1")
     rng = make_rng(0)
-    print("| form | kind | one state (µs) | 50-row block (µs/row) |")
-    print("|---|---|---:|---:|")
+    print("| form | floats/entry | kind | one state (µs) "
+          "| 50-row block (µs/row) |")
+    print("|---|---:|---|---:|---:|")
     for name, build in FORMS.items():
         form = build()
         states = rng.standard_normal((args.pool, 2, form.dim))
         blocks = rng.standard_normal((args.pool, 2, BLOCK_ROWS, form.dim))
         single = best_us(form.contract_pair, states, args.repeat)
         block = best_us(form.contract_pair, blocks, args.repeat) / BLOCK_ROWS
-        print(f"| {name} | {form.kind} | {single:.1f} | {block:.2f} |")
+        ratio = form.dim ** 2 * (form.dim - 1) / 2 / max(form.nnz, 1)
+        print(f"| {name} | {ratio:.0f} | {form.kind} | {single:.1f} "
+              f"| {block:.2f} |")
 
 
 if __name__ == "__main__":
