@@ -67,7 +67,9 @@ EXIT_CONFIG = 1
 EXIT_NUMERICAL = 2
 EXIT_VALIDATION = 3
 
-# The random instance holds two n^3 arrays at once: 128 MiB each at this n.
+# Building the random instance peaks at about 2.2 n^3 floats: its n^3 draw,
+# 128 MiB at this n, beside the (i, j, k) index of its C(n, 3) canonical
+# slots.  Measured at this n: 277 MiB by tracemalloc, a 315 MB process.
 RANDOM_MAX_N = 256
 
 # Objects and arrays a config may nest, counting the config itself.  The

@@ -390,19 +390,22 @@ def _canonical_entries(dim: int, index, values):
     return _read_only(index[nonzero], values[nonzero])
 
 
-def _canonical_slots(array: np.ndarray):
-    """The nonzero slots i < j < k of a cubic array as canonical entries,
-    frozen, sorted by (i, j, k) as they are read, so that they need no
-    check or sort: for each i, the last (n-1-i)(n-2-i)/2 pairs j < k of
-    ``np.triu_indices``, those with j > i."""
+def _canonical_slots(array: np.ndarray, read=np.ndarray.__getitem__):
+    """The nonzero values ``read(array, (i, j, k))`` at the slots
+    i < j < k of a cubic array, ``array[i, j, k]`` by default, as
+    canonical entries, frozen, sorted by (i, j, k) as they are read, so
+    that they need no check or sort: for each i, the last
+    (n-1-i)(n-2-i)/2 pairs j < k of ``np.triu_indices``, those with
+    j > i."""
     dim = _checked_dim(len(array))
     ju, ku = np.triu_indices(dim, 1)
     counts = np.arange(dim - 1, -1, -1) * np.arange(dim - 2, -2, -1) // 2
     ends = np.cumsum(counts)
     p = np.arange(ends[-1]) + np.repeat(ju.size - ends, counts)
     index = np.stack((np.repeat(np.arange(dim), counts), ju[p], ku[p]), axis=1)
-    values = array[tuple(index.T)]
-    nonzero = values != 0.0
+    values = read(array, tuple(index.T))
+    # views, not copies, when no slot is zero, as in a random draw
+    nonzero = slice(None) if values.all() else values != 0.0
     return _read_only(index[nonzero], values[nonzero])
 
 
@@ -1138,7 +1141,9 @@ class ValidationReport(_Record):
 
 
 def _antisymmetrize(A: np.ndarray, rows=slice(None)) -> np.ndarray:
-    """Full antisymmetrization (signed sum over the 6 orders / 6) at rows."""
+    """Full antisymmetrization (signed sum over the 6 orders / 6) at rows:
+    an index of the first axis, or a tuple of three index arrays for the
+    values at those slots alone."""
     return (
         A[rows]
         + A.transpose(1, 2, 0)[rows]

@@ -37,6 +37,7 @@ from .core import (
     _aligned_empty,
     _antisymmetrize,
     _canonical_entries,
+    _canonical_slots,
     _is_index,
     _number,
     validate,
@@ -135,8 +136,10 @@ def from_lie_algebra(spec: LieAlgebraInput, meta=None) -> FluidAlgebra:
         raise AlgebraValidationError(
             f"pairing not symmetric: defect {sym:.3e}"
         )
-    # invariance: P([e_i,e_j], e_k) + P(e_j, [e_i,e_k]) = 0
-    inv = np.einsum("ijm,mk->ijk", c, P) + np.einsum("ikm,jm->ijk", c, P)
+    # invariance: P([e_i,e_j], e_k) + P(e_j, [e_i,e_k]) = 0, whose first
+    # term is the triple tensor
+    T = np.einsum("ijm,mk->ijk", c, P)
+    inv = T + np.einsum("ikm,jm->ijk", c, P)
     worst = float(np.max(np.abs(inv)))
     if worst > LIE_INPUT_TOL * scale:
         i, j, k = np.unravel_index(np.argmax(np.abs(inv)), inv.shape)
@@ -144,7 +147,6 @@ def from_lie_algebra(spec: LieAlgebraInput, meta=None) -> FluidAlgebra:
             f"pairing is not invariant: worst basis triple "
             f"({i}, {j}, {k}) with defect {worst:.3e}"
         )
-    T = np.einsum("ijm,mk->ijk", c, P)
     base_meta = {"kind": "lie"}
     if meta:
         base_meta.update(meta)
@@ -658,8 +660,10 @@ class GenerationError(RuntimeError):
 def random_algebra(seed: int, n: int) -> FluidAlgebra:
     """Deterministic random fluid algebra, a pure function of (seed, n).
 
-    * triple tensor: full antisymmetrization of an (n, n, n) array of
-      standard normals (identically zero for n < 3),
+    * triple form: the full antisymmetrization of an (n, n, n) array of
+      standard normals, evaluated at the canonical slots i < j < k alone
+      and built from those entries, as a saved file's are (no entries for
+      n < 3),
     * metric: A^T A + n I for standard-normal A (comfortably posdef),
     * linking: (B + B^T)/2 for standard-normal B, resampled from a freshly
       spawned seed until min |eigenvalue| >= 0.1 (bounded retries).
@@ -683,7 +687,8 @@ def random_algebra(seed: int, n: int) -> FluidAlgebra:
             f"retries (seed={seed}, n={n})"
         )
     rng = make_rng(ss)
-    T = _antisymmetrize(rng.standard_normal((n, n, n)))
+    T = TripleForm._canonical(
+        n, *_canonical_slots(rng.standard_normal((n, n, n)), _antisymmetrize))
     A = rng.standard_normal((n, n))
     G = A.T @ A + n * np.eye(n)
     return FluidAlgebra(

@@ -99,6 +99,23 @@ def test_a_saved_random_algebra_simulates_with_the_bits_of_the_instance(
         traces.append((out / "trace.csv").read_bytes())
     assert traces[0] == traces[1]
 
+
+def test_a_saved_random_algebra_diagnoses_with_the_bits_of_the_instance(
+        tmp_path):
+    path = tmp_path / "random32.json"
+    save_algebra(random_algebra(0, 32), path)
+    payloads = []
+    for instance in ({"name": "random", "seed": 0, "n": 32},
+                     {"name": "custom", "path": str(path)}):
+        cfg = write_config(tmp_path / "config.json", {"instance": instance})
+        out = tmp_path / instance["name"]
+        assert main(["diagnose", "--config", cfg, "--output", str(out)]) == 0
+        payload = json.loads((out / "diagnostics.json").read_text())
+        del payload["instance"], payload["algebra"]["kind"]
+        payloads.append(payload)
+    assert payloads[0] == payloads[1]
+
+
 def test_summary_drifts_match_independent_reader(tmp_path):
     # recompute the drift fields from trace.csv with the csv module only
     cfg = write_config(

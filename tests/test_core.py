@@ -344,13 +344,23 @@ def test_packed_rows_of_a_dense_array_are_those_of_the_entries(tmp_path,
 
 # (seed, n): seeds 3, 9, 21 and 22 hold their largest |entry| at i > j only,
 # where the rounding of the antisymmetrization leaves it apart from the
-# packed rows
-@pytest.mark.parametrize("seed, n", [(0, 6), (3, 6), (9, 6), (0, 32),
-                                     (21, 32), (22, 32)])
+# canonical slots
+MAX_ABS_CASES = [(0, 6), (3, 6), (9, 6), (0, 32), (21, 32), (22, 32)]
+
+
+@pytest.mark.parametrize("seed, n", MAX_ABS_CASES)
 def test_max_abs_is_that_of_the_whole_array(seed, n):
     array = _antisymmetrize(
         make_rng(np.random.SeedSequence(seed)).standard_normal((n, n, n)))
-    assert random_algebra(seed, n).triple.max_abs() == np.max(np.abs(array))
+    form = TripleForm.from_dense(array)
+    assert form.max_abs() == np.max(np.abs(array))
+
+
+@pytest.mark.parametrize("seed, n", MAX_ABS_CASES)
+def test_a_random_form_has_the_max_abs_of_its_entries(seed, n):
+    # built from its entries, as its saved file is, so its size is theirs
+    form = random_algebra(seed, n).triple
+    assert form.max_abs() == np.max(np.abs(form.to_dense()))
 
 
 @pytest.mark.parametrize("n", [32, 65, 128])
@@ -450,6 +460,19 @@ def test_a_reloaded_random_algebra_is_dense_with_the_bits_in_memory(tmp_path,
                               alg.triple.contract_pair(X[0], Y[0]))
         assert np.array_equal(form.contract_pair(X, Y),
                               alg.triple.contract_pair(X, Y))
+
+
+def test_a_reloaded_random_algebra_reports_the_defects_of_the_instance(
+        tmp_path):
+    # the suite scales its defects by max_abs(), which is that of the
+    # entries the file holds
+    alg = random_algebra(0, 32)
+    save_algebra(alg, tmp_path / "alg.json")
+    again = load_algebra(tmp_path / "alg.json")
+    assert again.triple.max_abs() == alg.triple.max_abs()
+    reports = [run_identity_suite(a, num_states=20, num_triples=5).to_dict()
+               for a in (alg, again)]
+    assert reports[0]["identities"] == reports[1]["identities"]
 
 
 def test_from_dense_contracts_the_form_that_to_dense_gives():

@@ -1,5 +1,7 @@
 """Lie-algebra constructors, the rigid-body family, random algebras."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from fluidalg import (
     AlgebraValidationError,
     GenerationError,
     LieAlgebraInput,
+    TripleForm,
     build_torus_algebra,
     euler_rhs,
     from_lie_algebra,
@@ -16,6 +19,7 @@ from fluidalg import (
     so3,
     validate,
 )
+from fluidalg.core import _antisymmetrize
 from fluidalg.instances import LEVI_CIVITA, _RANDOM_LINKING_MIN_EIG
 
 
@@ -120,6 +124,45 @@ def test_random_algebra_validates():
 def test_small_n_has_zero_triple():
     assert random_algebra(0, 1).triple.nnz == 0
     assert random_algebra(0, 2).triple.nnz == 0
+
+
+@pytest.mark.parametrize("seed", [0, 1, 5])
+@pytest.mark.parametrize("n", [1, 2])
+def test_a_form_without_entries_has_no_size_and_no_defect(seed, n):
+    # the draw's antisymmetrization is rounding residue alone at n < 3,
+    # and the form reads none of it
+    alg = random_algebra(seed, n)
+    assert alg.triple.max_abs() == 0.0
+    check = validate(alg).checks[0]
+    assert check.name == "triple-antisymmetry"
+    assert check.defect == 0.0
+
+
+@pytest.mark.parametrize("n", [3, 32, 65, 100])
+def test_random_entries_are_those_of_the_antisymmetrized_draw(n):
+    # the triple form's draw is the first on the stream of SeedSequence(n)
+    draw = make_rng(np.random.SeedSequence(n)).standard_normal((n, n, n))
+    form = random_algebra(n, n).triple
+    whole = TripleForm.from_dense(_antisymmetrize(draw))
+    assert form.kind == whole.kind == "dense"
+    assert form.index.tobytes() == whole.index.tobytes()
+    assert form.values.tobytes() == whole.values.tobytes()
+    assert form.dense.tobytes() == whole.dense.tobytes()
+
+
+def test_random_algebra_holds_no_antisymmetrized_cube():
+    # the peak, 2.16 n^3 floats, is the draw beside the (i, j, k) index of
+    # its C(n, 3) canonical slots; the antisymmetrization of the whole draw
+    # beside it reads 2.53
+    n = 100
+    random_algebra(0, 3)  # one-time allocations of the first call
+    tracemalloc.start()
+    try:
+        random_algebra(0, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.35 * 8 * n ** 3
 
 
 def test_random_linking_eigenvalue_floor():

@@ -8,12 +8,12 @@ form given by its entries (``core._SPARSE_ENTRY_FLOATS``), the
 microseconds of ``TripleForm.contract_pair`` on one state and the
 microseconds per row on a 50-row block, the identity suite's block.  The
 rows on either side of that rule are forms that it makes dense (random
-n=100 built from its entries, the K=1 torus) and sparse (so(12), built
-by ``from_lie_algebra``), and the entries of the K=1 and K=2 tori built
-sparse for comparison.  Each figure is the best
-of ``--repeat`` passes over a pool of ``--pool`` distinct pairs, so that
-no pass reruns one cache-hot pair and a spectral form always misses its
-memo.  It checks nothing and has no thresholds.  Set-up (building the
+n=100, which ``random_algebra`` builds from its entries as a saved file
+is, the K=1 torus) and sparse (so(12), built by ``from_lie_algebra``),
+and the entries of the K=1 and K=2 tori built sparse for comparison.
+Each figure is the best of ``--repeat`` passes over a pool of ``--pool``
+distinct pairs, so that no pass reruns one cache-hot pair and a spectral
+form always misses its memo.  It checks nothing and has no thresholds.  Set-up (building the
 algebras, the sparse form's entries among them) is not timed.  BLAS runs
 on one thread, as in the benchmark.
 """
@@ -46,11 +46,6 @@ def _sparse_torus(K: int) -> TripleForm:
     return TripleForm(form.dim, form.index, form.values)
 
 
-def _from_entries(form: TripleForm) -> TripleForm:
-    return TripleForm.from_entries(form.dim,
-                                   [list(e) for e in form.entry_list()])
-
-
 def _so(m: int) -> TripleForm:
     # so(m) in the basis E_ab = e_a e_b^T - e_b e_a^T (a < b), whose
     # pairing -tr(XY)/2 is the identity: C(m, 3) entries, each +-1
@@ -66,8 +61,7 @@ def _so(m: int) -> TripleForm:
 FORMS = {
     "rigid body, n=3": lambda: rigid_body(1.0, 2.0, 3.0).triple,
     "random(7), n=32": lambda: random_algebra(7, 32).triple,
-    "random(0) entries, n=100": lambda: _from_entries(
-        random_algebra(0, 100).triple),
+    "random(0), n=100": lambda: random_algebra(0, 100).triple,
     "torus K=1, n=52": lambda: build_torus_algebra(1)[0].triple,
     "torus K=1 entries, n=52": lambda: _sparse_torus(1),
     "so(12), n=66": lambda: _so(12),
