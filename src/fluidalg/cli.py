@@ -24,7 +24,6 @@ CI reruns.
 from __future__ import annotations
 
 import argparse
-import inspect
 import json
 import math
 import os
@@ -49,6 +48,7 @@ from .core import (
 )
 from .diagnostics import run_identity_suite
 from .instances import (
+    TORUS_MAX_DIM,
     GenerationError,
     beltrami_state,
     build_torus_algebra,
@@ -80,7 +80,7 @@ MAX_CONFIG_DEPTH = 32
 INSTANCE_SCHEMAS = [
     ("rigid-body", "moments: [I1, I2, I3], all > 0"),
     ("so3", "no parameters"),
-    ("torus", "K: int >= 1; max_dim: int (default {max_dim})"),
+    ("torus", f"K: int >= 1; max_dim: int (default {TORUS_MAX_DIM})"),
     ("random", f"seed: int; n: int, 1 <= n <= {RANDOM_MAX_N}"),
     ("custom", "path: JSON algebra file (dim/triple/linking/metric)"),
 ]
@@ -498,10 +498,9 @@ def cmd_diagnose(args) -> int:
 
 
 def cmd_instances(_args) -> int:
-    cap = inspect.signature(build_torus_algebra).parameters["max_dim"].default
     print("built-in instances:")
     for name, schema in INSTANCE_SCHEMAS:
-        print(f"  {name:12s} {schema.format(max_dim=cap)}")
+        print(f"  {name:12s} {schema}")
     return EXIT_OK
 
 

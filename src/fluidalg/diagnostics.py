@@ -171,7 +171,7 @@ def run_identity_suite(alg: FluidAlgebra, num_states: int = 20,
         # np.maximum, unlike Python's max, keeps a NaN defect
         ratio = defect / np.maximum(scale, _FLOOR)
         if ratio.size:
-            worst[name] = np.maximum(worst[name], np.max(ratio))
+            worst[name] = np.maximum(worst[name], ratio.max())
 
     # The states are drawn a block at a time, one block ahead, so the
     # memory they take does not grow with the sample: the generator fills

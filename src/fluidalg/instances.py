@@ -63,6 +63,10 @@ __all__ = [
 _RANDOM_LINKING_MIN_EIG = 0.1
 _RANDOM_LINKING_RETRIES = 16
 
+# The default cap on the torus dimension: K = 2 (248) builds, K = 3 (684)
+# needs a larger max_dim.
+TORUS_MAX_DIM = 512
+
 # Relative tolerance of from_lie_algebra's checks of its input: the (i, j)
 # antisymmetry of the structure constants, the symmetry of the pairing and
 # its invariance.
@@ -439,8 +443,10 @@ class _SpectralContraction:
     gathered in cyclic order (``_NEXT``, ``_PREV``), made in place in the
     two gathers of Y's field: the products and differences of each
     component in turn, bit for bit.  A loop over the components would run
-    each ufunc over strided inner loops only N long.  X and Y of any real
-    dtype are contracted as their float64 values.
+    each ufunc over strided inner loops only N long.  Likewise the
+    synthesis weighs both polarizations in place in its gather of the
+    states' slots, in one product, and adds them in one sum.  X and Y of
+    any real dtype are contracted as their float64 values.
 
     A probe step contracts each stage's velocity twice, as
     ``(V, D V)`` and ``(V, D Z)``, so the operator remembers the grid field
@@ -568,14 +574,10 @@ class _SpectralContraction:
         fields = S.shape[:-1]
         Z = S.take(self._gather, axis=-1)
         Z = Z.reshape(fields + self._synthesis.shape)
-        a, b = self._synthesis
-        # in place, the second product in the gather: the bits of
-        # a Z_0 + b Z_1
-        cube = a * Z[..., 0, :]
-        Z1 = Z[..., 1, :]
-        Z1 *= b
-        cube += Z1
-        cube = cube.view(complex)
+        # both products in place in the gather, then one sum: the bits of
+        # a Z_0 + b Z_1, with (a, b) the synthesis weights
+        Z *= self._synthesis
+        cube = (Z[..., 0, :] + Z[..., 1, :]).view(complex)
         # [field, *row, kx, ky, (component, kz)]: y, then x, then z
         F = self._to_grid @ cube.reshape(fields + (side, side, 3 * half))
         F = self._to_grid @ F.reshape(fields + (side, n * 3 * half))
@@ -583,7 +585,7 @@ class _SpectralContraction:
         return F.reshape(fields + (n * n, 3, n))
 
 
-def build_torus_algebra(K: int, max_dim: int = 512):
+def build_torus_algebra(K: int, max_dim: int = TORUS_MAX_DIM):
     """Galerkin truncation of the torus fluid algebra at |k|_inf <= K.
 
     Returns ``(algebra, basis)``, with ``basis`` the

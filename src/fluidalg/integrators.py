@@ -162,7 +162,7 @@ _quiet = np.errstate(all="ignore")
 
 
 def _check_finite(X: np.ndarray, label: str, t: float) -> None:
-    if not np.all(np.isfinite(X)):
+    if not np.isfinite(X).all():
         raise NumericalFailure(f"non-finite value in {label} at t={t!r}", t)
 
 
@@ -203,13 +203,17 @@ def _rk4(alg: FluidAlgebra, X, X_lo, dt: float, t0: float,
     k2 = _rhs(alg, X + 0.5 * dt * k1, probe, "stage 2", t0)
     k3 = _rhs(alg, X + 0.5 * dt * k2, probe, "stage 3", t0)
     k4 = _rhs(alg, X + dt * k3, probe, "stage 4", t0)
-    X1, X1_lo = two_sum(X, (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-                        + X_lo)
+    # in place in the sum and in k3 (each _rhs gives a fresh array): the
+    # bits of (dt / 6) * (k1 + 2 k2 + 2 k3 + k4) + X_lo
+    dX = k1 + 2.0 * k2
+    dX += np.multiply(k3, 2.0, out=k3)
+    dX += k4
+    dX *= dt / 6.0
+    dX += X_lo
+    X1, X1_lo = two_sum(X, dX)
+    _check_finite(X1[0] if probe else X1, "step result", t0 + dt)
     if probe:
-        _check_finite(X1[0], "step result", t0 + dt)
         _check_finite(X1[1], "probe step result", t0 + dt)
-    else:
-        _check_finite(X1, "step result", t0 + dt)
     return X1, X1_lo
 
 

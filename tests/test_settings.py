@@ -23,6 +23,7 @@ from fluidalg import (
     so3,
 )
 from fluidalg.cli import main
+from fluidalg.instances import TORUS_MAX_DIM
 from fluidalg.integrators import integrate
 
 _SO3 = {"name": "so3"}
@@ -246,5 +247,13 @@ def test_the_echo_reads_the_patched_default(tmp_path, capsys, monkeypatch):
     assert captured.err.startswith("config error: torus truncation K=2 ")
     assert captured.err.endswith(" above the cap 52; raise max_dim to "
                                  "build it anyway\n")
+
+
+def test_instances_print_the_torus_default(capsys):
+    # the torus cap is named once: the default of build_torus_algebra is
+    # the constant that the listing prints
+    default = inspect.signature(build_torus_algebra).parameters["max_dim"]
+    assert default.default is TORUS_MAX_DIM
     assert main(["instances"]) == 0
-    assert "max_dim: int (default 52)" in capsys.readouterr().out
+    assert (f"max_dim: int (default {TORUS_MAX_DIM})\n"
+            in capsys.readouterr().out)

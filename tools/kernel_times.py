@@ -1,4 +1,5 @@
-"""Time the pair contraction of each storage kind of the triple form.
+"""Time the pair contraction of each storage kind of the triple form, and
+one RK4 step, plain and with a probe.
 
     PYTHONPATH=src python3 tools/kernel_times.py [--repeat 7] [--pool 20]
 
@@ -13,9 +14,12 @@ is, the K=1 torus) and sparse (so(12), built by ``from_lie_algebra``),
 and the entries of the K=1 and K=2 tori built sparse for comparison.
 Each figure is the best of ``--repeat`` passes over a pool of ``--pool``
 distinct pairs, so that no pass reruns one cache-hot pair and a spectral
-form always misses its memo.  It checks nothing and has no thresholds.  Set-up (building the
-algebras, the sparse form's entries among them) is not timed.  BLAS runs
-on one thread, as in the benchmark.
+form always misses its memo.  A second table gives the microseconds of
+one step, ``rk4_step`` and ``co_evolve_probe`` (dt 1e-3), on random n=32
+and the K=3 torus, the best of ``--repeat`` passes over ``--pool``
+distinct (state, probe) pairs.  It checks nothing and has no thresholds.
+Set-up (building the algebras, the sparse form's entries among them) is
+not timed.  BLAS runs on one thread, as in the benchmark.
 """
 
 import os
@@ -32,10 +36,12 @@ from fluidalg import (  # noqa: E402
     LieAlgebraInput,
     TripleForm,
     build_torus_algebra,
+    co_evolve_probe,
     from_lie_algebra,
     make_rng,
     random_algebra,
     rigid_body,
+    rk4_step,
 )
 
 BLOCK_ROWS = 50
@@ -71,6 +77,14 @@ FORMS = {
 }
 
 
+# name -> builder of the algebra whose RK4 step is timed
+STEPS = {
+    "random(7), n=32": lambda: random_algebra(7, 32),
+    "torus K=3, n=684": lambda: build_torus_algebra(3, max_dim=684)[0],
+}
+STEP_DT = 1e-3
+
+
 def best_us(contract, pool, repeat: int) -> float:
     """The fastest pass over the pool, in microseconds per pair."""
     best = float("inf")
@@ -104,6 +118,17 @@ def main(argv=None) -> None:
         ratio = form.dim ** 2 * (form.dim - 1) / 2 / max(form.nnz, 1)
         print(f"| {name} | {ratio:.0f} | {form.kind} | {single:.1f} "
               f"| {block:.2f} |")
+    print()
+    print("| algebra | rk4_step (µs) | co_evolve_probe (µs) |")
+    print("|---|---:|---:|")
+    for name, build in STEPS.items():
+        alg = build()
+        pool = rng.standard_normal((args.pool, 2, alg.dim))
+        plain = best_us(lambda X, Z: rk4_step(alg, X, STEP_DT), pool,
+                        args.repeat)
+        probe = best_us(lambda X, Z: co_evolve_probe(alg, X, Z, STEP_DT),
+                        pool, args.repeat)
+        print(f"| {name} | {plain:.1f} | {probe:.1f} |")
 
 
 if __name__ == "__main__":
