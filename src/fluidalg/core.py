@@ -83,12 +83,11 @@ per row and column, a matrix is the weighted permutation
 its own float64 gather, and solved as ``x[cols] = rhs / w``, one
 correctly rounded division per entry; with ``cols = range(n)`` it is a
 diagonal, applied as ``w * X`` and solved as ``rhs / w`` in O(n).  The
-identity, a diagonal of weights 1.0, skips the products by 1.0, which
-round nothing: it applies as ``X + 0.0`` and solves as a float64 copy of
-``rhs``, the bits of ``rhs / 1.0``.  For finite inputs the products give
-the bits of the dense ``M @ X``, and the identity's solve is the product
-with the inverse of ``I`` for an ``rhs`` without ``-0.0``, as the
-package passes it.
+identity, a diagonal of weights 1.0, solves as a float64 copy of
+``rhs``, the bits of ``rhs / 1.0``, with no division.  For finite inputs
+the products give the bits of the dense ``M @ X``, and the identity's
+solve is the product with the inverse of ``I`` for an ``rhs`` without
+``-0.0``, as the package passes it.
 An algebra given its permutations stores no (n, n) array until
 ``linking`` or ``metric`` is first read.  Any other matrix is dense and
 solved as the product with its inverse, precomputed once per algebra,
@@ -366,22 +365,9 @@ def _read_only(*arrays):
     return arrays
 
 
-def _increasing(index: np.ndarray) -> bool:
-    # each row of an (m, 3) index after the one before it in (i, j, k)
-    # order, compared column by column from k: no sort, and no key that
-    # could overflow
-    a, b = index[:-1], index[1:]
-    after = a[:, 2] < b[:, 2]
-    for c in (1, 0):
-        after = (a[:, c] < b[:, c]) | ((a[:, c] == b[:, c]) & after)
-    return bool(after.all())
-
-
 def _canonical_entries(dim: int, index, values):
     """Check canonical ``i < j < k`` entries and return the nonzero ones
-    sorted by ``(i, j, k)`` as frozen arrays: views of the arrays given
-    when they come strictly increasing and no value is zero, so a caller
-    passes arrays that it owns or that are frozen."""
+    sorted by ``(i, j, k)`` as frozen arrays."""
     index = np.asarray(index, dtype=np.intp).reshape(-1, 3)
     values = np.asarray(values, dtype=float).reshape(-1)
     if index.shape[0] != values.shape[0]:
@@ -394,18 +380,15 @@ def _canonical_entries(dim: int, index, values):
             raise AlgebraFormatError(
                 "sparse entries must satisfy i < j < k"
             )
-    if not np.isfinite(values).all():
+    if not np.all(np.isfinite(values)):
         raise AlgebraDataError("non-finite value in sparse entries")
-    # strictly increasing rows are sorted and distinct; sorted rows that
-    # are not have a duplicate
-    if not _increasing(index):
-        order = np.lexsort((index[:, 2], index[:, 1], index[:, 0]))
-        index, values = index[order], values[order]
-        if not _increasing(index):
-            raise AlgebraFormatError("duplicate sparse entry")
-    # a zero entry is no entry, so every kind counts the same ones; views,
-    # not copies, when there is none
-    nonzero = slice(None) if values.all() else values != 0.0
+    order = np.lexsort((index[:, 2], index[:, 1], index[:, 0]))
+    index = index[order]
+    values = values[order]
+    if np.all(index[1:] == index[:-1], axis=1).any():
+        raise AlgebraFormatError("duplicate sparse entry")
+    # a zero entry is no entry, so every kind counts the same ones
+    nonzero = values != 0.0
     return _read_only(index[nonzero], values[nonzero])
 
 
@@ -745,9 +728,7 @@ class _Entries(TripleForm):
         # checked: the entries come as _canonical_entries gives them
         self.dim = _checked_dim(dim)
         if not checked:
-            # copies: the caller keeps its arrays
-            index, values = _canonical_entries(
-                dim, np.array(index, dtype=np.intp), np.array(values, float))
+            index, values = _canonical_entries(dim, index, values)
         self._entries = index, values
         self._nnz = int(values.size)
         # the index columns i, j, k, each contiguous, which halves the time
@@ -880,21 +861,17 @@ class _Matrix:
     # Both products take a state (n,) or a (B, n) block of states and give
     # each row the bits of that row alone, in a fresh float64 array.  For
     # finite inputs a permutation gives the bits of the dense product;
-    # + 0.0 turns the -0.0 of a zero product into the +0.0 of a sum.  The
-    # identity (``unit``) applies as X + 0.0 and solves as a float64 copy,
-    # the bits of 1.0 * X + 0.0 and rhs / 1.0; a permutation makes
-    # w * X[cols] + 0.0 in place in its own float64 gather.
+    # + 0.0 turns the -0.0 of a zero product into the +0.0 of a sum.  A
+    # permutation makes w * X[cols] + 0.0 in place in its own float64
+    # gather; the identity (``unit``) solves as a float64 copy, the bits
+    # of rhs / 1.0.
 
     def apply(self, X: np.ndarray) -> np.ndarray:
         if self.w is None:
             return _matvec(self._dense, X)
-        if self.unit:
-            return np.add(X, 0.0, dtype=float)
         if self.diagonal:
             return self.w * X + 0.0
-        out = X.take(self.cols, axis=-1)
-        if out.dtype != float:
-            out = out.astype(float)
+        out = X.take(self.cols, axis=-1).astype(float, copy=False)
         out *= self.w
         out += 0.0
         return out

@@ -1,14 +1,12 @@
 """The products, solves and step update that are made in place or skipped
 give the bits, the dtype and the fresh array of the plain expressions.
 
-The identity metric of the torus solves as a copy and applies as
-``X + 0.0``; the torus linking form makes its product in its own gather;
-the RK4 step makes its stage inputs and its update in arrays that it owns;
-canonical entries that come sorted are checked without a sort.  Each is
-compared here with the expression that it replaces, computed in the test.
+The identity metric of the torus solves as a copy; the torus linking
+form makes its product in its own gather; the RK4 step makes its update in
+an array that it owns.  Each is compared here with the expression that it
+replaces, computed in the test, as are canonical entries given out of
+order, duplicated or near the int range.
 """
-
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -185,7 +183,7 @@ def test_step_result_failures_are_named(torus, monkeypatch):
 
 
 def _reference(index, values):
-    # the full sort and masked copy that sorted input no longer needs
+    # sorted by (i, j, k), the zero values dropped
     order = np.lexsort((index[:, 2], index[:, 1], index[:, 0]))
     index, values = index[order], values[order]
     keep = values != 0.0
@@ -198,24 +196,6 @@ def random100_entries():
     index = np.array([e[:3] for e in entries], dtype=np.intp)
     values = np.array([e[3] for e in entries])
     return index, values
-
-
-def test_sorted_entries_are_checked_without_a_sort(random100_entries):
-    index, values = random100_entries
-    tracemalloc.start()
-    try:
-        out = _canonical_entries(100, index, values)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    # 161 700 entries of 5.2 MB; a sort and its gathered copies peaked at
-    # 11.8 MB, the check in one pass at 0.65 MB
-    assert peak < (index.nbytes + values.nbytes) / 4
-    assert np.shares_memory(out[0], index) and np.shares_memory(out[1], values)
-    assert not (out[0].flags.writeable or out[1].flags.writeable)
-    for got, expected in zip(out, _reference(index, values)):
-        assert got.dtype == expected.dtype
-        assert got.tobytes() == expected.tobytes()
 
 
 def test_unsorted_entries_are_sorted(random100_entries):
@@ -246,7 +226,8 @@ def test_entries_out_of_order_within_a_row_are_refused():
 
 
 def test_the_order_check_takes_indices_near_the_int_range():
-    # a key i n^2 + j n + k would overflow at this n
+    # a key i n^2 + j n + k would overflow at this n; the sort must not
+    # form one
     dim = 2 ** 62
     big = dim - 1
     rows = [[0, 1, big], [0, 2, 3], [1, 2 ** 40, big]]

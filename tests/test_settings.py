@@ -250,10 +250,11 @@ def test_the_echo_reads_the_patched_default(tmp_path, capsys, monkeypatch):
 
 
 def test_instances_print_the_torus_default(capsys):
-    # the torus cap is named once: the default of build_torus_algebra is
-    # the constant that the listing prints
+    # the listing and build_torus_algebra's real default cannot drift
+    # apart: both read TORUS_MAX_DIM
     default = inspect.signature(build_torus_algebra).parameters["max_dim"]
-    assert default.default is TORUS_MAX_DIM
+    assert default.default == TORUS_MAX_DIM
     assert main(["instances"]) == 0
-    assert (f"max_dim: int (default {TORUS_MAX_DIM})\n"
-            in capsys.readouterr().out)
+    line = ("  torus        K: int >= 1; max_dim: int "
+            f"(default {default.default})\n")
+    assert line in capsys.readouterr().out
