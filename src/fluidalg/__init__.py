@@ -7,119 +7,21 @@ evolution ODE with its conserved energy and helicity, vorticity transport,
 the induced bracket and its Jacobi defect, and ships structure-preserving
 integrators, concrete instances (rigid body, spectral flat torus, seeded
 random algebras), a diagnostics suite, and a CLI.
+
+Each module's ``__all__`` is the one list of its public names.  The
+package re-exports the names of ``core``, ``dynamics``, ``integrators``,
+``instances`` and ``diagnostics``, in that order; the CLI
+(:mod:`fluidalg.cli`) is not imported here.
 """
 
-from .core import (
-    AlgebraDataError,
-    AlgebraFormatError,
-    AlgebraValidationError,
-    ConditioningWarning,
-    ConfigError,
-    FluidAlgebra,
-    TripleForm,
-    ValidationReport,
-    curl,
-    energy,
-    g_dual_norm,
-    g_norm,
-    helicity,
-    inverse_curl,
-    linking,
-    load_algebra,
-    make_rng,
-    metric_inner,
-    save_algebra,
-    triple,
-    validate,
-)
-from .diagnostics import DiagnosticsReport, IDENTITY_NAMES, run_identity_suite
-from .dynamics import (
-    circulation_defect,
-    euler_rhs,
-    induced_bracket,
-    jacobiator,
-    transport,
-    vorticity_rhs,
-)
-from .instances import (
-    GenerationError,
-    LieAlgebraInput,
-    TorusBasis,
-    TorusMode,
-    TorusSizeError,
-    beltrami_state,
-    build_torus_algebra,
-    from_lie_algebra,
-    random_algebra,
-    rigid_body,
-    so3,
-)
-from .integrators import (
-    IntegrationResult,
-    IntegratorSpec,
-    NumericalFailure,
-    ProjectionError,
-    ProjectionSettings,
-    TraceRecord,
-    co_evolve_probe,
-    integrate,
-    project_to_invariants,
-    rk4_step,
-)
+from . import core, diagnostics, dynamics, instances, integrators
+from .core import *
+from .dynamics import *
+from .integrators import *
+from .instances import *
+from .diagnostics import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AlgebraDataError",
-    "AlgebraFormatError",
-    "AlgebraValidationError",
-    "ConditioningWarning",
-    "ConfigError",
-    "DiagnosticsReport",
-    "FluidAlgebra",
-    "GenerationError",
-    "IDENTITY_NAMES",
-    "IntegrationResult",
-    "IntegratorSpec",
-    "LieAlgebraInput",
-    "NumericalFailure",
-    "ProjectionError",
-    "ProjectionSettings",
-    "TorusBasis",
-    "TorusMode",
-    "TorusSizeError",
-    "TraceRecord",
-    "TripleForm",
-    "ValidationReport",
-    "beltrami_state",
-    "build_torus_algebra",
-    "circulation_defect",
-    "co_evolve_probe",
-    "curl",
-    "energy",
-    "euler_rhs",
-    "from_lie_algebra",
-    "g_dual_norm",
-    "g_norm",
-    "helicity",
-    "induced_bracket",
-    "integrate",
-    "inverse_curl",
-    "jacobiator",
-    "linking",
-    "load_algebra",
-    "make_rng",
-    "metric_inner",
-    "project_to_invariants",
-    "random_algebra",
-    "rigid_body",
-    "rk4_step",
-    "run_identity_suite",
-    "save_algebra",
-    "so3",
-    "transport",
-    "triple",
-    "validate",
-    "vorticity_rhs",
-    "__version__",
-]
+__all__ = [*core.__all__, *dynamics.__all__, *integrators.__all__,
+           *instances.__all__, *diagnostics.__all__, "__version__"]

@@ -46,7 +46,7 @@ from .core import (
     make_rng,
     validate,
 )
-from .diagnostics import run_identity_suite
+from .diagnostics import _check_sample, run_identity_suite
 from .instances import (
     TORUS_MAX_DIM,
     GenerationError,
@@ -406,10 +406,10 @@ def cmd_simulate(args) -> int:
     spec = _integrator_spec(cfg)
     output_dir = args.output or _path("output_dir",
                                       cfg.get("output_dir", "."))
-
-    alg, basis = _build_instance(cfg.get("instance"))
     if "initial_state" not in cfg:
         raise ConfigError('config needs "initial_state"')
+
+    alg, basis = _build_instance(cfg.get("instance"))
     X0 = _resolve_state(alg, basis, cfg["initial_state"], "initial_state")
     probe = None
     if cfg.get("probe") is not None:
@@ -471,12 +471,13 @@ def cmd_diagnose(args) -> int:
     diag_cfg = cfg.get("diagnostics", {})
     if not isinstance(diag_cfg, dict):
         raise ConfigError('"diagnostics" must be an object')
+    sample = _given(diag_cfg, ("num_states", "num_triples", "seed"))
+    _check_sample(**sample)
 
     alg, _ = _build_instance(cfg.get("instance"))
     validate(alg).require()
 
-    report = run_identity_suite(
-        alg, **_given(diag_cfg, ("num_states", "num_triples", "seed")))
+    report = run_identity_suite(alg, **sample)
     os.makedirs(output_dir, exist_ok=True)
     payload = {
         "tool": "fluidalg",

@@ -120,11 +120,16 @@ _BLOCK_ROWS = 50
 # 12 ms at n = 32.
 _MAX_SAMPLE = 10 ** 6
 
+# The sample sizes and the seed that the suite takes when not given them.
+_NUM_STATES, _NUM_TRIPLES, _SEED = 20, 40, 2024
 
-def _check_sample(num_states, num_triples, seed) -> None:
+
+def _check_sample(num_states=_NUM_STATES, num_triples=_NUM_TRIPLES,
+                  seed=_SEED) -> None:
     """Raise :class:`ConfigError` unless the sample sizes and the seed are
     ``int`` values (not ``bool``) with ``2 <= num_states <= _MAX_SAMPLE``,
-    ``0 <= num_triples <= _MAX_SAMPLE`` and ``seed >= 0``."""
+    ``0 <= num_triples <= _MAX_SAMPLE`` and ``seed >= 0``.  A value not
+    given takes the suite's default."""
     _number("diagnostics", "num_states", num_states, 2, integer=True,
             most=_MAX_SAMPLE)
     _number("diagnostics", "num_triples", num_triples, 0, integer=True,
@@ -148,9 +153,9 @@ def _median(v: np.ndarray) -> float:
 # A non-finite defect fails its identity; NumPy's floating-point warnings
 # would only repeat it, so they are silenced once, for the whole suite.
 @np.errstate(all="ignore")
-def run_identity_suite(alg: FluidAlgebra, num_states: int = 20,
-                       seed: int = 2024,
-                       num_triples: int = 40) -> DiagnosticsReport:
+def run_identity_suite(alg: FluidAlgebra, num_states: int = _NUM_STATES,
+                       seed: int = _SEED,
+                       num_triples: int = _NUM_TRIPLES) -> DiagnosticsReport:
     """Evaluate every identity over a seeded random sample of states.
 
     The arguments are checked by :func:`_check_sample`.  Sample k

@@ -73,7 +73,8 @@ _NEWTON_SINGULAR_COND = 1e10
 
 
 class ProjectionError(RuntimeError):
-    """Newton projection ran out of iterations or met a non-finite matrix."""
+    """Newton projection ran out of iterations, met a non-finite matrix or
+    had a zero-energy state to rescale."""
 
 
 class NumericalFailure(RuntimeError):
@@ -253,7 +254,9 @@ def project_to_invariants(alg: FluidAlgebra, X, E0: float, H0: float,
 
     Returns X' with |energy - E0| <= tol * E0 and
     |helicity - H0| <= tol * max(|H0|, E0); raises ProjectionError if the
-    iteration budget is exhausted first or the Newton matrix is not finite.
+    iteration budget is exhausted first, the Newton matrix is not finite,
+    or the radial fallback meets a state of zero energy (X = 0 off the
+    targets), which no rescaling moves.
     """
     X = alg.state(X, "X")
     e_tol = settings.tol * E0
@@ -292,7 +295,7 @@ def project_to_invariants(alg: FluidAlgebra, X, E0: float, H0: float,
             # DX || X: energy and helicity constraints are not independent
             e_now = energy(alg, X)
             if e_now <= 0.0:
-                return X
+                raise ProjectionError("cannot rescale a zero-energy state")
             return X * np.sqrt(E0 / e_now)
         da, db = np.linalg.solve(J, [-fE, -fH])
         a += da

@@ -170,6 +170,31 @@ def test_set_overrides(tmp_path):
     assert summary["steps"] == 10
 
 
+def test_set_keeps_a_value_that_is_not_json_as_a_string(tmp_path):
+    cfg = rigid_config(tmp_path, dt=1e-2, t_end=0.1)
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", cfg, "--output", str(out),
+                 "--set", "integrator.method=rk4-projected"]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["config"]["integrator"]["method"] == "rk4-projected"
+
+
+@pytest.mark.parametrize("item, message", [
+    ("x", "--set expects KEY=VALUE, got 'x'"),
+    ("instance.K.x=1", "--set path 'instance.K.x' crosses a non-object"),
+])
+def test_bad_set_is_config_error(tmp_path, capsys, item, message):
+    cfg = write_config(tmp_path / "cfg.json", {
+        "instance": {"name": "torus", "K": 1},
+        "initial_state": {"seed": 1},
+        "integrator": {"dt": 0.01, "t_end": 0.02},
+    })
+    assert main(["simulate", "--config", cfg, "--output",
+                 str(tmp_path / "out"), "--set", item]) == 1
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_seed_override_env(tmp_path, monkeypatch):
     cfg = write_config(
         tmp_path / "cfg.json",
@@ -400,6 +425,26 @@ def _one_stderr_line(capsys) -> str:
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.endswith("\n"), err
     return err
+
+
+def test_config_that_is_not_an_object_is_config_error(tmp_path, capsys):
+    p = tmp_path / "list.json"
+    p.write_text("[]")
+    assert main(["simulate", "--config", str(p)]) == 1
+    assert capsys.readouterr().err == (
+        "config error: config must be a JSON object\n")
+
+
+def test_seed_override_that_is_not_an_integer_is_config_error(
+        tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("FLUIDALG_SEED_OVERRIDE", "abc")
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", rigid_config(tmp_path), "--output",
+                 str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "config error: FLUIDALG_SEED_OVERRIDE must be an integer, "
+        "got 'abc'\n")
+    assert not out.exists()
 
 
 def test_config_that_is_not_utf8_is_config_error(tmp_path, capsys):
@@ -805,6 +850,8 @@ def test_rigid_body_failing_validate_exits_three(tmp_path, capsys, command):
      "got 'euler'"),
     ({"t_end": 0.02}, "integrator config missing 'dt'"),
     ({"dt": 0.01}, "integrator config missing 't_end'"),
+    ({"dt": 0.01, "t_end": 0.02, "projection": 5},
+     '"integrator.projection" must be an object'),
 ])
 def test_bad_integrator_section_message(tmp_path, capsys, integrator,
                                         message):
@@ -813,6 +860,28 @@ def test_bad_integrator_section_message(tmp_path, capsys, integrator,
         "initial_state": [0, 1, 1],
         "integrator": integrator,
     })
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", cfg, "--output", str(out)]) == 1
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not out.exists()
+
+
+# a simulate config that is valid but for the entries given
+@pytest.mark.parametrize("entries, message", [
+    ({"instance": {"name": "torus"}}, 'torus needs "K"'),
+    ({"instance": {"name": "random", "n": 4}}, 'random needs "seed" and "n"'),
+    ({"instance": {"name": "custom"}}, 'custom needs "path"'),
+    ({"instance": {"name": "random", "seed": 1, "n": 2},
+      "initial_state": "axis3"},
+     "initial_state preset 'axis3' needs dim > 2"),
+    ({"initial_state": "beltrami"},
+     "initial_state preset 'beltrami' needs the torus instance"),
+])
+def test_bad_config_shape_message(tmp_path, capsys, entries, message):
+    config = {"instance": {"name": "rigid-body", "moments": [1, 2, 3]},
+              "initial_state": [0, 1, 1],
+              "integrator": {"dt": 0.01, "t_end": 0.02}, **entries}
+    cfg = write_config(tmp_path / "cfg.json", config)
     out = tmp_path / "out"
     assert main(["simulate", "--config", cfg, "--output", str(out)]) == 1
     assert capsys.readouterr().err == f"config error: {message}\n"
@@ -986,6 +1055,15 @@ def test_unknown_subcommand_exits_one(capsys):
                         "required: command\n")
 
 
+def test_entry_exits_with_the_code_of_main(capsys, monkeypatch):
+    # entry is the console script of pyproject.toml and of python -m
+    monkeypatch.setattr(sys, "argv", ["fluidalg", "instances"])
+    with pytest.raises(SystemExit) as exc:
+        cli.entry()
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("built-in instances:\n")
+
+
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     assert main(["simulate", "--help"]) == 0
@@ -1130,6 +1208,27 @@ def test_random_n_past_the_cap_is_config_error(tmp_path, capsys,
     err = capsys.readouterr().err
     assert err == ("config error: bad instance config: n must be an "
                    f"integer >= 1 and <= 256, got {n}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, config, message", [
+    ("simulate", {"integrator": {"dt": 0.01, "t_end": 0.02}},
+     'config needs "initial_state"'),
+    ("diagnose", {"diagnostics": {"num_states": 1}},
+     "bad diagnostics config: num_states must be an integer >= 2 and "
+     "<= 1000000, got 1"),
+])
+def test_config_is_checked_before_the_algebra_is_built(
+        tmp_path, capsys, monkeypatch, command, config, message):
+    def refuse(*args):
+        raise AssertionError("random_algebra called")
+
+    monkeypatch.setattr(cli, "random_algebra", refuse)
+    cfg = write_config(tmp_path / "cfg.json", {
+        "instance": {"name": "random", "seed": 0, "n": 256}, **config})
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--output", str(out)]) == 1
+    assert capsys.readouterr().err == f"config error: {message}\n"
     assert not out.exists()
 
 

@@ -4,6 +4,7 @@ import fractions
 import itertools
 import json
 import math
+import re
 import reprlib
 import warnings
 
@@ -194,6 +195,36 @@ def test_non_finite_entries_are_data_errors():
     G[0, 0] = np.nan
     with pytest.raises(AlgebraDataError):
         FluidAlgebra(3, np.zeros((3, 3, 3)), np.eye(3), G)
+
+
+def test_triple_form_refuses_unmatched_or_non_finite_entries():
+    from fluidalg import AlgebraDataError
+
+    with pytest.raises(AlgebraFormatError,
+                       match="^sparse index/value length mismatch$"):
+        TripleForm(4, [[0, 1, 2]], [1.0, 2.0])
+    with pytest.raises(AlgebraDataError,
+                       match="^non-finite value in sparse entries$"):
+        TripleForm(4, [[0, 1, 2]], [np.nan])
+
+
+def test_from_dense_refuses_a_non_cubic_or_non_finite_array():
+    from fluidalg import AlgebraDataError
+
+    with pytest.raises(AlgebraFormatError, match=re.escape(
+            "triple tensor must be cubic rank 3, got shape (3, 3, 2)")):
+        TripleForm.from_dense(np.zeros((3, 3, 2)))
+    array = np.zeros((3, 3, 3))
+    array[0, 1, 2] = np.nan
+    with pytest.raises(AlgebraDataError,
+                       match="^non-finite value in triple tensor$"):
+        TripleForm.from_dense(array)
+
+
+def test_linking_structure_of_one_array_is_a_format_error():
+    with pytest.raises(AlgebraFormatError, match=re.escape(
+            "a linking structure is a tuple (cols, w)")):
+        FluidAlgebra(3, [], (np.arange(3),), None)
 
 
 def test_small_dimensions_are_permitted():
@@ -890,6 +921,10 @@ def test_load_rejects_missing_keys_and_bad_json(tmp_path):
         load_algebra(path)
     path.write_text("not json")
     with pytest.raises(AlgebraFormatError):
+        load_algebra(path)
+    path.write_text("[]")
+    with pytest.raises(AlgebraFormatError,
+                       match="^top-level JSON value must be an object$"):
         load_algebra(path)
 
 

@@ -68,6 +68,12 @@ def test_exact_cancellation_identity():
     assert cancel.passed
 
 
+def test_identity_of_an_unknown_name_raises_key_error():
+    report = run_identity_suite(so3(), num_states=2, num_triples=0)
+    with pytest.raises(KeyError, match="no-such"):
+        report.identity("no-such")
+
+
 def test_report_serializes():
     report = run_identity_suite(random_algebra(4, 4), num_states=5,
                                 num_triples=5)

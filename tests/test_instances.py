@@ -1,11 +1,13 @@
 """Lie-algebra constructors, the rigid-body family, random algebras."""
 
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from fluidalg import (
+    AlgebraFormatError,
     AlgebraValidationError,
     GenerationError,
     LieAlgebraInput,
@@ -65,6 +67,21 @@ def test_non_antisymmetric_structure_constants_rejected():
     c[0, 0, 1] = 1.0
     with pytest.raises(AlgebraValidationError, match="antisymmetric"):
         from_lie_algebra(LieAlgebraInput(c, np.eye(3), np.eye(3)))
+
+
+def test_structure_constants_of_the_wrong_shape_are_rejected():
+    c = np.zeros((3, 3, 2))
+    with pytest.raises(AlgebraFormatError, match=re.escape(
+            "structure constants must be (3,3,3), got (3, 3, 2)")):
+        from_lie_algebra(LieAlgebraInput(c, np.eye(3), np.eye(3)))
+
+
+def test_asymmetric_pairing_is_rejected():
+    P = np.eye(3)
+    P[0, 1] = 0.5
+    with pytest.raises(AlgebraValidationError,
+                       match="^pairing not symmetric: defect 5.000e-01$"):
+        from_lie_algebra(LieAlgebraInput(LEVI_CIVITA, P, np.eye(3)))
 
 
 def test_so3_direct_sum_is_a_lie_instance():

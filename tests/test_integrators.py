@@ -130,6 +130,38 @@ def test_projection_failure_raises():
         )
 
 
+def test_projection_of_the_zero_state_onto_positive_energy_raises():
+    # DX = 0 makes the Newton matrix zero, and no rescaling of X = 0 reaches
+    # energy 5: the radial fallback raises, not returns the zero state
+    alg = rigid_body(1.0, 2.0, 3.0)
+    with pytest.raises(ProjectionError,
+                       match="^cannot rescale a zero-energy state$"):
+        project_to_invariants(alg, np.zeros(3), 5.0, 2.0)
+
+
+def test_projected_run_from_the_zero_state_stays_zero():
+    # from X0 = 0 the targets are E0 = H0 = 0, met at once: integrate never
+    # reaches the zero-energy exit
+    alg = rigid_body(1.0, 2.0, 3.0)
+    spec = IntegratorSpec(method="rk4-projected", dt=0.1, t_end=0.5)
+    result = integrate(alg, np.zeros(3), spec)
+    assert result.projection_failures == 0 and not result.failed
+    assert all(not r.state.any() for r in result.records)
+
+
+def test_projection_converging_on_its_last_update_returns_it(rigid123):
+    # one Newton update from a state 1e-6 off the targets lands within
+    # tol = 1e-10, after the loop has spent its one iteration
+    X = np.array([0.3, 1.0, -0.7])
+    E0, H0 = energy(rigid123, X), helicity(rigid123, X)
+    drifted = X + 1e-6 * np.array([1.0, -2.0, 0.5])
+    settings = ProjectionSettings(max_iter=1, tol=1e-10)
+    assert abs(energy(rigid123, drifted) - E0) > 1e-10 * E0
+    out = project_to_invariants(rigid123, drifted, E0, H0, settings)
+    assert abs(energy(rigid123, out) - E0) <= 1e-10 * E0
+    assert abs(helicity(rigid123, out) - H0) <= 1e-10 * max(abs(H0), E0)
+
+
 # ---------------------------------------------------------------------------
 # integrate
 

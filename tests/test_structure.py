@@ -3,6 +3,9 @@ and ``metric=None`` stores no (n, n) array, and gives the bits and the
 validation results of the dense matrices built from its structure."""
 
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 import types
 import warnings
@@ -24,7 +27,8 @@ from fluidalg import (
     so3,
     validate,
 )
-from fluidalg import cli, core, diagnostics, integrators
+import fluidalg
+from fluidalg import cli, core, diagnostics, dynamics, instances, integrators
 from fluidalg.cli import main
 from fluidalg.core import AlgebraValidationError, dd_values
 
@@ -327,6 +331,29 @@ def test_the_names_the_benchmark_reaches_are_there():
     assert "integrate" in integrators.__all__
     assert cli.run_identity_suite is diagnostics.run_identity_suite
     assert "run_identity_suite" in diagnostics.__all__
+
+
+def test_the_package_exports_the_names_of_each_module_all():
+    # a module's __all__ is the one list of its public names: the package
+    # re-exports them, and spans.py wraps the functions among them
+    modules = (core, dynamics, integrators, instances, diagnostics)
+    names = [name for module in modules for name in module.__all__]
+    assert fluidalg.__all__ == [*names, "__version__"]
+    assert len(set(fluidalg.__all__)) == len(fluidalg.__all__)
+    for module in modules:
+        for name in module.__all__:
+            assert getattr(fluidalg, name) is getattr(module, name)
+
+
+def test_the_package_import_loads_no_cli():
+    code = ("import sys, fluidalg; "
+            "print('fluidalg.cli' in sys.modules, 'argparse' in sys.modules)")
+    src = os.path.dirname(os.path.dirname(fluidalg.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=60, check=True,
+                          env={**os.environ, "PYTHONPATH": path})
+    assert done.stdout == "False False\n"
 
 
 def test_dense_is_the_packed_matrix_of_the_dense_kind_alone(kind_algebra):
