@@ -10,8 +10,9 @@ its dotted key is listed under a top-level ``non_finite``.
 Exit codes: 0 success, 1 config error, 2 numerical failure (partial
 outputs flushed), 3 validation failure.  ``main`` alone turns exceptions
 into codes: a usage error, a ``ConfigError``, an ``OSError`` or a
-``GenerationError`` exits 1, and an ``Algebra*Error`` exits 3, so a
-failed ``validate`` exits 3 whichever instance built the algebra.  Each
+``GenerationError`` exits 1, and an ``Algebra*Error`` exits 3.  Every
+instance builder validates the algebra it returns, once, so a failed
+``validate`` exits 3 whichever instance built the algebra.  Each
 numeric setting is checked and defaulted once, by the library object that
 owns it, which raises ``ConfigError`` with the line printed here; the CLI
 passes on only the settings a config gives and checks only the config's
@@ -44,7 +45,6 @@ from .core import (
     g_norm,
     load_algebra,
     make_rng,
-    validate,
 )
 from .diagnostics import _check_sample, run_identity_suite
 from .instances import (
@@ -351,12 +351,16 @@ def _max_drift(values) -> float:
     return max(abs(v - values[0]) for v in values)
 
 
-def _write_trace(path, records) -> None:
+def _write_trace(path, times, series: dict) -> None:
+    """``trace.csv``: a row per record, ``t`` then each series of
+    ``series``, a series that is None (no probe) left empty."""
+    columns = [[_fmt(x) for x in values] if values is not None
+               else [""] * len(times)
+               for values in (times, *series.values())]
     with open(path, "w", newline="\n") as fh:
-        fh.write("t,energy,helicity,probe_linking\n")
-        for r in records:
-            probe = "" if r.probe_linking is None else _fmt(r.probe_linking)
-            fh.write(f"{_fmt(r.t)},{_fmt(r.energy)},{_fmt(r.helicity)},{probe}\n")
+        fh.write(",".join(("t", *series)) + "\n")
+        for row in zip(*columns):
+            fh.write(",".join(row) + "\n")
 
 
 def _write_states(path, records, dim: int) -> None:
@@ -419,38 +423,25 @@ def cmd_simulate(args) -> int:
     result = integrate(alg, X0, spec, probe=probe)
     records = result.records
 
-    # the summary reports the float64 values written to trace.csv, and its
-    # drifts are recomputed from them, not from the records' low words
-    energies = [float(r.energy) for r in records]
-    helicities = [float(r.helicity) for r in records]
-    linkings = (
-        None
-        if records[0].probe_linking is None
-        else [float(r.probe_linking) for r in records]
-    )
+    # the invariant series by column of trace.csv: the float64 values it
+    # writes, which the summary reports and recomputes its drifts from,
+    # not from the records' low words; None for a run without a probe
+    series = {name: None if getattr(records[0], name) is None
+              else [float(getattr(r, name)) for r in records]
+              for name in ("energy", "helicity", "probe_linking")}
 
-    _write_trace(os.path.join(output_dir, "trace.csv"), records)
+    _write_trace(os.path.join(output_dir, "trace.csv"),
+                 [r.t for r in records], series)
     _write_states(os.path.join(output_dir, "state.csv"), records, alg.dim)
     summary = {
         "tool": "fluidalg",
         "version": __version__,
         "config": _echo_config(cfg, spec, output_dir),
         "dim": alg.dim,
-        "initial": {
-            "energy": energies[0],
-            "helicity": helicities[0],
-            "probe_linking": None if linkings is None else linkings[0],
-        },
-        "final": {
-            "energy": energies[-1],
-            "helicity": helicities[-1],
-            "probe_linking": None if linkings is None else linkings[-1],
-        },
-        "max_energy_drift": _max_drift(energies),
-        "max_helicity_drift": _max_drift(helicities),
-        "max_probe_linking_drift": (
-            None if linkings is None else _max_drift(linkings)
-        ),
+        "initial": {k: None if v is None else v[0] for k, v in series.items()},
+        "final": {k: None if v is None else v[-1] for k, v in series.items()},
+        **{f"max_{k}_drift": None if v is None else _max_drift(v)
+           for k, v in series.items()},
         "steps": result.steps,
         "records": len(records),
         "projection_failures": result.projection_failures,
@@ -475,8 +466,6 @@ def cmd_diagnose(args) -> int:
     _check_sample(**sample)
 
     alg, _ = _build_instance(cfg.get("instance"))
-    validate(alg).require()
-
     report = run_identity_suite(alg, **sample)
     os.makedirs(output_dir, exist_ok=True)
     payload = {

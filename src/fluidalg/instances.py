@@ -14,6 +14,9 @@
   built.
 * :func:`random_algebra` -- seeded random algebras for property testing.
 
+Every builder returns an algebra that has passed
+``validate(alg).require()``, validated once, by the code that built it.
+
 Sign convention: the determinant orientation fixes the overall sign of the
 triple form for the Lie and torus families; flipping it globally reverses
 time in the Euler ODE and nothing else.
@@ -97,15 +100,26 @@ class LieAlgebraInput(_Record):
     ``structure_constants[i, j, k]`` gives [e_i, e_j] = sum_k c[i,j,k] e_k.
     ``pairing`` must be symmetric, nondegenerate, and invariant:
     P([X, Y], Z) + P(Y, [X, Z]) = 0 on all basis triples.
-    ``metric`` is any symmetric positive definite matrix.
+    ``metric`` is any symmetric positive definite matrix.  The structure
+    constants must be an (n, n, n) array and the pairing and the metric
+    (n, n), or :class:`AlgebraFormatError` is raised.
     """
 
     __slots__ = ("structure_constants", "pairing", "metric")
 
     def __init__(self, structure_constants, pairing, metric):
-        self.structure_constants = np.asarray(structure_constants, float)
+        c = self.structure_constants = np.asarray(structure_constants, float)
         self.pairing = np.asarray(pairing, float)
         self.metric = np.asarray(metric, float)
+        # a 0-d array has no n to read: "n" stands in for it
+        n = c.shape[0] if c.ndim else "n"
+        for label, array, shape in (("structure constants", c, (n, n, n)),
+                                    ("pairing", self.pairing, (n, n)),
+                                    ("metric", self.metric, (n, n))):
+            if array.shape != shape:
+                raise AlgebraFormatError(
+                    f"{label} must be ({','.join(map(str, shape))}), "
+                    f"got {array.shape}")
 
     @property
     def dim(self) -> int:
@@ -123,10 +137,6 @@ def from_lie_algebra(spec: LieAlgebraInput, meta=None) -> FluidAlgebra:
     c = spec.structure_constants
     P = spec.pairing
     n = spec.dim
-    if c.shape != (n, n, n):
-        raise AlgebraFormatError(
-            f"structure constants must be ({n},{n},{n}), got {c.shape}"
-        )
     scale = max(float(np.max(np.abs(c))) * max(float(np.max(np.abs(P))), 1.0),
                 1.0)
     anti = float(np.max(np.abs(c + c.transpose(1, 0, 2))))
@@ -693,6 +703,8 @@ def random_algebra(seed: int, n: int) -> FluidAlgebra:
         n, *_canonical_slots(rng.standard_normal((n, n, n)), _antisymmetrize))
     A = rng.standard_normal((n, n))
     G = A.T @ A + n * np.eye(n)
-    return FluidAlgebra(
+    alg = FluidAlgebra(
         n, T, L, G, meta={"kind": "random", "seed": int(seed), "n": int(n)}
     )
+    validate(alg).require()
+    return alg

@@ -255,10 +255,14 @@ def project_to_invariants(alg: FluidAlgebra, X, E0: float, H0: float,
     Returns X' with |energy - E0| <= tol * E0 and
     |helicity - H0| <= tol * max(|H0|, E0); raises ProjectionError if the
     iteration budget is exhausted first, the Newton matrix is not finite,
-    or the radial fallback meets a state of zero energy (X = 0 off the
-    targets), which no rescaling moves.
+    the radial fallback meets a state of zero energy (X = 0 off the
+    targets), which no rescaling moves, or the targets are out of reach:
+    E0 negative or not finite, or H0 not finite.
     """
     X = alg.state(X, "X")
+    if not (0.0 <= E0 < math.inf and math.isfinite(H0)):
+        raise ProjectionError(
+            f"no state has energy {E0!r} and helicity {H0!r}")
     e_tol = settings.tol * E0
     h_tol = settings.tol * max(abs(H0), E0)
 

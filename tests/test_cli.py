@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 import fluidalg
-from fluidalg import cli, save_algebra, random_algebra
+from fluidalg import (ValidationReport, cli, random_algebra,
+                      save_algebra)
 from fluidalg.cli import main
 
 
@@ -842,6 +843,40 @@ def test_rigid_body_failing_validate_exits_three(tmp_path, capsys, command):
         "validation error: algebra validation failed: "
         "metric-positive-definite (value 1.000e+00 <= 1.000e+01)\n")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "diagnose"])
+@pytest.mark.parametrize("instance", [
+    {"name": "rigid-body", "moments": [1, 2, 3]},
+    {"name": "so3"},
+    {"name": "torus", "K": 1},
+    {"name": "random", "seed": 1, "n": 4},
+    {"name": "custom"},
+], ids=lambda instance: instance["name"])
+def test_each_command_validates_its_algebra_once(tmp_path, monkeypatch,
+                                                 command, instance):
+    # the builder validates what it returns, and the command validates
+    # nothing more
+    if instance["name"] == "custom":
+        instance = {**instance, "path": str(tmp_path / "alg.json")}
+        save_algebra(random_algebra(2, 3), instance["path"])
+    calls = []
+    require = ValidationReport.require
+
+    def spy(report):
+        calls.append(report)
+        return require(report)
+
+    monkeypatch.setattr(ValidationReport, "require", spy)
+    cfg = write_config(tmp_path / "cfg.json", {
+        "instance": instance,
+        "initial_state": {"seed": 3},
+        "integrator": {"dt": 0.01, "t_end": 0.02},
+        "diagnostics": {"num_states": 2, "num_triples": 1},
+    })
+    assert main([command, "--config", cfg, "--output",
+                 str(tmp_path / "out")]) == 0
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("integrator, message", [

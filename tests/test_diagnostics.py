@@ -17,7 +17,7 @@ from fluidalg import (
     so3,
     validate,
 )
-from fluidalg import cli
+from fluidalg import cli, instances
 
 
 def test_every_identity_listed_exactly_once():
@@ -108,7 +108,9 @@ def test_a_lone_bad_entry_fails_validation_at_every_n(tmp_path, capsys,
     report = run_identity_suite(alg, num_states=5, num_triples=0)
     assert report.identity("triple-alternating").max_defect == 0.0
 
-    monkeypatch.setattr(cli, "random_algebra", lambda seed, n: alg)
+    # the random builder draws as ever, then builds alg in place of its
+    # own algebra: its validation must refuse it
+    monkeypatch.setattr(instances, "FluidAlgebra", lambda *a, **k: alg)
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"instance": {"name": "random", "seed": 0,
                                             "n": n}}))

@@ -76,6 +76,16 @@ def test_structure_constants_of_the_wrong_shape_are_rejected():
         from_lie_algebra(LieAlgebraInput(c, np.eye(3), np.eye(3)))
 
 
+@pytest.mark.parametrize("c, P, G, message", [
+    (LEVI_CIVITA, np.eye(2), np.eye(3), "pairing must be (3,3), got (2, 2)"),
+    (LEVI_CIVITA, np.eye(3), np.eye(4), "metric must be (3,3), got (4, 4)"),
+    (0.0, np.eye(3), np.eye(3), "structure constants must be (n,n,n), got ()"),
+], ids=["pairing", "metric", "0-d-constants"])
+def test_lie_input_of_the_wrong_shape_is_rejected(c, P, G, message):
+    with pytest.raises(AlgebraFormatError, match=re.escape(message)):
+        from_lie_algebra(LieAlgebraInput(c, P, G))
+
+
 def test_asymmetric_pairing_is_rejected():
     P = np.eye(3)
     P[0, 1] = 0.5

@@ -139,6 +139,17 @@ def test_projection_of_the_zero_state_onto_positive_energy_raises():
         project_to_invariants(alg, np.zeros(3), 5.0, 2.0)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("E0, H0", [
+    (-1.0, 1.0), (np.nan, 1.0), (np.inf, 1.0), (1.0, np.nan), (1.0, np.inf),
+])
+def test_projection_onto_unreachable_targets_raises(rigid123, E0, H0):
+    # on a principal axis the Newton matrix is singular, and the radial
+    # fallback's sqrt(E0 / e) would return NaN, or a state off H0
+    with pytest.raises(ProjectionError, match="^no state has energy"):
+        project_to_invariants(rigid123, [1.001, 0.0, 0.0], E0, H0)
+
+
 def test_projected_run_from_the_zero_state_stays_zero():
     # from X0 = 0 the targets are E0 = H0 = 0, met at once: integrate never
     # reaches the zero-energy exit
