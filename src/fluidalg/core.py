@@ -25,21 +25,25 @@ operations: for the dense kind, the pair differences ``X_i Y_j - X_j Y_i``
 (i < j, in ``np.triu_indices`` order) times the packed rows ``T[i, j, :]``
 in one BLAS GEMV; one ``np.bincount`` in canonical entry order for the
 sparse kind; and, for the spectral kind of the torus, pruned separable
-DFTs, small GEMMs with fixed matrices, between the kept wavevectors and a
-fixed N^3 grid with N = 3K + 1, the smallest N at which the 3/2 rule
-removes all aliasing from the quadratic product (Orszag, J. Atmos. Sci.
-1971).  The spectral operator remembers the grid field of the last first
-argument it was given, keyed by value (shape, dtype and bytes), and a
-call with the same first argument synthesizes only the second field, with
-the bits of a cold call: a probe stage contracts its velocity twice.  Its
-memo is one immutable tuple, replaced whole, so threads sharing an algebra
-stay correct.  The results of every operation are thus pure functions of
-the input values, and every operation is bit-reproducible on one platform
-and NumPy version.  All three kernels are exactly antisymmetric, and the
-form is evaluated as ``{X, Y, Z} = X . contract_pair(Y, Z)``.  A dense
-form stores its packed rows alone and a spectral form no tensor; the
-canonical entries of both are materialized on demand.  Each kind is one
-subclass of :class:`TripleForm`: the packed rows (:class:`_PackedRows`),
+DFTs between the kept wavevectors and a fixed N^3 grid with N = 3K + 1,
+the smallest N at which the 3/2 rule removes all aliasing from the
+quadratic product (Orszag, J. Atmos. Sci. 1971): small real GEMMs with
+fixed matrices, each complex DFT matrix in its real block form acting on
+the real and imaginary parts of the coefficients held apart (a planar
+layout), since a real GEMM does the flops of a complex one at this size in
+about half the time.  The spectral operator remembers the grid field of
+the last first argument it was given, keyed by value (shape, dtype and
+bytes), and a call with the same first argument synthesizes only the
+second field, with the bits of a cold call: a probe stage contracts its
+velocity twice.  Its memo is one immutable tuple, replaced whole, so
+threads sharing an algebra stay correct.  The results of every operation
+are thus pure functions of the input values, and every operation is
+bit-reproducible on one platform and NumPy version.  All three kernels are
+exactly antisymmetric, and the form is evaluated as
+``{X, Y, Z} = X . contract_pair(Y, Z)``.  A dense form stores its packed
+rows alone and a spectral form no tensor; the canonical entries of both
+are materialized on demand.  Each kind is one subclass of
+:class:`TripleForm`: the packed rows (:class:`_PackedRows`),
 the canonical entries (:class:`_Entries`), and the operator with its
 entry source (:class:`_Spectral`).  A subclass gives the kernel, its
 chunk size, the entries and their count; :class:`TripleForm` defines the
@@ -73,8 +77,9 @@ copies a run of B floats, and takes the differences back to contiguous
 rows for the GEMVs; a gather moves the data and rounds nothing.  The form
 ``{X, Y, Z}`` contracts only the rows whose three arguments differ.
 The arguments of one call are all states or all blocks of one B; any
-other shape raises :class:`AlgebraFormatError` where the functions below
-check their arguments.
+other shape, a state of another length included, raises the
+:class:`AlgebraFormatError` of :func:`_as_state` at every one of these
+entry points, so none is truncated, read past its end or broadcast.
 
 L and G follow one rule (:class:`_Matrix`): given as a tuple
 ``(cols, w)``, as None for the identity, or as an array with one nonzero
@@ -605,8 +610,9 @@ class TripleForm:
         """Evaluate {X, Y, Z} as ``X . contract_pair(Y, Z)``.
 
         The arguments are single states (n,), giving a float, or (B, n)
-        blocks, giving the B values of the rows, each with the bits of its
-        row evaluated alone.  A row is exactly 0.0 when two of its
+        blocks of one shape, giving the B values of the rows, each with the
+        bits of its row evaluated alone; any other shapes raise
+        :class:`AlgebraFormatError`.  A row is exactly 0.0 when two of its
         arguments are equal, and the value exactly negates when the last
         two arguments are swapped, since every kernel of
         :meth:`contract_pair` is exactly antisymmetric.  Such a row is not
@@ -615,6 +621,11 @@ class TripleForm:
         entries.
         """
         X, Y, Z = (np.asarray(A, dtype=float) for A in (X, Y, Z))
+        if (X.shape[-1:] != (self.dim,) or X.ndim > 2
+                or not X.shape == Y.shape == Z.shape):
+            _as_state(self.dim, X, "X", block=True)
+            _as_state(self.dim, Y, "Y", like=X)
+            _as_state(self.dim, Z, "Z", like=X)
         repeated = ((X == Y).all(axis=-1) | (Y == Z).all(axis=-1)
                     | (X == Z).all(axis=-1))
         value = np.zeros(repeated.shape)
@@ -629,6 +640,7 @@ class TripleForm:
         ``X`` and ``Y`` are single states (n,) or (B, n) blocks of one
         shape, of any real dtype, contracted as their float64 values; a
         block gives, row for row, the bits of its rows contracted alone.
+        Any other shapes raise :class:`AlgebraFormatError`.
         One kernel per storage kind, each exactly antisymmetric in X and Y
         (``contract_pair(Y, X)`` is ``-contract_pair(X, Y)`` bit for bit,
         and ``contract_pair(X, X)`` is zero) and with a fixed order of
@@ -642,16 +654,20 @@ class TripleForm:
           slots of row r offset by r n, adds the terms landing on k, then
           on i, then on j, each in entry order;
         * spectral: the matrix-free operator (on the torus, pruned DFTs
-          to a fixed grid and back, as GEMMs of fixed shape batched over
-          the two fields and the rows); it never materializes the
-          entries.
+          to a fixed grid and back, as real GEMMs of fixed shape on the
+          planar re/im layout, batched over the two fields and the rows);
+          it never materializes the entries.
 
         A block runs through the kernel in the fewest chunks of rows, of
         sizes differing by at most one (:func:`_in_chunks`).
         """
         X, Y = np.asarray(X, dtype=float), np.asarray(Y, dtype=float)
-        if X.ndim == 1:
+        state = (self.dim,)
+        if X.shape == state and Y.shape == state:
             return self._kernel(X, Y)
+        if X.shape[-1:] != state or X.ndim > 2 or Y.shape != X.shape:
+            _as_state(self.dim, X, "X", block=True)
+            _as_state(self.dim, Y, "Y", like=X)
         return _in_chunks(self._kernel, self._row_terms, X, Y)
 
 
@@ -976,6 +992,7 @@ class FluidAlgebra:
 
     def __init__(self, dim: int, triple, linking, metric, meta=None):
         self.dim = _checked_dim(dim)
+        self._state = (self.dim,)
         if isinstance(triple, TripleForm):
             tf = triple
         elif isinstance(triple, np.ndarray) and triple.ndim == 3:
@@ -1013,24 +1030,42 @@ class FluidAlgebra:
         return float(ev[-1] / ev[0]) if ev[0] > 0 else np.inf
 
     # The four products take a state (n,) or a (B, n) block of states and
-    # give each row the bits of that row alone.  Non-finite right-hand
-    # sides propagate as non-finite output; the callers that need a finite
+    # give each row the bits of that row alone; any other shape raises
+    # AlgebraFormatError.  A state passes one comparison with ``_state``,
+    # (n,), and a block one more in _block.  Non-finite right-hand sides
+    # propagate as non-finite output; the callers that need a finite
     # result check it.
+
+    def _block(self, X, name: str):
+        # a (B, n) array as it is; anything else through _as_state, which
+        # raises, or makes a list of states an array
+        shape = getattr(X, "shape", ())
+        if len(shape) == 2 and shape[1:] == self._state:
+            return X
+        return _as_state(self.dim, X, name, block=True)
 
     def solve_metric(self, rhs: np.ndarray) -> np.ndarray:
         """Solve G x = rhs."""
+        if getattr(rhs, "shape", None) != self._state:
+            rhs = self._block(rhs, "rhs")
         return self._G.solve(rhs)
 
     def apply_metric(self, X: np.ndarray) -> np.ndarray:
         """The product G X."""
+        if getattr(X, "shape", None) != self._state:
+            X = self._block(X, "X")
         return self._G.apply(X)
 
     def apply_linking(self, X: np.ndarray) -> np.ndarray:
         """The product L X."""
+        if getattr(X, "shape", None) != self._state:
+            X = self._block(X, "X")
         return self._L.apply(X)
 
     def solve_linking(self, rhs: np.ndarray) -> np.ndarray:
         """Solve L x = rhs, warning once if L is ill-conditioned."""
+        if getattr(rhs, "shape", None) != self._state:
+            rhs = self._block(rhs, "rhs")
         self._warn_if_ill_conditioned()
         return self._L.solve(rhs)
 

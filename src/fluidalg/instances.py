@@ -421,6 +421,12 @@ _NEXT = np.array([1, 2, 0])
 _PREV = np.array([2, 0, 1])
 
 
+def _planar(T: np.ndarray) -> np.ndarray:
+    # the real form [[Re T, -Im T], [Im T, Re T]] of a complex matrix: rows
+    # (re/im, output), columns (re/im, input)
+    return np.block([[T.real, -T.imag], [T.imag, T.real]])
+
+
 class _SpectralContraction:
     """The torus pair contraction by pruned DFTs, with no stored tensor.
 
@@ -439,24 +445,37 @@ class _SpectralContraction:
     from N - 2K > K, so none reaches the coefficients read (the 3/2 rule,
     Orszag 1971).  Only the (2K+1)^2 (K+1) coefficients with |k| <= K and
     k_z >= 0, the cube, are nonzero going in or read coming out, so the
-    transforms are pruned separable DFTs: small GEMMs with fixed matrices,
-    complex along y and x, then the real c2r along z, the axis of the half
-    spectrum, and the mirror of these back.  The component axis rides
-    along in the GEMM columns; the two fields and the rows of a block are
-    batch axes of ``np.matmul``, so each goes through GEMMs of one fixed
-    shape with the bits that a state has alone.  (BLAS may round a GEMM
-    column by its place: with the two fields as columns of one GEMM, the
-    contraction lost exact antisymmetry at K=2 and K=4.)  Swapping X and Y
-    thus swaps the fields bit for bit and negates the cross product, and
-    so the result, exactly; X = Y gives exact zeros.  The cross product is
-    two full-array products and one difference over the components
-    gathered in cyclic order (``_NEXT``, ``_PREV``), made in place in the
-    two gathers of Y's field: the products and differences of each
-    component in turn, bit for bit.  A loop over the components would run
-    each ufunc over strided inner loops only N long.  Likewise the
-    synthesis weighs both polarizations in place in its gather of the
-    states' slots, in one product, and adds them in one sum.  X and Y of
-    any real dtype are contracted as their float64 values.
+    transforms are pruned separable DFTs: three real GEMMs with fixed
+    matrices, along x, y and then z, the axis of the half spectrum, and the
+    mirror of these back.  A coefficient is held as its real and imaginary
+    floats in two places of one real array, the planar layout, and each
+    complex DFT matrix T along x or y as its real form
+    ``[[Re T, -Im T], [Im T, Re T]]``, whose rows and columns may be
+    permuted to fit the layout; on this layout a real GEMM does the work
+    of a complex one in about half its time.  The c2r step along z reads
+    the (k_z, re/im) floats as one real contraction and gives the real
+    field.  A field on the grid is laid out [component, z, y, x], the
+    cube [component, k_z, k_y, re/im, k_x]: the x step contracts the
+    trailing (re/im, k_x) as one GEMM from the right, giving (re/im, x);
+    the y step the (k_y, re/im) before it, for each (component, k_z),
+    giving (re/im, y); the c2r step the (k_z, re/im) before that, for
+    each component, giving z.  Analysis runs the mirror: r2c, then y, then
+    x.  No step moves data between GEMMs.  The two fields and the rows of a
+    block are batch axes of ``np.matmul``, never GEMM rows or columns, so
+    each goes through GEMMs of fixed shapes with the bits that a state has
+    alone.  (BLAS may round a GEMM column by its place: with the two
+    fields as columns of one GEMM, the contraction lost exact antisymmetry
+    at K=2 and K=4.)  Swapping X and Y thus swaps the fields bit for bit
+    and negates the cross product, and so the result, exactly; X = Y gives
+    exact zeros.  The cross product is two full-array products and one
+    difference over the components gathered in cyclic order (``_NEXT``,
+    ``_PREV``), made in place in the two gathers of Y's field: the
+    products and differences of each component in turn, bit for bit; with
+    the component axis first, each gather copies three runs of N^3
+    floats.  Likewise the synthesis weighs both polarizations in place in
+    its gather of the states' slots, in one product, and adds them in one
+    sum.  X and Y of any real dtype are contracted as their float64
+    values.
 
     A probe step contracts each stage's velocity twice, as
     ``(V, D V)`` and ``(V, D Z)``, so the operator remembers the grid field
@@ -481,9 +500,10 @@ class _SpectralContraction:
         # sets the chunks of a block's rows (see TripleForm.spectral): the
         # largest temporaries, the two fields' 3 components on the grid,
         # give 7 rows to a chunk at K=2, 2 at K=3 and 1 from K=4 on.  A
-        # 50-row block then took 0.87 and 2.25 ms, in one piece 0.74 and
-        # 2.04 ms, row by row 1.8 and 2.8 ms (tools/kernel_times.py, best
-        # of 5 passes over 20 blocks, 2-core x86, one BLAS thread)
+        # 50-row block then took 0.90 and 2.8 ms, in one piece 1.8 and
+        # 4.7 ms, row by row 1.8 and 3.3 ms (best of 5 passes over 20
+        # blocks, as tools/kernel_times.py times them, 2-core x86, one
+        # BLAS thread)
         self.row_terms = 2 * 3 * n ** 3
         m = reps.shape[0]
         # the cube [kx + K, ky + K, kz] is the half k_z >= 0 of the basis's
@@ -500,10 +520,10 @@ class _SpectralContraction:
         flip = np.where(reps[:, 2] < 0, -1, 1)
         stored = np.ravel_multi_index(
             (flip[:, None] * reps + [K, K, 0]).T, (side, side, half))
-        # the cube's floats are laid out [kx, ky, component, kz, re/im]
+        # the cube's floats are laid out [component, kz, ky, re/im, kx]
         frame = np.stack([basis.e1, basis.e2])  # (polarization, rep, 3)
-        p, xy, c, z, ri = np.indices((2, side * side, 3, half, 2))
-        s = xy * half + z
+        p, c, z, y, ri, x = np.indices((2, 3, half, side, 2, side))
+        s = (x * side + y) * half + z
         # the synthesis gathers, for polarization p, the (cos, sin) slot
         # of each float's representative, and weighs it by e_p . e_c
         self._gather = (4 * rep[s] + 2 * p + ri).ravel()
@@ -512,28 +532,41 @@ class _SpectralContraction:
         # the projection reads, for component c, the (re, im) floats of
         # each representative once per polarization: [c, rep, pol, phase]
         c, r, p, ri = np.indices((3, m, 2, 2))
-        xy, z = np.divmod(stored[r], half)
-        self._read = (((xy * 3 + c) * half + z) * 2 + ri).reshape(3, -1)
+        x, yz = np.divmod(stored[r], side * half)
+        y, z = np.divmod(yz, half)
+        self._read = ((((c * half + z) * side + y) * 2 + ri) * side
+                      + x).reshape(3, -1)
         self._projection = _frozen(
             (np.sqrt(2.0) * frame[p, r, c] * sign[stored[r], ri])
             .reshape(3, -1))
 
-        x = np.arange(n)
+        grid = np.arange(n)
         k = np.arange(-K, K + 1)
         kz = np.arange(half)
-        # exp(2 pi i x k / n) from the exact residue of x k mod n
+        # exp(2 pi i x k / n) from the exact residue of x k mod n, and its
+        # inverse on the kept k: the conjugate transpose over n
         turn = 2.0 * np.pi / n
-        grid = np.exp(1j * turn * ((x[:, None] * k) % n))  # (x, k)
-        self._to_grid = _frozen(grid)
-        self._from_grid = _frozen(grid.conj().T / n)
+        dft = np.exp(1j * turn * ((grid[:, None] * k) % n))  # (x, k)
+        dft, inverse = _planar(dft), _planar(dft.conj().T) / n
+        # x multiplies the trailing (re/im, k) from the right, by the
+        # transposes: rows (re/im, k), columns (re/im, x), and the mirror
+        self._x_to_grid = _frozen(dft.T)
+        self._x_from_grid = _frozen(inverse.T)
+        # y multiplies from the left the (k, re/im) that comes before x,
+        # and gives (re/im, y); its mirror reads (re/im, y), gives (k, re/im)
+        self._y_to_grid = _frozen(
+            dft.reshape(2 * n, 2, side).swapaxes(1, 2).reshape(2 * n, -1))
+        self._y_from_grid = _frozen(
+            inverse.reshape(2, side, 2 * n).swapaxes(0, 1).reshape(-1, 2 * n))
         # c2r along z, the real part of sum_kz c_kz exp(2 pi i kz z / n),
         # weighs kz = 0 once and the others twice, for the conjugates of
-        # -kz; r2c is its mirror
-        phase = turn * ((kz[:, None] * x) % n)  # (kz, z)
+        # -kz; r2c is its mirror.  Both multiply from the left: rows or
+        # columns (kz, re/im)
+        phase = turn * ((kz[:, None] * grid) % n)  # (kz, z)
         trig = np.stack((np.cos(phase), -np.sin(phase)), axis=1)
-        self._r2c = _frozen(trig.reshape(2 * half, n).T / n)
+        self._z_from_grid = _frozen(trig.reshape(2 * half, n) / n)
         trig[1:] *= 2.0
-        self._c2r = _frozen(trig.reshape(2 * half, n))
+        self._z_to_grid = _frozen(trig.reshape(2 * half, n).T)
         # (key, field) of the last first argument, or None: see __call__
         self._memo = None
 
@@ -563,12 +596,12 @@ class _SpectralContraction:
         t = v.take(_NEXT, axis=-2)
         t *= u_prev
         w -= t
-        # [*row, x, y, (component, z)]: z, then x, then y
-        W = (w.reshape(lead + (n * n * 3, n)) @ self._r2c).view(complex)
-        W = self._from_grid @ W.reshape(lead + (n, n * 3 * half))
-        W = self._from_grid @ W.reshape(lead + (side, n, 3 * half))
-        W = W.reshape(lead + (side * side * 3 * half,)).view(float)
-        Q = W.take(self._read, axis=-1)
+        # [*row, component, z, y, x]: z, then y, then x
+        W = self._z_from_grid @ w.reshape(lead + (3, n, n * n))
+        W = self._y_from_grid @ W.reshape(lead + (3 * half, 2 * n, n))
+        W = W.reshape(lead + (3 * half * side, 2 * n)) @ self._x_from_grid
+        cube = W.reshape(lead + (6 * side * side * half,))
+        Q = cube.take(self._read, axis=-1)
         # [representative, polarization, phase] is the local slot order.
         # The read floats R times the projection p in one ufunc call, in
         # place, then summed in order: the bits of R_0 p_0 + R_1 p_1 + R_2 p_2
@@ -579,7 +612,7 @@ class _SpectralContraction:
 
     def _synthesize(self, S) -> np.ndarray:
         """The velocity fields on the grid of a ``(fields, *rows, dim)``
-        stack of states, as ``[field, *row, (x, y), component, z]``."""
+        stack of states, as ``[field, *row, component, (z, y, x)]``."""
         n, side, half = self._shape
         fields = S.shape[:-1]
         Z = S.take(self._gather, axis=-1)
@@ -587,12 +620,13 @@ class _SpectralContraction:
         # both products in place in the gather, then one sum: the bits of
         # a Z_0 + b Z_1, with (a, b) the synthesis weights
         Z *= self._synthesis
-        cube = (Z[..., 0, :] + Z[..., 1, :]).view(complex)
-        # [field, *row, kx, ky, (component, kz)]: y, then x, then z
-        F = self._to_grid @ cube.reshape(fields + (side, side, 3 * half))
-        F = self._to_grid @ F.reshape(fields + (side, n * 3 * half))
-        F = F.view(float).reshape(fields + (n * n * 3, 2 * half)) @ self._c2r
-        return F.reshape(fields + (n * n, 3, n))
+        cube = Z[..., 0, :] + Z[..., 1, :]
+        # [field, *row, component, kz, ky, re/im, kx]: x, then y, then z
+        F = cube.reshape(fields + (3 * half * side, 2 * side))
+        F = F @ self._x_to_grid
+        F = self._y_to_grid @ F.reshape(fields + (3 * half, 2 * side, n))
+        F = self._z_to_grid @ F.reshape(fields + (3, 2 * half, n * n))
+        return F.reshape(fields + (3, n ** 3))
 
 
 def build_torus_algebra(K: int, max_dim: int = TORUS_MAX_DIM):
@@ -631,10 +665,10 @@ def build_torus_algebra(K: int, max_dim: int = TORUS_MAX_DIM):
         return _canonical_entries(dim, *_torus_entries(basis))
 
     # the entries' kind (dense) at K = 1 and spectral above, the faster
-    # kernel at each K: one contract_pair on one state took 24 us dense
-    # against 45-56 us spectral at K = 1 (dim 52), and 65-68 us spectral
-    # against 360-380 us sparse at K = 2 (dim 248); best of 7 timeit
-    # repeats, 2-core x86, one BLAS thread
+    # kernel at each K: one contract_pair on one state took 17 us dense
+    # against 23 us spectral at K = 1 (dim 52), and 33 us spectral
+    # against 224 us sparse at K = 2 (dim 248), a spectral call missing
+    # its memo; best of 7 timeit repeats, 2-core x86, one BLAS thread
     if K == 1:
         tf = TripleForm._canonical(dim, *entries())
     else:

@@ -6,6 +6,7 @@ import pytest
 
 from fluidalg import (
     AlgebraFormatError,
+    FluidAlgebra,
     TripleForm,
     build_torus_algebra,
     curl,
@@ -18,6 +19,7 @@ from fluidalg import (
     make_rng,
     metric_inner,
     random_algebra,
+    rigid_body,
     triple,
 )
 from fluidalg.dynamics import (
@@ -54,10 +56,6 @@ ENTRY_POINTS = {
     "jacobiator": (jacobiator, 3),
     "circulation_defect": (circulation_defect, 2),
 }
-
-# the entry points that check the shapes of their arguments
-CHECKED = [name for name in ENTRY_POINTS
-           if not name.startswith(("TripleForm.", "FluidAlgebra."))]
 
 SCALAR_VALUED = {"TripleForm.__call__", "triple", "linking", "metric_inner",
                  "energy", "helicity", "g_norm", "g_dual_norm"}
@@ -206,24 +204,48 @@ def test_states_of_any_real_dtype_contract_as_their_float64_values(
             assert bits(form(X, Y, Z)) == bits(form(U, V, W)), name
 
 
-@pytest.mark.parametrize("name", CHECKED)
-def test_bad_block_shapes_raise_format_error(name):
-    f, nargs = ENTRY_POINTS[name]
-    alg = random_algebra(3, 6)
-    good = np.ones((4, 6))
-    for bad in (np.ones((4, 7)), np.ones((2, 4, 6)), np.ones(()),
-                np.ones((3, 6))):
-        if bad.shape == (3, 6) and nargs == 1:
-            continue  # another B is a mismatch only beside a (4, 6) block
+def _sparse_random32():
+    alg = random_algebra(7, 32)
+    form = TripleForm(alg.dim, alg.triple.index, alg.triple.values)
+    return FluidAlgebra(alg.dim, form, alg.linking, alg.metric)
+
+
+# one algebra of each storage kind, and the rigid body: name -> builder
+SHAPE_ALGEBRAS = {
+    "dense-n32": lambda: random_algebra(7, 32),
+    "sparse-n32": _sparse_random32,
+    "spectral-k2": lambda: build_torus_algebra(2)[0],
+    "rigid": lambda: rigid_body(1.0, 2.0, 3.0),
+}
+
+
+@pytest.fixture(scope="module", params=list(SHAPE_ALGEBRAS))
+def shape_algebra(request):
+    return SHAPE_ALGEBRAS[request.param]()
+
+
+@pytest.mark.parametrize("name", list(ENTRY_POINTS))
+def test_bad_block_shapes_raise_format_error(shape_algebra, name):
+    """A state one float too long or too short, a block of such states, a
+    3-d or 0-d array and arguments of different shapes raise the
+    AlgebraFormatError of ``_as_state`` at every entry point of every
+    kind: none is truncated, read past its end or broadcast."""
+    alg, (f, nargs) = shape_algebra, ENTRY_POINTS[name]
+    n = alg.dim
+    good = make_rng(35).standard_normal((4, n))
+    for shape in [(n + 1,), (n - 1,), (4, n + 1), (2, 4, n), ()]:
         for slot in range(nargs):
-            args = [good] * nargs
-            args[slot] = bad
-            with pytest.raises(AlgebraFormatError):
+            args = [good[0] if len(shape) < 2 else good] * nargs
+            args[slot] = np.ones(shape)
+            with pytest.raises(AlgebraFormatError,
+                               match=r"has shape .*, expected \("):
                 f(alg, *args)
-    # a single state beside a block is a mismatch as well
     if nargs > 1:
-        with pytest.raises(AlgebraFormatError):
-            f(alg, good, *[good[0]] * (nargs - 1))
+        # another B beside a (4, n) block, or a single state beside it
+        for other in (good[:3], good[0]):
+            with pytest.raises(AlgebraFormatError,
+                               match=r"has shape .*, expected \("):
+                f(alg, good, *[other] * (nargs - 1))
 
 
 @pytest.mark.parametrize("K", [2, 3, 4])

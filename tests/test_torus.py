@@ -264,7 +264,8 @@ def _operator_arrays_by_mirror(basis):
     """The spectral operator's gather, synthesis, read and projection, with
     the half cube built apart from the lattice table: each representative
     flipped into k_z >= 0, the plane k_z = 0 mirrored and the origin
-    zeroed."""
+    zeroed.  The cube's floats are laid out [component, kz, ky, re/im, kx]
+    (the planar layout)."""
     reps, K = basis.reps, basis.K
     side, half = 2 * K + 1, K + 1
     m = reps.shape[0]
@@ -280,14 +281,15 @@ def _operator_arrays_by_mirror(basis):
     sign[stored, 1] = -flip
     sign[np.ravel_multi_index(origin, cube)] = 0.0
     frame = np.stack([basis.e1, basis.e2])
-    p, xy, c, z, ri = np.indices((2, side * side, 3, half, 2))
-    s = xy * half + z
+    p, c, z, y, ri, x = np.indices((2, 3, half, side, 2, side))
+    s = np.ravel_multi_index((x, y, z), cube)
     gather = (4 * rep[s] + 2 * p + ri).ravel()
     synthesis = (np.sqrt(0.5) * frame[p, rep[s], c]
                  * sign[s, ri]).reshape(2, -1)
     c, r, p, ri = np.indices((3, m, 2, 2))
-    xy, z = np.divmod(stored[r], half)
-    read = (((xy * 3 + c) * half + z) * 2 + ri).reshape(3, -1)
+    x, y, z = np.unravel_index(stored[r], cube)
+    read = np.ravel_multi_index((c, z, y, ri, x),
+                                (3, half, side, 2, side)).reshape(3, -1)
     projection = (np.sqrt(2.0) * frame[p, r, c]
                   * sign[stored[r], ri]).reshape(3, -1)
     return gather, synthesis, read, projection
@@ -301,6 +303,46 @@ def test_operator_arrays_from_the_table_have_the_bits_of_the_mirror(K):
     for a, b in zip(got, _operator_arrays_by_mirror(basis)):
         assert (a.dtype, a.shape) == (b.dtype, b.shape)
         assert a.tobytes() == b.tobytes()
+
+
+def _real_form(T):
+    return np.block([[T.real, -T.imag], [T.imag, T.real]])
+
+
+@pytest.mark.parametrize("K", [1, 2, 3, 4])
+def test_transform_matrices_are_real_forms_of_the_dft(K):
+    """Each real GEMM matrix of the kernel is, bit for bit, the real form
+    [[Re T, -Im T], [Im T, Re T]] of a complex DFT matrix T, with its rows
+    or columns in the order of the planar layout; along z, the real and
+    imaginary parts of the DFT over the half spectrum."""
+    op = _SpectralContraction(TorusBasis(K))
+    n, side, half = op._shape
+    x, k = np.arange(n), np.arange(-K, K + 1)
+    # exp(2 pi i ((x k) mod N) / N), the angle from the exact residue
+    dft = np.exp(1j * (2 * np.pi / n) * ((x[:, None] * k) % n))
+    forward = _real_form(dft)
+    inverse = _real_form(dft.conj().T) / n
+    # the y step reads and writes (k, re/im), not (re/im, k)
+    interleaved = (np.arange(2)[None, :] * side + np.arange(side)[:, None])
+    interleaved = interleaved.ravel()
+    expected = {
+        "_x_to_grid": forward.T,
+        "_y_to_grid": forward[:, interleaved],
+        "_x_from_grid": inverse.T,
+        "_y_from_grid": inverse[interleaved],
+    }
+    # c2r weighs kz = 0 once and the others twice; rows (kz, re/im)
+    half_dft = np.exp(1j * (2 * np.pi / n) * ((np.arange(half)[:, None] * x)
+                                              % n))
+    parts = np.stack((half_dft.real, -half_dft.imag), axis=1)
+    expected["_z_from_grid"] = parts.reshape(2 * half, n) / n
+    parts[1:] *= 2.0
+    expected["_z_to_grid"] = parts.reshape(2 * half, n).T
+    for name, want in expected.items():
+        got = getattr(op, name)
+        assert got.shape == want.shape, name
+        assert got.tobytes() == want.tobytes(), name
+        assert not got.flags.writeable
 
 
 @pytest.mark.parametrize("K", [30, 10 ** 4])
@@ -566,6 +608,13 @@ def test_spectral_contraction_matches_the_stored_entries(K):
         expected = stored.contract_pair(X, Y)
         bound = 1e-14 * np.max(np.abs(expected))
         assert np.max(np.abs(got - expected)) <= bound
+    # a 3-row block, each row within the bound of its own scale
+    A, B = rng.standard_normal((2, 3, alg.dim))
+    got = alg.triple.contract_pair(A, B)
+    expected = stored.contract_pair(A, B)
+    assert got.shape == expected.shape == (3, alg.dim)
+    bound = 1e-14 * np.max(np.abs(expected), axis=1)
+    assert np.all(np.max(np.abs(got - expected), axis=1) <= bound)
 
 
 def test_k1_forms_of_each_kind_hold_one_set_of_entries(torus_k1):
@@ -662,29 +711,28 @@ def test_simulate_k3_never_assembles_the_entries(tmp_path, monkeypatch):
 def _loop_contraction(op, X, Y):
     """The spectral contraction with its cross product as a loop over the
     three components, one ufunc call per product and difference: the
-    reference for the full-array cross product of the kernel."""
+    reference for the full-array cross product of the kernel.  The fields
+    are laid out [component, z, y, x], the cube [component, kz, ky, re/im,
+    kx] (the planar layout)."""
     n, side, half = op._shape
     fields = (2,) + np.shape(X)[:-1]
     lead = fields[1:]
     Z = np.stack((X, Y)).take(op._gather, axis=-1)
     Z = Z.reshape(fields + op._synthesis.shape)
     a, b = op._synthesis
-    cube = (a * Z[..., 0, :] + b * Z[..., 1, :]).view(complex)
-    F = op._to_grid @ cube.reshape(fields + (side, side, 3 * half))
-    F = op._to_grid @ F.reshape(fields + (side, n * 3 * half))
-    u, v = F.view(float).reshape(fields + (n * n * 3, 2 * half)) @ op._c2r
-    u = u.reshape(lead + (n * n, 3, n))
-    v = v.reshape(u.shape)
+    cube = a * Z[..., 0, :] + b * Z[..., 1, :]
+    F = cube.reshape(fields + (3 * half * side, 2 * side)) @ op._x_to_grid
+    F = op._y_to_grid @ F.reshape(fields + (3 * half, 2 * side, n))
+    u, v = op._z_to_grid @ F.reshape(fields + (3, 2 * half, n * n))
     w = np.empty(u.shape)
     for c in range(3):
         p, q = (c + 1) % 3, (c + 2) % 3
-        np.subtract(u[..., p, :] * v[..., q, :],
-                    u[..., q, :] * v[..., p, :], out=w[..., c, :])
-    W = (w.reshape(lead + (n * n * 3, n)) @ op._r2c).view(complex)
-    W = op._from_grid @ W.reshape(lead + (n, n * 3 * half))
-    W = op._from_grid @ W.reshape(lead + (side, n, 3 * half))
-    RI = W.reshape(lead + (side * side * 3 * half,)).view(float) \
-        .take(op._read, axis=-1)
+        np.subtract(u[..., p, :, :] * v[..., q, :, :],
+                    u[..., q, :, :] * v[..., p, :, :], out=w[..., c, :, :])
+    W = op._z_from_grid @ w
+    W = op._y_from_grid @ W.reshape(lead + (3 * half, 2 * n, n))
+    W = W.reshape(lead + (3 * half * side, 2 * n)) @ op._x_from_grid
+    RI = W.reshape(lead + (-1,)).take(op._read, axis=-1)
     p0, p1, p2 = op._projection
     return RI[..., 0, :] * p0 + RI[..., 1, :] * p1 + RI[..., 2, :] * p2
 

@@ -7,16 +7,20 @@ For each algebra below it prints, as one Markdown table, the packed
 floats n^2 (n-1)/2 per canonical entry, which with n picks the kind of a
 form given by its entries (``core._SPARSE_ENTRY_FLOATS``), the
 microseconds of ``TripleForm.contract_pair`` on one state and the
-microseconds per row on a 50-row block, the identity suite's block.  The
+microseconds per row on a 50-row block, the identity suite's block.
+For a spectral form it also prints the microseconds of a memo hit: one
+state contracted with the same first argument as the call before it and
+a new second, the pattern of a probe stage's second contraction.  The
 rows on either side of that rule are forms that it makes dense (random
 n=100, which ``random_algebra`` builds from its entries as a saved file
 is, the K=1 torus) and sparse (so(12), built by ``from_lie_algebra``),
 and the entries of the K=1 and K=2 tori built sparse for comparison.
 Each figure is the best of ``--repeat`` passes over a pool of ``--pool``
 distinct pairs, so that no pass reruns one cache-hot pair and a spectral
-form always misses its memo.  A second table gives the microseconds of
-one step, ``rk4_step`` and ``co_evolve_probe`` (dt 1e-3), on random n=32
-and the K=3 torus, the best of ``--repeat`` passes over ``--pool``
+form misses its memo but on the memo-hit figure, whose pool pairs share
+their first argument.  A second table gives the microseconds of one
+step, ``rk4_step`` and ``co_evolve_probe`` (dt 1e-3), on random n=32 and
+the K=2 and K=3 tori, the best of ``--repeat`` passes over ``--pool``
 distinct (state, probe) pairs.  It checks nothing and has no thresholds.
 Set-up (building the algebras, the sparse form's entries among them) is
 not timed.  BLAS runs on one thread, as in the benchmark.
@@ -80,6 +84,7 @@ FORMS = {
 # name -> builder of the algebra whose RK4 step is timed
 STEPS = {
     "random(7), n=32": lambda: random_algebra(7, 32),
+    "torus K=2, n=248": lambda: build_torus_algebra(2)[0],
     "torus K=3, n=684": lambda: build_torus_algebra(3, max_dim=684)[0],
 }
 STEP_DT = 1e-3
@@ -96,6 +101,15 @@ def best_us(contract, pool, repeat: int) -> float:
     return best / len(pool) * 1e6
 
 
+def hit_us(form, states, repeat: int) -> float:
+    """:func:`best_us` of the pairs (X, Y_i), X the pool's first state:
+    after the first call every contraction hits a spectral form's memo."""
+    X = states[0, 0]
+    pool = [(X, Y) for Y in states[:, 1]]
+    form.contract_pair(*pool[-1])
+    return best_us(form.contract_pair, pool, repeat)
+
+
 def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--repeat", type=int, default=7,
@@ -107,17 +121,19 @@ def main(argv=None) -> None:
         parser.error("--repeat and --pool must be at least 1")
     rng = make_rng(0)
     print("| form | floats/entry | kind | one state (µs) "
-          "| 50-row block (µs/row) |")
-    print("|---|---:|---|---:|---:|")
+          "| memo hit (µs) | 50-row block (µs/row) |")
+    print("|---|---:|---|---:|---:|---:|")
     for name, build in FORMS.items():
         form = build()
         states = rng.standard_normal((args.pool, 2, form.dim))
         blocks = rng.standard_normal((args.pool, 2, BLOCK_ROWS, form.dim))
         single = best_us(form.contract_pair, states, args.repeat)
+        hit = (f"{hit_us(form, states, args.repeat):.1f}"
+               if form.kind == "spectral" else "-")
         block = best_us(form.contract_pair, blocks, args.repeat) / BLOCK_ROWS
         ratio = form.dim ** 2 * (form.dim - 1) / 2 / max(form.nnz, 1)
         print(f"| {name} | {ratio:.0f} | {form.kind} | {single:.1f} "
-              f"| {block:.2f} |")
+              f"| {hit} | {block:.2f} |")
     print()
     print("| algebra | rk4_step (µs) | co_evolve_probe (µs) |")
     print("|---|---:|---:|")
