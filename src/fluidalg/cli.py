@@ -348,7 +348,10 @@ def _fmt(x: float) -> str:
 
 
 def _max_drift(values) -> float:
-    return max(abs(v - values[0]) for v in values)
+    # NaN when any difference is: max() would drop it, since every
+    # comparison with NaN is false
+    drifts = [abs(v - values[0]) for v in values]
+    return math.nan if any(map(math.isnan, drifts)) else max(drifts)
 
 
 def _write_trace(path, times, series: dict) -> None:

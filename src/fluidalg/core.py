@@ -80,6 +80,17 @@ The arguments of one call are all states or all blocks of one B; any
 other shape, a state of another length included, raises the
 :class:`AlgebraFormatError` of :func:`_as_state` at every one of these
 entry points, so none is truncated, read past its end or broadcast.
+The operator layer -- ``contract_pair``, ``__call__`` and the four
+products -- checks each argument under its own parameter name, and a
+function above it checks an argument only where that layer cannot, so
+that the error names the argument as the caller passed it: where two
+arguments meet outside any operator (``X`` and ``Y`` of :func:`linking`
+and :func:`metric_inner`, ``F`` and ``X`` of
+:func:`~fluidalg.dynamics.circulation_defect`), and where the operator
+below would give the argument another name (``Y`` of
+:func:`inverse_curl`, ``v`` of :func:`g_norm`, ``r`` of
+:func:`g_dual_norm`, and ``Z`` of ``transport`` and ``jacobiator``,
+checked against their ``X``).
 
 L and G follow one rule (:class:`_Matrix`): given as a tuple
 ``(cols, w)``, as None for the identity, or as an array with one nonzero
@@ -108,7 +119,7 @@ import numbers
 import reprlib
 import sys
 import warnings
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -1082,12 +1093,6 @@ class FluidAlgebra:
                 stacklevel=3,
             )
 
-    def state(self, X, name: str = "state", block: bool = False,
-              like=None) -> np.ndarray:
-        """``X`` checked as one state (n,); see :func:`_as_state` for
-        ``block`` and ``like``."""
-        return _as_state(self.dim, X, name, block, like)
-
     def __repr__(self):
         # no entry count where only assembling the entries would give it
         nnz = self.triple._nnz
@@ -1255,23 +1260,20 @@ def validate(alg: FluidAlgebra) -> ValidationReport:
 
 def triple(alg: FluidAlgebra, X, Y, Z):
     """Evaluate the alternating form {X, Y, Z}."""
-    X = alg.state(X, "X", block=True)
-    Y = alg.state(Y, "Y", like=X)
-    Z = alg.state(Z, "Z", like=X)
     return alg.triple(X, Y, Z)
 
 
 def linking(alg: FluidAlgebra, X, Y):
     """Evaluate the linking form <X, Y> = X^T L Y."""
-    X = alg.state(X, "X", block=True)
-    Y = alg.state(Y, "Y", like=X)
+    X = _as_state(alg.dim, X, "X", block=True)
+    Y = _as_state(alg.dim, Y, "Y", like=X)
     return _scalars(_dot(X, alg.apply_linking(Y)))
 
 
 def metric_inner(alg: FluidAlgebra, X, Y):
     """Evaluate the metric inner product (X, Y) = X^T G Y."""
-    X = alg.state(X, "X", block=True)
-    Y = alg.state(Y, "Y", like=X)
+    X = _as_state(alg.dim, X, "X", block=True)
+    Y = _as_state(alg.dim, Y, "Y", like=X)
     return _scalars(_dot(X, alg.apply_metric(Y)))
 
 
@@ -1282,32 +1284,30 @@ def energy(alg: FluidAlgebra, X):
 
 def helicity(alg: FluidAlgebra, X):
     """(X, D X) = X^T L X; the two expressions agree to round-off."""
-    X = alg.state(X, "X", block=True)
     return _scalars(_dot(X, alg.apply_linking(X)))
 
 
 def curl(alg: FluidAlgebra, X) -> np.ndarray:
     """Apply the curl operator D = G^-1 L, defined by (D X, Y) = <X, Y>."""
-    X = alg.state(X, "X", block=True)
     return alg.solve_metric(alg.apply_linking(X))
 
 
 def inverse_curl(alg: FluidAlgebra, Y) -> np.ndarray:
     """Apply D' = L^-1 G, the inverse of the curl operator."""
-    Y = alg.state(Y, "Y", block=True)
+    Y = _as_state(alg.dim, Y, "Y", block=True)
     return alg.solve_linking(alg.apply_metric(Y))
 
 
 def g_norm(alg: FluidAlgebra, v):
     """Metric norm sqrt(v^T G v) of a state vector."""
-    v = alg.state(v, "v", block=True)
+    v = _as_state(alg.dim, v, "v", block=True)
     return _scalars(np.sqrt(np.maximum(_dot(v, alg.apply_metric(v)),
                                        0.0)))
 
 
 def g_dual_norm(alg: FluidAlgebra, r):
     """Dual metric norm sqrt(r^T G^-1 r) of a linear functional."""
-    r = alg.state(r, "r", block=True)
+    r = _as_state(alg.dim, r, "r", block=True)
     return _scalars(np.sqrt(np.maximum(_dot(r, alg.solve_metric(r)),
                                        0.0)))
 
@@ -1372,8 +1372,8 @@ class DoubleDouble(float):
     @property
     def lo(self) -> float:
         lo = self._lo
-        if isinstance(lo, _LowWords):
-            lo = self._lo = lo[self._row]
+        if callable(lo):
+            lo = self._lo = lo()[self._row]
         return lo
 
     def __reduce__(self):
@@ -1455,31 +1455,17 @@ def dd_values(alg: FluidAlgebra, form: str, hi, X, X_lo, Y=None, Y_lo=None):
     return out
 
 
-class _LowWords:
-    """The low words of one :func:`dd_values` call, evaluated for all of
-    its rows at the first read of any one.  The one attribute holds the
-    call's arguments until then and the low words after; two threads that
-    read it at once may both evaluate them, to the same bits."""
-
-    __slots__ = ("_words",)
-
-    def __init__(self, *args):
-        self._words = args
-
-    def __getitem__(self, row: int) -> float:
-        words = self._words
-        if isinstance(words, tuple):
-            words = self._words = [v.lo for v in dd_values(*words)]
-        return words[row]
-
-
 def _lazy_dd_values(alg: FluidAlgebra, form: str, hi, X, X_lo, Y=None,
                     Y_lo=None) -> list:
     """The values of :func:`dd_values`, whose low words are evaluated on
     the first read of any one of them, by one :func:`dd_values` call over
     all rows.  A row's bits do not depend on its batch, so they are those
-    of the eager call.  The sequences passed must not change after."""
-    words = _LowWords(alg, form, hi, X, X_lo, Y, Y_lo)
+    of the eager call.  Each value holds the words as one cached function
+    until its first read; two threads that call it at once may both
+    evaluate the words, to the same bits.  The sequences passed must not
+    change after."""
+    words = cache(lambda: [v.lo for v in dd_values(alg, form, hi, X, X_lo,
+                                                   Y, Y_lo)])
     out = list(map(DoubleDouble, hi))
     for row, value in enumerate(out):
         value._lo, value._row = words, row

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import FluidAlgebra, curl, inverse_curl
+from .core import FluidAlgebra, _as_state, curl, inverse_curl
 
 __all__ = [
     "euler_rhs",
@@ -46,7 +46,6 @@ __all__ = [
 
 def euler_rhs(alg: FluidAlgebra, X) -> np.ndarray:
     """Right-hand side of the Euler ODE: V with (V, Z) = {X, D X, Z}."""
-    X = alg.state(X, "X", block=True)
     DX = curl(alg, X)
     c = alg.triple.contract_pair(X, DX)
     return alg.solve_metric(c)
@@ -54,7 +53,6 @@ def euler_rhs(alg: FluidAlgebra, X) -> np.ndarray:
 
 def vorticity_rhs(alg: FluidAlgebra, Y) -> np.ndarray:
     """Evolution of a vorticity state: W with (W, Z) = {D'Y, Y, D Z}."""
-    Y = alg.state(Y, "Y", block=True)
     X = inverse_curl(alg, Y)
     b = alg.triple.contract_pair(X, Y)
     # {X, Y, D Z} = b . (D Z) = (D^T b) . Z, and G^-1 D^T = G^-1 L G^-1,
@@ -64,16 +62,14 @@ def vorticity_rhs(alg: FluidAlgebra, Y) -> np.ndarray:
 
 def transport(alg: FluidAlgebra, X, Z) -> np.ndarray:
     """Infinitesimal transport of Z by X: t with (t, W) = {X, Z, D W}."""
-    X = alg.state(X, "X", block=True)
-    Z = alg.state(Z, "Z", like=X)
+    X = _as_state(alg.dim, X, "X", block=True)
+    Z = _as_state(alg.dim, Z, "Z", like=X)
     b = alg.triple.contract_pair(X, Z)
     return curl(alg, alg.solve_metric(b))
 
 
 def induced_bracket(alg: FluidAlgebra, X, Y) -> np.ndarray:
     """Bracket [X, Y] defined through the linking form: <[X,Y], Z> = {X,Y,Z}."""
-    X = alg.state(X, "X", block=True)
-    Y = alg.state(Y, "Y", like=X)
     b = alg.triple.contract_pair(X, Y)
     return alg.solve_linking(b)
 
@@ -84,9 +80,8 @@ def jacobiator(alg: FluidAlgebra, X, Y, Z) -> np.ndarray:
     Its norm is the Jacobi defect: identically zero on algebras built from
     a Lie algebra with invariant pairing, generically nonzero otherwise.
     """
-    X = alg.state(X, "X", block=True)
-    Y = alg.state(Y, "Y", like=X)
-    Z = alg.state(Z, "Z", like=X)
+    X = _as_state(alg.dim, X, "X", block=True)
+    Z = _as_state(alg.dim, Z, "Z", like=X)
     return (
         induced_bracket(alg, induced_bracket(alg, X, Y), Z)
         + induced_bracket(alg, induced_bracket(alg, Y, Z), X)
@@ -102,8 +97,8 @@ def circulation_defect(alg: FluidAlgebra, F, X) -> np.ndarray:
     is invertible the residual detects any perturbation of F.  Both pairings
     are deterministic, so at F = euler_rhs(X) the residual is exactly zero.
     """
-    F = alg.state(F, "F", block=True)
-    X = alg.state(X, "X", like=F)
+    F = _as_state(alg.dim, F, "F", block=True)
+    X = _as_state(alg.dim, X, "X", like=F)
     DX = curl(alg, X)
     c = alg.triple.contract_pair(X, DX)
     # (F, D Z) = (L F) . Z  since D^T G = L;  {X, DX, D Z} = (L G^-1 c) . Z

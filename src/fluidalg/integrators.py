@@ -41,6 +41,7 @@ from .core import (
     FluidAlgebra,
     _FrozenRecord,
     _Record,
+    _as_state,
     _lazy_dd_values,
     _number,
     curl,
@@ -225,7 +226,7 @@ def rk4_step(alg: FluidAlgebra, X, dt: float, t0: float = 0.0) -> np.ndarray:
     This is the compensated step from a zero low word, whose high word is
     the plain float64 RK4 update.
     """
-    X = alg.state(X, "X")
+    X = _as_state(alg.dim, X, "X")
     return _rk4(alg, X, _zero_low(X), dt, t0)[0]
 
 
@@ -237,7 +238,7 @@ def co_evolve_probe(alg: FluidAlgebra, X, Z, dt: float,
     X is advanced internally along its own Euler stages so the probe sees
     stage-consistent velocity values; only the new probe is returned.
     """
-    S = np.stack((alg.state(X, "X"), alg.state(Z, "Z")))
+    S = np.stack((_as_state(alg.dim, X, "X"), _as_state(alg.dim, Z, "Z")))
     return _rk4(alg, S, _zero_low(S), dt, t0, probe=True)[0][1]
 
 
@@ -259,7 +260,7 @@ def project_to_invariants(alg: FluidAlgebra, X, E0: float, H0: float,
     targets), which no rescaling moves, or the targets are out of reach:
     E0 negative or not finite, or H0 not finite.
     """
-    X = alg.state(X, "X")
+    X = _as_state(alg.dim, X, "X")
     if not (0.0 <= E0 < math.inf and math.isfinite(H0)):
         raise ProjectionError(
             f"no state has energy {E0!r} and helicity {H0!r}")
@@ -345,7 +346,7 @@ def integrate(alg: FluidAlgebra, X0, spec: IntegratorSpec,
     the steps since the last record: on a new record, or on the record
     already taken at that time.
     """
-    X = alg.state(X0, "X0")
+    X = _as_state(alg.dim, X0, "X0")
     E0 = energy(alg, X)
     H0 = helicity(alg, X)
     # the carried state is the velocity, or the velocity stacked over the
@@ -353,7 +354,7 @@ def integrate(alg: FluidAlgebra, X0, spec: IntegratorSpec,
     has_probe = probe is not None
     v = 0 if has_probe else ...
     if has_probe:
-        X = np.stack((X, alg.state(probe, "probe")))
+        X = np.stack((X, _as_state(alg.dim, probe, "probe")))
     X_lo = _zero_low(X)
     rows: list = []  # [t, X, X_lo, Z, Z_lo, flag] per record
 

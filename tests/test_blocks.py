@@ -1,6 +1,9 @@
 """Blocks of states: every operator-layer entry point takes one state (n,)
 or a (B, n) block, and a block gives each row the bits of that row alone."""
 
+import inspect
+import re
+
 import numpy as np
 import pytest
 
@@ -224,13 +227,28 @@ def shape_algebra(request):
     return SHAPE_ALGEBRAS[request.param]()
 
 
+def _state_parameters(name):
+    """The state parameters of an entry point as ``inspect.signature``
+    gives them, those after ``self`` or ``alg``."""
+    owner, _, method = name.rpartition(".")
+    f = (getattr({"TripleForm": TripleForm, "FluidAlgebra": FluidAlgebra}[
+        owner], method) if owner else ENTRY_POINTS[name][0])
+    return list(inspect.signature(f).parameters)[1:]
+
+
 @pytest.mark.parametrize("name", list(ENTRY_POINTS))
 def test_bad_block_shapes_raise_format_error(shape_algebra, name):
     """A state one float too long or too short, a block of such states, a
     3-d or 0-d array and arguments of different shapes raise the
     AlgebraFormatError of ``_as_state`` at every entry point of every
-    kind: none is truncated, read past its end or broadcast."""
+    kind: none is truncated, read past its end or broadcast.  The message
+    starts with the bad argument's parameter name at that entry point, and
+    for two valid shapes that differ with the name and the shape of one of
+    the pair: a check left to the call below must not report an argument
+    under the name that it has there."""
     alg, (f, nargs) = shape_algebra, ENTRY_POINTS[name]
+    params = _state_parameters(name)
+    assert len(params) == nargs
     n = alg.dim
     good = make_rng(35).standard_normal((4, n))
     for shape in [(n + 1,), (n - 1,), (4, n + 1), (2, 4, n), ()]:
@@ -238,14 +256,23 @@ def test_bad_block_shapes_raise_format_error(shape_algebra, name):
             args = [good[0] if len(shape) < 2 else good] * nargs
             args[slot] = np.ones(shape)
             with pytest.raises(AlgebraFormatError,
-                               match=r"has shape .*, expected \("):
+                               match=rf"^{params[slot]} has shape "
+                                     rf"{re.escape(str(shape))}, expected \("):
                 f(alg, *args)
-    if nargs > 1:
-        # another B beside a (4, n) block, or a single state beside it
-        for other in (good[:3], good[0]):
+    # another B beside a (4, n) block, or a single state beside it: in
+    # each slot, and in every slot after the first
+    for other in (good[:3], good[0]) if nargs > 1 else ():
+        cases = [[good] + [other] * (nargs - 1)] + [
+            [other if s == slot else good for s in range(nargs)]
+            for slot in range(nargs)]
+        for args in cases:
             with pytest.raises(AlgebraFormatError,
-                               match=r"has shape .*, expected \("):
-                f(alg, good, *[other] * (nargs - 1))
+                               match=r"has shape .*, expected \(") as err:
+                f(alg, *args)
+            named = str(err.value).split(" ", 1)[0]
+            assert named in params, str(err.value)
+            shape = args[params.index(named)].shape
+            assert str(err.value).startswith(f"{named} has shape {shape}, ")
 
 
 @pytest.mark.parametrize("K", [2, 3, 4])

@@ -145,6 +145,30 @@ def test_summary_drifts_match_independent_reader(tmp_path):
     assert summary["records"] == len(rows)
 
 
+def test_summary_drift_is_null_when_the_trace_holds_nan(tmp_path):
+    # one step so long that the state nears the float range: its energy
+    # and helicity overflow to NaN, which the drifts must not drop
+    cfg = write_config(
+        tmp_path / "cfg.json",
+        {
+            "instance": {"name": "random", "seed": 2, "n": 6},
+            "initial_state": {"seed": 1, "norm": 1.0},
+            "integrator": {"method": "rk4", "dt": 3.1622776601683794e+23,
+                           "t_end": 3.1622776601683794e+23},
+        },
+    )
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", cfg, "--output", str(out)]) == 0
+    last = (out / "trace.csv").read_text().splitlines()[-1]
+    assert last.split(",")[1:3] == ["nan", "nan"]
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["max_energy_drift"] is None
+    assert summary["max_helicity_drift"] is None
+    assert summary["non_finite"] == [
+        "final.energy", "final.helicity", "max_energy_drift",
+        "max_helicity_drift"]
+
+
 def test_probe_column_empty_without_probe(tmp_path):
     cfg = rigid_config(tmp_path, t_end=0.01)
     out = tmp_path / "out"

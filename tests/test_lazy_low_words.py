@@ -34,7 +34,8 @@ def _bits(x):
 
 
 def _pending(value):
-    return isinstance(value._lo, core._LowWords)
+    # a pending low word is the cached function that evaluates them all
+    return callable(value._lo)
 
 
 CASES = {

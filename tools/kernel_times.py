@@ -21,9 +21,14 @@ form misses its memo but on the memo-hit figure, whose pool pairs share
 their first argument.  A second table gives the microseconds of one
 step, ``rk4_step`` and ``co_evolve_probe`` (dt 1e-3), on random n=32 and
 the K=2 and K=3 tori, the best of ``--repeat`` passes over ``--pool``
-distinct (state, probe) pairs.  It checks nothing and has no thresholds.
-Set-up (building the algebras, the sparse form's entries among them) is
-not timed.  BLAS runs on one thread, as in the benchmark.
+distinct (state, probe) pairs.  A third gives the milliseconds of
+``run_identity_suite`` with 200 states and 200 triples, the compute of
+the benchmark's ``diagnose-random32`` workload, on random n=32 and the
+K=2 torus: the best of ``--repeat`` calls, after one untimed call in
+which the torus assembles its entries.  It checks nothing and has no
+thresholds.  Set-up (building the algebras, the sparse form's entries
+among them) is not timed.  BLAS runs on one thread, as in the
+benchmark.
 """
 
 import os
@@ -46,6 +51,7 @@ from fluidalg import (  # noqa: E402
     random_algebra,
     rigid_body,
     rk4_step,
+    run_identity_suite,
 )
 
 BLOCK_ROWS = 50
@@ -88,6 +94,13 @@ STEPS = {
     "torus K=3, n=684": lambda: build_torus_algebra(3, max_dim=684)[0],
 }
 STEP_DT = 1e-3
+
+# name -> builder of the algebra whose identity suite is timed
+SUITES = {
+    "random(7), n=32": lambda: random_algebra(7, 32),
+    "torus K=2, n=248": lambda: build_torus_algebra(2)[0],
+}
+SUITE_SAMPLE = 200  # states, and Jacobiator triples
 
 
 def best_us(contract, pool, repeat: int) -> float:
@@ -145,6 +158,18 @@ def main(argv=None) -> None:
         probe = best_us(lambda X, Z: co_evolve_probe(alg, X, Z, STEP_DT),
                         pool, args.repeat)
         print(f"| {name} | {plain:.1f} | {probe:.1f} |")
+    print()
+    print("| algebra | run_identity_suite (ms) |")
+    print("|---|---:|")
+    for name, build in SUITES.items():
+        alg = build()
+
+        def suite(X, Y):
+            run_identity_suite(alg, SUITE_SAMPLE, num_triples=SUITE_SAMPLE)
+
+        suite(None, None)  # the torus assembles its entries in this call
+        best = best_us(suite, [(None, None)], args.repeat) / 1e3
+        print(f"| {name} | {best:.2f} |")
 
 
 if __name__ == "__main__":
