@@ -24,7 +24,9 @@ their low words are evaluated on first read, for all records at once.
 
 The operators return non-finite values unjudged; here a non-finite stage
 or step result raises :class:`NumericalFailure`, and a non-finite Newton
-matrix :class:`ProjectionError`.
+matrix :class:`ProjectionError`.  A recorded invariant that is not finite
+ends a run too: it is judged on the records' float64 invariants, which
+the run evaluates anyway, so no step pays for the check.
 
 A single integration is sequential; separate integrations are independent
 and may run concurrently.
@@ -266,14 +268,9 @@ def project_to_invariants(alg: FluidAlgebra, X, E0: float, H0: float,
             f"no state has energy {E0!r} and helicity {H0!r}")
     e_tol = settings.tol * E0
     h_tol = settings.tol * max(abs(H0), E0)
-
-    def _converged(u):
-        return (
-            abs(energy(alg, u) - E0) <= e_tol
-            and abs(helicity(alg, u) - H0) <= h_tol
-        )
-
-    if _converged(X):
+    e_X = energy(alg, X)
+    fE, fH = e_X - E0, helicity(alg, X) - H0
+    if abs(fE) <= e_tol and abs(fH) <= h_tol:
         return X
 
     DX = curl(alg, X)
@@ -281,13 +278,8 @@ def project_to_invariants(alg: FluidAlgebra, X, E0: float, H0: float,
     GD = alg.apply_metric(DX)
     LX = alg.apply_linking(X)
     LD = alg.apply_linking(DX)
-    a = b = 0.0
+    u, a, b = X, 0.0, 0.0
     for _ in range(settings.max_iter):
-        u = (1.0 + 2.0 * a) * X + (2.0 * b) * DX
-        fE = energy(alg, u) - E0
-        fH = helicity(alg, u) - H0
-        if abs(fE) <= e_tol and abs(fH) <= h_tol:
-            return u
         J = np.array(
             [
                 [4.0 * (u @ GX), 4.0 * (u @ GD)],
@@ -298,16 +290,16 @@ def project_to_invariants(alg: FluidAlgebra, X, E0: float, H0: float,
             raise ProjectionError("non-finite Newton matrix in projection")
         if np.linalg.cond(J) > _NEWTON_SINGULAR_COND:
             # DX || X: energy and helicity constraints are not independent
-            e_now = energy(alg, X)
-            if e_now <= 0.0:
+            if e_X <= 0.0:
                 raise ProjectionError("cannot rescale a zero-energy state")
-            return X * np.sqrt(E0 / e_now)
+            return X * np.sqrt(E0 / e_X)
         da, db = np.linalg.solve(J, [-fE, -fH])
         a += da
         b += db
-    u = (1.0 + 2.0 * a) * X + (2.0 * b) * DX
-    if _converged(u):
-        return u
+        u = (1.0 + 2.0 * a) * X + (2.0 * b) * DX
+        fE, fH = energy(alg, u) - E0, helicity(alg, u) - H0
+        if abs(fE) <= e_tol and abs(fH) <= h_tol:
+            return u
     raise ProjectionError(
         f"projection did not converge in {settings.max_iter} iterations"
     )
@@ -344,7 +336,10 @@ def integrate(alg: FluidAlgebra, X0, spec: IntegratorSpec,
     marked failed.  The last good state, at the start of the failed step,
     ends the trace with the flag "numerical-failure", after the flags of
     the steps since the last record: on a new record, or on the record
-    already taken at that time.
+    already taken at that time.  A recorded energy, helicity or probe
+    linking that is not finite also ends the run: the first such record
+    ends the trace with that flag, and ``steps`` counts the steps up to
+    it (see :func:`_trace_records`).
     """
     X = _as_state(alg.dim, X0, "X0")
     E0 = energy(alg, X)
@@ -356,17 +351,23 @@ def integrate(alg: FluidAlgebra, X0, spec: IntegratorSpec,
     if has_probe:
         X = np.stack((X, _as_state(alg.dim, probe, "probe")))
     X_lo = _zero_low(X)
-    rows: list = []  # [t, X, X_lo, Z, Z_lo, flag] per record
+    result = IntegrationResult(records=[], steps=0)
+    rows: list = []  # [t, steps, X, X_lo, Z, Z_lo, flags] per record
 
-    def _record(t, flag=""):
+    def _record(t, flags):
+        if rows and rows[-1][0] == t:
+            # the state at t is already recorded: flag that row rather
+            # than write a second one at the same time
+            rows[-1][-1] += flags
+            return
         # copies: a view of a row would keep the whole step array alive
         Z, Z_lo = (X[1].copy(), X_lo[1].copy()) if has_probe else (None, None)
-        rows.append([t, X[v].copy(), X_lo[v].copy(), Z, Z_lo, flag])
+        rows.append([t, result.steps, X[v].copy(), X_lo[v].copy(), Z, Z_lo,
+                     flags])
 
-    _record(0.0)
+    _record(0.0, [])
     n_full, remainder = _plan_steps(spec.dt, spec.t_end)
     total_steps = n_full + (1 if remainder > 0.0 else 0)
-    result = IntegrationResult(records=[], steps=0)
     pending_flags: list = []
 
     for step in range(total_steps):
@@ -384,49 +385,64 @@ def integrate(alg: FluidAlgebra, X0, spec: IntegratorSpec,
                                                  spec.projection)
                     X_lo[v] = -0.0
                 except ProjectionError:
-                    result.projection_failures += 1
                     pending_flags.append("projection-failed")
         except NumericalFailure as exc:
             result.failed = True
             result.failure_message = str(exc)
-            flags = pending_flags + ["numerical-failure"]
-            if rows[-1][0] == t:
-                # the last good state is already recorded: flag that row
-                # rather than write a second one at the same time
-                rows[-1][5] = ",".join(filter(None, [rows[-1][5], *flags]))
-            else:
-                _record(t, flag=",".join(flags))
+            _record(t, pending_flags + ["numerical-failure"])
             break
         result.steps = step + 1
         if (step + 1) % spec.record_every == 0 or is_last:
-            flag = ",".join(pending_flags)
+            _record(t_next, pending_flags)
             pending_flags = []
-            _record(t_next, flag=flag)
-    result.records = _trace_records(alg, rows)
+    _trace_records(alg, rows, result)
     return result
 
 
-def _trace_records(alg: FluidAlgebra, rows: list) -> list:
-    """The :class:`TraceRecord` of each row ``[t, X, X_lo, Z, Z_lo, flag]``.
+def _trace_records(alg: FluidAlgebra, rows: list,
+                   result: IntegrationResult) -> None:
+    """Set ``result.records`` to the :class:`TraceRecord` of each row
+    ``[t, steps, X, X_lo, Z, Z_lo, flags]``, taken after ``steps`` steps,
+    and ``result.projection_failures`` to the count of their
+    "projection-failed" flags.
 
     Energy, helicity and, with a probe, the probe linking are evaluated on
     the (R, n) block of the recorded states, whose rows have the bits of
-    each state alone.  The low words of the carried states ``X + X_lo``
-    and ``Z + Z_lo`` are those of :func:`~fluidalg.core.dd_values`,
-    evaluated on first read.
+    each state alone.  The first row with one of them not finite ends the
+    run: the rows after it are dropped and, unless a failed step already
+    flagged it, it takes the flag "numerical-failure" and the run fails
+    with its step count, naming the first invariant that is not finite.
+    The low words of the carried states ``X + X_lo`` and ``Z + Z_lo`` are
+    those of :func:`~fluidalg.core.dd_values`, evaluated on first read.
     """
-    _, X, X_lo, Z, Z_lo, _ = zip(*rows)
+    t, steps, X, X_lo, Z, Z_lo, flags = zip(*rows)
     block = np.array(X)
-    E, H = energy(alg, block), helicity(alg, block)
-    P = None if Z[0] is None else linking(alg, block, np.array(Z))
-    energies = _lazy_dd_values(alg, "metric", E, X, X_lo)
-    helicities = _lazy_dd_values(alg, "linking", H, X, X_lo)
-    linkings = [None] * len(rows)
-    if P is not None:
-        linkings = _lazy_dd_values(alg, "linking", P, X, X_lo, Z, Z_lo)
-    return [
-        TraceRecord(t=t, state=x, energy=e, helicity=h, probe_linking=p,
-                    flag=flag, state_lo=x_lo)
-        for (t, x, x_lo, _, _, flag), e, h, p
-        in zip(rows, energies, helicities, linkings)
+    values = [energy(alg, block), helicity(alg, block)]
+    if Z[0] is not None:
+        values.append(linking(alg, block, np.array(Z)))
+    finite = np.isfinite(values)
+    bad = np.flatnonzero(~finite.all(axis=0))
+    n = bad[0] + 1 if bad.size else len(rows)
+    if bad.size and "numerical-failure" not in flags[n - 1]:
+        flags[n - 1].append("numerical-failure")
+        name = ("energy", "helicity", "probe linking")[
+            np.argmin(finite[:, n - 1])]
+        result.failed = True
+        result.failure_message = (f"non-finite {name} in record at "
+                                  f"t={t[n - 1]!r}")
+        result.steps = steps[n - 1]
+    result.projection_failures = sum(
+        f.count("projection-failed") for f in flags[:n])
+    X, X_lo = X[:n], X_lo[:n]
+    energies = _lazy_dd_values(alg, "metric", values[0][:n], X, X_lo)
+    helicities = _lazy_dd_values(alg, "linking", values[1][:n], X, X_lo)
+    linkings = [None] * n
+    if Z[0] is not None:
+        linkings = _lazy_dd_values(alg, "linking", values[2][:n], X, X_lo,
+                                   Z[:n], Z_lo[:n])
+    result.records = [
+        TraceRecord(t=t_r, state=x, energy=e, helicity=h, probe_linking=p,
+                    flag=",".join(f), state_lo=x_lo)
+        for t_r, x, x_lo, f, e, h, p
+        in zip(t, X, X_lo, flags, energies, helicities, linkings)
     ]

@@ -158,7 +158,7 @@ def test_summary_drift_is_null_when_the_trace_holds_nan(tmp_path):
         },
     )
     out = tmp_path / "out"
-    assert main(["simulate", "--config", cfg, "--output", str(out)]) == 0
+    assert main(["simulate", "--config", cfg, "--output", str(out)]) == 2
     last = (out / "trace.csv").read_text().splitlines()[-1]
     assert last.split(",")[1:3] == ["nan", "nan"]
     summary = json.loads((out / "summary.json").read_text())
@@ -167,6 +167,29 @@ def test_summary_drift_is_null_when_the_trace_holds_nan(tmp_path):
     assert summary["non_finite"] == [
         "final.energy", "final.helicity", "max_energy_drift",
         "max_helicity_drift"]
+
+
+def test_a_record_whose_invariants_overflow_exits_2(tmp_path, capsys):
+    # the run above: its one step is finite, but the energy of the state it
+    # records is not, which ends the run as a numerical failure
+    cfg = write_config(
+        tmp_path / "cfg.json",
+        {
+            "instance": {"name": "random", "seed": 2, "n": 6},
+            "initial_state": {"seed": 1, "norm": 1.0},
+            "integrator": {"method": "rk4", "dt": 3.1622776601683794e+23,
+                           "t_end": 3.1622776601683794e+23},
+        },
+    )
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", cfg, "--output", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "numerical failure: non-finite energy in record at "
+        f"t={3.1622776601683794e+23!r}"
+    ]
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["failed"] is True
+    assert summary["steps"] == 1 and summary["records"] == 2
 
 
 def test_probe_column_empty_without_probe(tmp_path):
@@ -730,7 +753,7 @@ def test_non_finite_summary_values_are_null_and_listed(tmp_path):
     cfg = rigid_config(tmp_path, method="rk4-projected", dt=1e30,
                        t_end=1e30)
     out = tmp_path / "out"
-    assert main(["simulate", "--config", cfg, "--output", str(out)]) == 0
+    assert main(["simulate", "--config", cfg, "--output", str(out)]) == 2
     summary = _strict_json(out / "summary.json")
     assert summary["non_finite"] == [
         "final.energy", "final.helicity", "max_energy_drift",

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from fluidalg import integrators
 from fluidalg import (
     FluidAlgebra,
     IntegratorSpec,
@@ -173,6 +174,46 @@ def test_projection_converging_on_its_last_update_returns_it(rigid123):
     assert abs(helicity(rigid123, out) - H0) <= 1e-10 * max(abs(H0), E0)
 
 
+def _on_targets():
+    X = np.array([0.3, 1.0, -0.7])
+    return rigid_body(1.0, 2.0, 3.0), X, X
+
+
+def _one_update_off():
+    # one Newton update lands within tol = 1e-10
+    X = np.array([0.3, 1.0, -0.7])
+    return (rigid_body(1.0, 2.0, 3.0), X,
+            X + 1e-6 * np.array([1.0, -2.0, 0.5]))
+
+
+def _beltrami_scaled():
+    # the K=1 Beltrami state has DX || X: the Newton matrix is singular
+    alg, basis = build_torus_algebra(1)
+    X = beltrami_state(basis)
+    return alg, X, X * (1.0 + 1e-9)
+
+
+@pytest.mark.parametrize("case, calls", [
+    (_on_targets, {"energy": 1, "helicity": 1, "curl": 0}),
+    (_one_update_off, {"energy": 2, "helicity": 2, "curl": 1}),
+    (_beltrami_scaled, {"energy": 1, "helicity": 1, "curl": 1}),
+])
+def test_projection_evaluates_each_iterate_once(monkeypatch, case, calls):
+    # the invariants of X, and of each Newton update, are evaluated once;
+    # the energy-only fallback rescales by the energy of X already taken
+    alg, X, start = case()
+    E0, H0 = energy(alg, X), helicity(alg, X)
+    counts = dict.fromkeys(calls, 0)
+    for name in counts:
+        def spy(*args, _name=name, _f=getattr(integrators, name)):
+            counts[_name] += 1
+            return _f(*args)
+        monkeypatch.setattr(integrators, name, spy)
+    settings = ProjectionSettings(max_iter=1, tol=1e-10)
+    project_to_invariants(alg, start, E0, H0, settings)
+    assert counts == calls
+
+
 # ---------------------------------------------------------------------------
 # integrate
 
@@ -298,6 +339,33 @@ def test_numerical_failure_keeps_pending_projection_flags():
     assert res.records[-1].flag == ",".join(
         ["projection-failed"] * 3 + ["numerical-failure"]
     )
+
+
+@pytest.mark.parametrize("method", ["rk4", "rk4-projected"])
+def test_a_non_finite_recorded_invariant_ends_the_run(rigid123, method):
+    # a principal-axis equilibrium whose energy overflows: every step is
+    # finite (and every projection fails), but the t=0 record's energy is
+    # not, so the run ends there with none of the steps after it
+    spec = IntegratorSpec(method=method, dt=0.5, t_end=2.0)
+    res = integrate(rigid123, [2e154, 0.0, 0.0], spec)
+    assert res.failed and res.steps == 0 and res.projection_failures == 0
+    assert res.failure_message == "non-finite energy in record at t=0.0"
+    assert [(r.t, r.flag) for r in res.records] == [(0.0, "numerical-failure")]
+
+
+@pytest.mark.parametrize("linking_scale, probe, name", [
+    (10.0, None, "helicity"),
+    (1.0, [1e308, 0.0, 0.0], "probe linking"),
+])
+def test_the_failure_names_the_first_non_finite_invariant(linking_scale,
+                                                         probe, name):
+    # energy 1e308 is finite; the helicity, or the probe linking, is not
+    alg = FluidAlgebra(3, np.zeros((3, 3, 3)), linking_scale * np.eye(3),
+                       np.eye(3))
+    spec = IntegratorSpec(dt=1.0, t_end=0.0)
+    res = integrate(alg, [1e154, 0.0, 0.0], spec, probe=probe)
+    assert res.failed and res.steps == 0
+    assert res.failure_message == f"non-finite {name} in record at t=0.0"
 
 
 def test_spec_validation():

@@ -1,5 +1,4 @@
-"""Time the pair contraction of each storage kind of the triple form, and
-one RK4 step, plain and with a probe.
+"""Time the contraction kernels, RK4 step, identity suite and projection.
 
     PYTHONPATH=src python3 tools/kernel_times.py [--repeat 7] [--pool 20]
 
@@ -25,9 +24,14 @@ distinct (state, probe) pairs.  A third gives the milliseconds of
 ``run_identity_suite`` with 200 states and 200 triples, the compute of
 the benchmark's ``diagnose-random32`` workload, on random n=32 and the
 K=2 torus: the best of ``--repeat`` calls, after one untimed call in
-which the torus assembles its entries.  It checks nothing and has no
-thresholds.  Set-up (building the algebras, the sparse form's entries
-among them) is not timed.  BLAS runs on one thread, as in the
+which the torus assembles its entries.  A fourth gives the microseconds
+of ``project_to_invariants`` on the rigid body and random n=32: for a
+state on its targets, which returns after one evaluation of the
+invariants, and for one whose energy is 1e-6 relative off, which takes
+the Newton path; the best of ``--repeat`` passes over ``--pool`` states,
+each projected onto its own energy and helicity.  It checks nothing and
+has no thresholds.  Set-up (building the algebras, the sparse form's
+entries among them) is not timed.  BLAS runs on one thread, as in the
 benchmark.
 """
 
@@ -46,8 +50,11 @@ from fluidalg import (  # noqa: E402
     TripleForm,
     build_torus_algebra,
     co_evolve_probe,
+    energy,
     from_lie_algebra,
+    helicity,
     make_rng,
+    project_to_invariants,
     random_algebra,
     rigid_body,
     rk4_step,
@@ -101,6 +108,13 @@ SUITES = {
     "torus K=2, n=248": lambda: build_torus_algebra(2)[0],
 }
 SUITE_SAMPLE = 200  # states, and Jacobiator triples
+
+# name -> builder of the algebra whose invariant projection is timed
+PROJECTIONS = {
+    "rigid body, n=3": lambda: rigid_body(1.0, 2.0, 3.0),
+    "random(7), n=32": lambda: random_algebra(7, 32),
+}
+PROJECTION_OFF = 1e-6  # relative energy offset of the Newton-path states
 
 
 def best_us(contract, pool, repeat: int) -> float:
@@ -170,6 +184,23 @@ def main(argv=None) -> None:
         suite(None, None)  # the torus assembles its entries in this call
         best = best_us(suite, [(None, None)], args.repeat) / 1e3
         print(f"| {name} | {best:.2f} |")
+    print()
+    print("| algebra | project_to_invariants on targets (µs) "
+          "| 1e-6 off (µs) |")
+    print("|---|---:|---:|")
+    for name, build in PROJECTIONS.items():
+        alg = build()
+        # (state, its targets); scaling by sqrt(1 + off) moves the energy
+        # off by the factor 1 + off
+        on = [(X, (energy(alg, X), helicity(alg, X)))
+              for X in rng.standard_normal((args.pool, alg.dim))]
+        off = [(X * np.sqrt(1.0 + PROJECTION_OFF), T) for X, T in on]
+
+        def project(X, targets):
+            project_to_invariants(alg, X, *targets)
+
+        print(f"| {name} | {best_us(project, on, args.repeat):.1f} "
+              f"| {best_us(project, off, args.repeat):.1f} |")
 
 
 if __name__ == "__main__":
