@@ -4,7 +4,8 @@
   nondegenerate symmetric pairing yields a fluid algebra with
   ``{X, Y, Z} = P([X, Y], Z)``.
 * :func:`so3` / :func:`rigid_body` -- the three-dimensional family where
-  the triple form is the determinant and the Euler ODE reduces to
+  the triple form is the determinant, built from its one canonical entry
+  {e_0, e_1, e_2} = 1, and the Euler ODE reduces to
   ``G dX/dt = X x (G^-1 X)`` (free rigid body in disguise).
 * :func:`build_torus_algebra` -- spectral Galerkin truncation of the
   divergence-free, mean-zero velocity fields on the unit flat 3-torus,
@@ -23,8 +24,6 @@ time in the Euler ODE and nothing else.
 """
 
 from __future__ import annotations
-
-import itertools
 
 import numpy as np
 
@@ -76,17 +75,10 @@ TORUS_MAX_DIM = 512
 LIE_INPUT_TOL = 1e-10
 
 
-def _levi_civita() -> np.ndarray:
-    eps = np.zeros((3, 3, 3))
-    for perm in itertools.permutations(range(3)):
-        inversions = sum(
-            1 for a in range(3) for b in range(a + 1, 3) if perm[a] > perm[b]
-        )
-        eps[perm] = -1.0 if inversions % 2 else 1.0
-    return eps
-
-
-LEVI_CIVITA = _levi_civita()
+# The determinant, the alternating form on R^3: its one canonical entry
+# {e_0, e_1, e_2} = 1, and the (3, 3, 3) Levi-Civita array it fills.
+_DETERMINANT = ((0, 1, 2, 1.0),)
+LEVI_CIVITA = TripleForm.from_entries(3, _DETERMINANT).to_dense()
 LEVI_CIVITA.setflags(write=False)
 
 
@@ -169,18 +161,25 @@ def from_lie_algebra(spec: LieAlgebraInput, meta=None) -> FluidAlgebra:
     return alg
 
 
+def _determinant_algebra(metric, meta: dict) -> FluidAlgebra:
+    """so(3) with the identity pairing and the metric ``metric``, built
+    from the determinant's one canonical entry and validated once.  It is
+    the algebra :func:`from_lie_algebra` makes of ``LEVI_CIVITA`` and the
+    identity, whose constant checks cannot fail here."""
+    alg = FluidAlgebra(3, _DETERMINANT, np.eye(3), np.asarray(metric, float),
+                       meta={"kind": "lie", **meta})
+    validate(alg).require()
+    return alg
+
+
 def so3(metric=None) -> FluidAlgebra:
     """The so(3) instance: determinant triple form, identity pairing.
 
     The induced bracket is the vector cross product.  An optional metric
     turns this into the rigid-body family.
     """
-    if metric is None:
-        metric = np.eye(3)
-    return from_lie_algebra(
-        LieAlgebraInput(LEVI_CIVITA, np.eye(3), metric),
-        meta={"name": "so3"},
-    )
+    return _determinant_algebra(np.eye(3) if metric is None else metric,
+                                {"name": "so3"})
 
 
 def rigid_body(i1: float, i2: float, i3: float) -> FluidAlgebra:
@@ -191,11 +190,8 @@ def rigid_body(i1: float, i2: float, i3: float) -> FluidAlgebra:
     """
     moments = tuple(_number("instance", "moments", m, 0, strict=True)
                     for m in (i1, i2, i3))
-    alg = from_lie_algebra(
-        LieAlgebraInput(LEVI_CIVITA, np.eye(3), np.diag(moments)),
-        meta={"name": "rigid-body", "moments": moments},
-    )
-    return alg
+    return _determinant_algebra(np.diag(moments),
+                                {"name": "rigid-body", "moments": moments})
 
 
 # ---------------------------------------------------------------------------

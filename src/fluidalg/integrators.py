@@ -244,6 +244,7 @@ def co_evolve_probe(alg: FluidAlgebra, X, Z, dt: float,
     return _rk4(alg, S, _zero_low(S), dt, t0, probe=True)[0][1]
 
 
+@_quiet
 def project_to_invariants(alg: FluidAlgebra, X, E0: float, H0: float,
                           settings: ProjectionSettings = ProjectionSettings(),
                           ) -> np.ndarray:
@@ -339,7 +340,8 @@ def integrate(alg: FluidAlgebra, X0, spec: IntegratorSpec,
     already taken at that time.  A recorded energy, helicity or probe
     linking that is not finite also ends the run: the first such record
     ends the trace with that flag, and ``steps`` counts the steps up to
-    it (see :func:`_trace_records`).
+    it (see :func:`_trace_records`).  A start whose invariants are not
+    finite takes no step.
     """
     X = _as_state(alg.dim, X0, "X0")
     E0 = energy(alg, X)
@@ -368,6 +370,11 @@ def integrate(alg: FluidAlgebra, X0, spec: IntegratorSpec,
     _record(0.0, [])
     n_full, remainder = _plan_steps(spec.dt, spec.t_end)
     total_steps = n_full + (1 if remainder > 0.0 else 0)
+    # a start whose invariants are not finite ends the run at t=0, where
+    # _trace_records flags it: no step is taken from it
+    start = [E0, H0, linking(alg, X[0], X[1])] if has_probe else [E0, H0]
+    if not np.isfinite(start).all():
+        total_steps = 0
     pending_flags: list = []
 
     for step in range(total_steps):

@@ -1,5 +1,6 @@
 """Lie-algebra constructors, the rigid-body family, random algebras."""
 
+import itertools
 import re
 import tracemalloc
 
@@ -21,6 +22,7 @@ from fluidalg import (
     so3,
     validate,
 )
+from fluidalg import instances
 from fluidalg.core import _antisymmetrize
 from fluidalg.instances import LEVI_CIVITA, _RANDOM_LINKING_MIN_EIG
 
@@ -29,20 +31,62 @@ from fluidalg.instances import LEVI_CIVITA, _RANDOM_LINKING_MIN_EIG
 # from_lie_algebra
 
 
+def _assert_same_algebra(alg, ref):
+    # bit for bit: the packed rows and entries, the two numbers validate
+    # reads off the form, L, G, the tags and the validation report
+    t, r = alg.triple, ref.triple
+    assert type(t) is type(r)
+    for a, b in ((t.dense, r.dense), (t.index, r.index),
+                 (t.values, r.values), (alg.linking, ref.linking),
+                 (alg.metric, ref.metric)):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+    assert (t.max_abs(), t._defect) == (r.max_abs(), r._defect)
+    assert alg.meta == ref.meta and list(alg.meta) == list(ref.meta)
+    assert validate(alg).to_dict() == validate(ref).to_dict()
+
+
+def test_levi_civita_is_the_permutation_sign():
+    for slot in itertools.product(range(3), repeat=3):
+        inversions = sum(slot[a] > slot[b]
+                         for a in range(3) for b in range(a + 1, 3))
+        sign = 0.0 if len(set(slot)) < 3 else (-1.0) ** inversions
+        assert LEVI_CIVITA[slot] == sign
+    assert LEVI_CIVITA.dtype == float and not LEVI_CIVITA.flags.writeable
+
+
 def test_so3_triple_is_levi_civita():
     alg = so3()
-    assert np.allclose(alg.triple.to_dense(), LEVI_CIVITA)
-    assert np.allclose(alg.linking, np.eye(3))
+    assert np.array_equal(alg.triple.to_dense(), LEVI_CIVITA)
+    _assert_same_algebra(alg, from_lie_algebra(
+        LieAlgebraInput(LEVI_CIVITA, np.eye(3), np.eye(3)),
+        meta={"name": "so3"}))
     assert validate(alg).passed
+    M = np.array([[2.0, 0.5, 0.0], [0.5, 3.0, 0.1], [0.0, 0.1, 4.0]])
+    _assert_same_algebra(so3(M), from_lie_algebra(
+        LieAlgebraInput(LEVI_CIVITA, np.eye(3), M), meta={"name": "so3"}))
 
 
 def test_metric_choice_gives_rigid_body():
     custom = from_lie_algebra(
-        LieAlgebraInput(LEVI_CIVITA, np.eye(3), np.diag([1.0, 2.0, 3.0]))
+        LieAlgebraInput(LEVI_CIVITA, np.eye(3), np.diag([1.0, 2.0, 3.0])),
+        meta={"name": "rigid-body", "moments": (1.0, 2.0, 3.0)},
     )
-    rb = rigid_body(1.0, 2.0, 3.0)
-    assert np.allclose(custom.triple.to_dense(), rb.triple.to_dense())
-    assert np.allclose(custom.metric, rb.metric)
+    _assert_same_algebra(rigid_body(1.0, 2.0, 3.0), custom)
+
+
+def test_so3_and_the_rigid_body_build_from_the_determinant_entry(
+        monkeypatch):
+    # the determinant's one canonical entry, not the Lie-algebra checks
+    # and einsums of from_lie_algebra, whatever they may cost
+    def spy(*args, **kwargs):
+        raise AssertionError("from_lie_algebra called")
+
+    monkeypatch.setattr(instances, "from_lie_algebra", spy)
+    for alg in (so3(), so3(np.diag([1.0, 2.0, 3.0])),
+                rigid_body(1.0, 2.0, 3.0)):
+        assert alg.triple.index.tolist() == [[0, 1, 2]]
+        assert alg.triple.values.tolist() == [1.0]
 
 
 def test_abelian_algebra_has_constant_dynamics():

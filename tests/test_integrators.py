@@ -121,6 +121,14 @@ def test_projection_of_an_overflowing_state_raises():
                                   helicity(alg, X0))
 
 
+def test_an_overflowing_projection_raises_and_does_not_warn(rigid123):
+    # under filterwarnings = "error" an overflow warning in the Newton
+    # matrix would escape as a RuntimeWarning before the finiteness check
+    with pytest.raises(ProjectionError,
+                       match="^non-finite Newton matrix in projection$"):
+        project_to_invariants(rigid123, [1e200, 1e200, 0.0], 1.0, 1.0)
+
+
 def test_projection_failure_raises():
     # unreachable targets with a tiny iteration budget
     alg = rigid_body(1.0, 2.0, 3.0)
@@ -343,13 +351,38 @@ def test_numerical_failure_keeps_pending_projection_flags():
 
 @pytest.mark.parametrize("method", ["rk4", "rk4-projected"])
 def test_a_non_finite_recorded_invariant_ends_the_run(rigid123, method):
-    # a principal-axis equilibrium whose energy overflows: every step is
-    # finite (and every projection fails), but the t=0 record's energy is
-    # not, so the run ends there with none of the steps after it
+    # a principal-axis equilibrium whose energy overflows: every step would
+    # be finite (and every projection would fail), but the t=0 record's
+    # energy is not, so the run ends there with no step after it
     spec = IntegratorSpec(method=method, dt=0.5, t_end=2.0)
     res = integrate(rigid123, [2e154, 0.0, 0.0], spec)
     assert res.failed and res.steps == 0 and res.projection_failures == 0
     assert res.failure_message == "non-finite energy in record at t=0.0"
+    assert [(r.t, r.flag) for r in res.records] == [(0.0, "numerical-failure")]
+
+
+@pytest.mark.parametrize("method, X0, probe, name", [
+    ("rk4", [2e154, 0.0, 0.0], None, "energy"),
+    ("rk4-projected", [2e154, 0.0, 0.0], None, "energy"),
+    # finite energy and helicity, but a linking <X, Z> that overflows
+    ("rk4", [0.0, 1e150, 0.0], [0.0, 1e200, 0.0], "probe linking"),
+])
+def test_a_start_with_non_finite_invariants_takes_no_step(
+        rigid123, monkeypatch, method, X0, probe, name):
+    # the invariants at t=0 are judged before the first step, so none of
+    # the steps that the t=0 record's failure would drop is taken
+    calls = {"_rk4": 0, "project_to_invariants": 0}
+    for fname in calls:
+        def spy(*args, _f=getattr(integrators, fname), _name=fname, **kw):
+            calls[_name] += 1
+            return _f(*args, **kw)
+
+        monkeypatch.setattr(integrators, fname, spy)
+    spec = IntegratorSpec(method=method, dt=0.5, t_end=2.0)
+    res = integrate(rigid123, X0, spec, probe=probe)
+    assert calls == {"_rk4": 0, "project_to_invariants": 0}
+    assert res.failed and res.steps == 0 and res.projection_failures == 0
+    assert res.failure_message == f"non-finite {name} in record at t=0.0"
     assert [(r.t, r.flag) for r in res.records] == [(0.0, "numerical-failure")]
 
 

@@ -29,7 +29,11 @@ of ``project_to_invariants`` on the rigid body and random n=32: for a
 state on its targets, which returns after one evaluation of the
 invariants, and for one whose energy is 1e-6 relative off, which takes
 the Newton path; the best of ``--repeat`` passes over ``--pool`` states,
-each projected onto its own energy and helicity.  It checks nothing and
+each projected onto its own energy and helicity.  A fifth gives the
+microseconds per row of ``dd_values``, the low words of the recorded
+invariants, for the metric and the linking form on random n=32 and the
+K=3 torus: the best of ``--repeat`` calls on a ``--pool``-row block of
+states whose low words are within one ulp.  It checks nothing and
 has no thresholds.  Set-up (building the algebras, the sparse form's
 entries among them) is not timed.  BLAS runs on one thread, as in the
 benchmark.
@@ -50,10 +54,13 @@ from fluidalg import (  # noqa: E402
     TripleForm,
     build_torus_algebra,
     co_evolve_probe,
+    dd_values,
     energy,
     from_lie_algebra,
     helicity,
+    linking,
     make_rng,
+    metric_inner,
     project_to_invariants,
     random_algebra,
     rigid_body,
@@ -115,6 +122,12 @@ PROJECTIONS = {
     "random(7), n=32": lambda: random_algebra(7, 32),
 }
 PROJECTION_OFF = 1e-6  # relative energy offset of the Newton-path states
+
+# name -> builder of the algebra whose double-double values are timed
+DD_VALUES = {
+    "random(7), n=32": lambda: random_algebra(7, 32),
+    "torus K=3, n=684": lambda: build_torus_algebra(3, max_dim=684)[0],
+}
 
 
 def best_us(contract, pool, repeat: int) -> float:
@@ -201,6 +214,20 @@ def main(argv=None) -> None:
 
         print(f"| {name} | {best_us(project, on, args.repeat):.1f} "
               f"| {best_us(project, off, args.repeat):.1f} |")
+    print()
+    print("| algebra | dd_values metric (µs/row) "
+          "| dd_values linking (µs/row) |")
+    print("|---|---:|---:|")
+    for name, build in DD_VALUES.items():
+        alg = build()
+        X = rng.standard_normal((args.pool, alg.dim))
+        X_lo = np.spacing(X) * rng.uniform(-1.0, 1.0, X.shape)
+        # one call per pass, on the (form, its float64 values) pair
+        times = [best_us(lambda form, hi: dd_values(alg, form, hi, X, X_lo),
+                         [(form, value(alg, X, X))], args.repeat) / args.pool
+                 for form, value in (("metric", metric_inner),
+                                     ("linking", linking))]
+        print(f"| {name} | {times[0]:.1f} | {times[1]:.1f} |")
 
 
 if __name__ == "__main__":
