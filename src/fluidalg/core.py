@@ -162,20 +162,21 @@ __all__ = [
 # Contraction times in us, on one state / per row of a 50-row block; the
 # named forms are rows of tools/kernel_times.py, the others random forms
 # thinned to nnz entries, timed the same way (best of 5 passes over 20
-# pairs, 2-core x86, one BLAS thread):
-#     n     nnz  floats/entry  rule       dense            sparse
-#    24      22      300      dense    4.8 /   1.0     11.3 /   0.8
-#    45     120      371      dense   11.2 /   7.8     12.3 /   2.8  so(10)
-#    52     472      146      dense   12.6 /   8.9     16.2 /   9.8  torus K=1
-#    64     430      300      sparse  16.4 /  13.0     16.4 /   8.6
-#    66     220      644      sparse  23.6 /  20.4     13.6 /   4.7  so(12)
-#    80    3370       75      dense   43.1 /  35.0     45.8 /  48.0
-#    80    2528      100      sparse  41.9 /  31.7     37.2 /  39.1
-#   100    8250       60      dense  135.9 / 137.4    102.8 / 104.9
-#   100  161700        3      dense  133.3 / 135.3     2739 /  2751  random
-#   150   33525       50      dense  448.5 / 450.5    457.5 / 463.5
-#   200   88444       45      dense  958.5 / 968.0     1318 /  1326
-#   248   12984      585      sparse  1748 /  1761    146.6 / 151.0  torus K=2
+# pairs, 2-core x86, one BLAS thread; f/e is the packed rows' floats per
+# entry):
+#    n     nnz   f/e  rule       dense         sparse
+#   24      22   300  dense    4.8 /   1.0   11.3 /   0.8
+#   45     120   371  dense   11.2 /   7.8   12.3 /   2.8  so(10)
+#   52     472   146  dense   12.6 /   8.9   16.2 /   9.8  torus K=1 entries
+#   64     430   300  sparse  16.4 /  13.0   16.4 /   8.6
+#   66     220   644  sparse  23.6 /  20.4   13.6 /   4.7  so(12)
+#   80    3370    75  dense   43.1 /  35.0   45.8 /  48.0
+#   80    2528   100  sparse  41.9 /  31.7   37.2 /  39.1
+#  100    8250    60  dense  135.9 / 137.4  102.8 / 104.9
+#  100  161700     3  dense  133.3 / 135.3   2739 /  2751  random
+#  150   33525    50  dense  448.5 / 450.5  457.5 / 463.5
+#  200   88444    45  dense  958.5 / 968.0   1318 /  1326
+#  248   12984   585  sparse  1748 /  1761  146.6 / 151.0  torus K=2 entries
 # Rows of up to 1 MB (n <= 64) stay in cache; past that the GEMV costs
 # about twice as much per float, and the crossover falls from 150-300
 # floats per entry to about 50 from n = 100 on.  The fixed term keeps
@@ -456,10 +457,9 @@ class TripleForm:
     :meth:`from_entries` and :meth:`from_dense` give the dense or the
     sparse kind by one rule in n and the entry count, whichever contracts
     faster (``_SPARSE_ENTRY_FLOATS``): dense for a random algebra at every
-    n and for the K=1 torus, sparse for the torus K=2 entries and for so(m)
-    from m = 12.  The dense and spectral kinds build their entries on the
-    first access to them.  A zero entry is dropped, so every kind counts
-    the same entries.
+    n, sparse for the torus K=2 entries and for so(m) from m = 12.  The
+    dense and spectral kinds build their entries on the first access to
+    them.  A zero entry is dropped, so every kind counts the same entries.
     A subclass gives its kernel ``_kernel(X, Y)``, the pair contraction of
     one state or one chunk of rows; ``_row_terms``, the floats per row in
     the kernel's largest temporaries; the canonical ``_entries``, checked,

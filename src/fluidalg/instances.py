@@ -495,11 +495,11 @@ class _SpectralContraction:
         self._shape = (n, side, half)
         # sets the chunks of a block's rows (see TripleForm.spectral): the
         # largest temporaries, the two fields' 3 components on the grid,
-        # give 7 rows to a chunk at K=2, 2 at K=3 and 1 from K=4 on.  A
-        # 50-row block then took 0.90 and 2.8 ms, in one piece 1.8 and
-        # 4.7 ms, row by row 1.8 and 3.3 ms (best of 5 passes over 20
-        # blocks, as tools/kernel_times.py times them, 2-core x86, one
-        # BLAS thread)
+        # give 42 rows to a chunk at K=1, 7 at K=2, 2 at K=3 and 1 from
+        # K=4 on.  A 50-row block then took 0.90 and 2.8 ms at K=2 and 3,
+        # in one piece 1.8 and 4.7 ms, row by row 1.8 and 3.3 ms (best of
+        # 5 passes over 20 blocks, as tools/kernel_times.py times them,
+        # 2-core x86, one BLAS thread)
         self.row_terms = 2 * 3 * n ** 3
         m = reps.shape[0]
         # the cube [kx + K, ky + K, kz] is the half k_z >= 0 of the basis's
@@ -637,13 +637,10 @@ def build_torus_algebra(K: int, max_dim: int = TORUS_MAX_DIM):
     the metric as None (the identity) and the linking form as
     ``(cols, w)``, so no (dim, dim) array is built; ``linking`` and
     ``metric`` are materialized only when first read.
-    At K = 1 the triple form is of the kind that the entries' rule picks
-    (:meth:`TripleForm.from_entries`), dense, its packed rows written
-    straight from the entries, which are assembled in closed form from the
-    selection rule k1 +- k2 +- k3 = 0 and products of trigonometric
-    integrals.  At K >= 2 it is of the spectral kind: contractions run by
-    pruned DFTs on a (3K+1)^3 grid, and the closed-form entries are
-    assembled only when first read.
+    The triple form is of the spectral kind at every K: contractions run
+    by pruned DFTs on a (3K+1)^3 grid, and the entries, in closed form from
+    the selection rule k1 +- k2 +- k3 = 0 and products of trigonometric
+    integrals, are assembled only when first read.
     """
     _number("instance", "K", K, 1, integer=True)
     _number("instance", "max_dim", max_dim, 1, integer=True)
@@ -660,15 +657,7 @@ def build_torus_algebra(K: int, max_dim: int = TORUS_MAX_DIM):
     def entries():
         return _canonical_entries(dim, *_torus_entries(basis))
 
-    # the entries' kind (dense) at K = 1 and spectral above, the faster
-    # kernel at each K: one contract_pair on one state took 17 us dense
-    # against 23 us spectral at K = 1 (dim 52), and 33 us spectral
-    # against 224 us sparse at K = 2 (dim 248), a spectral call missing
-    # its memo; best of 7 timeit repeats, 2-core x86, one BLAS thread
-    if K == 1:
-        tf = TripleForm._canonical(dim, *entries())
-    else:
-        tf = TripleForm.spectral(dim, _SpectralContraction(basis), entries)
+    tf = TripleForm.spectral(dim, _SpectralContraction(basis), entries)
     alg = FluidAlgebra(
         dim, tf, basis.linking(), None, meta={"kind": "torus", "K": K}
     )

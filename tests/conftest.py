@@ -42,11 +42,11 @@ KIND_ALGEBRAS = {
     "rigid": (lambda: rigid_body(1.0, 2.0, 3.0), "dense"),
     "random-n6": (lambda: random_algebra(3, 6), "dense"),
     "random-n32": (lambda: random_algebra(7, 32), "dense"),
-    "torus-k1": (lambda: build_torus_algebra(1)[0], "dense"),
     "random-n70": (lambda: random_algebra(5, 70), "dense"),
     "sparse-n70": (lambda: _sparse(random_algebra(5, 70)), "sparse"),
     # few entries: several rows of a block share one bincount
     "sparse-n7": (lambda: _sparse(random_algebra(18, 7)), "sparse"),
+    "torus-k1": (lambda: build_torus_algebra(1)[0], "spectral"),
     "torus-k2": (lambda: build_torus_algebra(2)[0], "spectral"),
     "torus-k3": (lambda: build_torus_algebra(3, max_dim=684)[0], "spectral"),
 }

@@ -29,11 +29,13 @@ from fluidalg import (
     integrate,
     inverse_curl,
     linking,
+    load_algebra,
     make_rng,
     metric_inner,
     random_algebra,
     rk4_step,
     run_identity_suite,
+    save_algebra,
     validate,
 )
 from fluidalg import instances
@@ -595,7 +597,7 @@ def test_batched_frames_equal_the_per_representative_frame(K):
         assert np.array_equal(e2[r], f2)
 
 
-@pytest.mark.parametrize("K", [2, 3, 4])
+@pytest.mark.parametrize("K", [1, 2, 3, 4])
 def test_spectral_contraction_matches_the_stored_entries(K):
     alg, _ = build_torus_algebra(K, max_dim=1456)
     assert alg.triple.kind == "spectral"
@@ -617,28 +619,39 @@ def test_spectral_contraction_matches_the_stored_entries(K):
     assert np.all(np.max(np.abs(got - expected), axis=1) <= bound)
 
 
-def test_k1_forms_of_each_kind_hold_one_set_of_entries(torus_k1):
-    alg, basis = torus_k1
-    dense = alg.triple
-    assert dense.kind == "dense"
-    forms = [
-        TripleForm(alg.dim, dense.index, dense.values),
-        TripleForm.spectral(
-            alg.dim, _SpectralContraction(basis),
-            lambda: _canonical_entries(alg.dim, *_torus_entries(basis))),
-    ]
-    for form, kind in zip(forms, ["sparse", "spectral"]):
+def test_k1_forms_of_each_kind_hold_one_set_of_entries():
+    alg, basis = build_torus_algebra(1)
+    spectral = alg.triple
+    assert spectral.kind == "spectral"
+    # the entries through the kind rule, dense, as a saved file loads back
+    entries = _canonical_entries(alg.dim, *_torus_entries(basis))
+    forms = [TripleForm(alg.dim, *entries),
+             TripleForm._canonical(alg.dim, *entries)]
+    for form, kind in zip(forms, ["sparse", "dense"]):
         assert form.kind == kind
-        assert form.index.tobytes() == dense.index.tobytes()
-        assert form.values.tobytes() == dense.values.tobytes()
-        assert form.nnz == dense.nnz
-        assert form.max_abs() == dense.max_abs() == 0.7071067811865476
+        assert form.index.tobytes() == spectral.index.tobytes()
+        assert form.values.tobytes() == spectral.values.tobytes()
+        assert form.nnz == spectral.nnz
+        assert form.max_abs() == spectral.max_abs() == 0.7071067811865476
         # one to_dense for every kind: the same array, zero signs included
-        assert form.to_dense().tobytes() == dense.to_dense().tobytes()
+        assert form.to_dense().tobytes() == spectral.to_dense().tobytes()
 
 
-def test_k1_is_built_from_its_entries_with_no_antisymmetry_defect(torus_k1):
-    # exact by construction: its packed rows are written from its entries
+def test_a_saved_k1_torus_loads_back_with_its_entries(tmp_path):
+    # the file holds entries alone, so the loaded form is of the kind that
+    # the rule picks for them, dense; the round trip keeps every entry
+    alg, _ = build_torus_algebra(1)
+    save_algebra(alg, tmp_path / "k1.json")
+    again = load_algebra(tmp_path / "k1.json")
+    assert again.triple.kind == "dense"
+    assert again.triple.index.tobytes() == alg.triple.index.tobytes()
+    assert again.triple.values.tobytes() == alg.triple.values.tobytes()
+    assert np.array_equal(again.linking, alg.linking)
+    assert np.array_equal(again.metric, alg.metric)
+
+
+def test_k1_has_no_antisymmetry_defect(torus_k1):
+    # exact by construction: the spectral kind stores no tensor
     checks = {c.name: c for c in validate(torus_k1[0]).checks}
     assert checks["triple-antisymmetry"].defect == 0.0
 
@@ -706,6 +719,22 @@ def test_simulate_k3_never_assembles_the_entries(tmp_path, monkeypatch):
     assert alg.triple.nnz == 106264
     assert alg.triple.values.shape == (106264,)
     assert len(calls) == 1
+
+
+def test_building_and_stepping_any_level_assembles_no_entry(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the torus entries were assembled")
+
+    monkeypatch.setattr(instances, "_torus_entries", refuse)
+    spec = IntegratorSpec(method="rk4", dt=1e-3, t_end=0.005)
+    for K in (1, 2, 3):
+        alg = build_torus_algebra(K, max_dim=684)[0]
+        assert alg.triple.kind == "spectral"
+        if K < 3:
+            rng = make_rng(80 + K)
+            X, Z = rng.standard_normal((2, alg.dim))
+            res = integrate(alg, X, spec, probe=Z)
+            assert res.steps == 5 and not res.failed
 
 
 def _loop_contraction(op, X, Y):

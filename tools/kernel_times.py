@@ -12,19 +12,24 @@ state contracted with the same first argument as the call before it and
 a new second, the pattern of a probe stage's second contraction.  The
 rows on either side of that rule are forms that it makes dense (random
 n=100, which ``random_algebra`` builds from its entries as a saved file
-is, the K=1 torus) and sparse (so(12), built by ``from_lie_algebra``),
-and the entries of the K=1 and K=2 tori built sparse for comparison.
+is, and the K=1 torus's entries, which ``TripleForm.from_entries`` takes
+through the rule as a saved file of that torus loads back) and sparse
+(so(12), built by ``from_lie_algebra``, and the K=2 torus's entries),
+and the K=1 entries built sparse for comparison.  Every built torus is of
+the spectral kind.
 Each figure is the best of ``--repeat`` passes over a pool of ``--pool``
 distinct pairs, so that no pass reruns one cache-hot pair and a spectral
 form misses its memo but on the memo-hit figure, whose pool pairs share
 their first argument.  A second table gives the microseconds of one
-step, ``rk4_step`` and ``co_evolve_probe`` (dt 1e-3), on random n=32 and
-the K=2 and K=3 tori, the best of ``--repeat`` passes over ``--pool``
-distinct (state, probe) pairs.  A third gives the milliseconds of
+step, ``rk4_step`` and ``co_evolve_probe`` (dt 1e-3), on random n=32,
+the K=1 torus beside the dense form of its entries, and the K=2, K=3 and
+K=8 tori, the best of ``--repeat`` passes over ``--pool`` distinct
+(state, probe) pairs.  A third gives the milliseconds of
 ``run_identity_suite`` with 200 states and 200 triples, the compute of
-the benchmark's ``diagnose-random32`` workload, on random n=32 and the
-K=2 torus: the best of ``--repeat`` calls, after one untimed call in
-which the torus assembles its entries.  A fourth gives the microseconds
+the benchmark's ``diagnose-random32`` workload, on random n=32, the K=1
+torus beside the dense form of its entries, and the K=2 torus: the best
+of ``--repeat`` calls, after one untimed call in which the torus
+assembles its entries.  A fourth gives the microseconds
 of ``project_to_invariants`` on the rigid body and random n=32: for a
 state on its targets, which returns after one evaluation of the
 invariants, and for one whose energy is 1e-6 relative off, which takes
@@ -50,6 +55,7 @@ import time  # noqa: E402
 import numpy as np  # noqa: E402
 
 from fluidalg import (  # noqa: E402
+    FluidAlgebra,
     LieAlgebraInput,
     TripleForm,
     build_torus_algebra,
@@ -76,6 +82,14 @@ def _sparse_torus(K: int) -> TripleForm:
     return TripleForm(form.dim, form.index, form.values)
 
 
+def _entries_torus(K: int) -> FluidAlgebra:
+    # the level-K torus with the form of the kind that its entries take
+    # through the rule, as a saved file of it loads back
+    alg, basis = build_torus_algebra(K)
+    form = TripleForm.from_entries(alg.dim, alg.triple.entry_list())
+    return FluidAlgebra(alg.dim, form, basis.linking(), None)
+
+
 def _so(m: int) -> TripleForm:
     # so(m) in the basis E_ab = e_a e_b^T - e_b e_a^T (a < b), whose
     # pairing -tr(XY)/2 is the identity: C(m, 3) entries, each +-1
@@ -93,7 +107,8 @@ FORMS = {
     "random(7), n=32": lambda: random_algebra(7, 32).triple,
     "random(0), n=100": lambda: random_algebra(0, 100).triple,
     "torus K=1, n=52": lambda: build_torus_algebra(1)[0].triple,
-    "torus K=1 entries, n=52": lambda: _sparse_torus(1),
+    "torus K=1 entries, n=52": lambda: _entries_torus(1).triple,
+    "torus K=1 entries as sparse, n=52": lambda: _sparse_torus(1),
     "so(12), n=66": lambda: _so(12),
     "torus K=2 entries, n=248": lambda: _sparse_torus(2),
     "torus K=2, n=248": lambda: build_torus_algebra(2)[0].triple,
@@ -104,14 +119,19 @@ FORMS = {
 # name -> builder of the algebra whose RK4 step is timed
 STEPS = {
     "random(7), n=32": lambda: random_algebra(7, 32),
+    "torus K=1, n=52": lambda: build_torus_algebra(1)[0],
+    "torus K=1 entries, n=52": lambda: _entries_torus(1),
     "torus K=2, n=248": lambda: build_torus_algebra(2)[0],
     "torus K=3, n=684": lambda: build_torus_algebra(3, max_dim=684)[0],
+    "torus K=8, n=9824": lambda: build_torus_algebra(8, max_dim=9824)[0],
 }
 STEP_DT = 1e-3
 
 # name -> builder of the algebra whose identity suite is timed
 SUITES = {
     "random(7), n=32": lambda: random_algebra(7, 32),
+    "torus K=1, n=52": lambda: build_torus_algebra(1)[0],
+    "torus K=1 entries, n=52": lambda: _entries_torus(1),
     "torus K=2, n=248": lambda: build_torus_algebra(2)[0],
 }
 SUITE_SAMPLE = 200  # states, and Jacobiator triples
