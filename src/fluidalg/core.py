@@ -463,10 +463,10 @@ class TripleForm:
     A subclass gives its kernel ``_kernel(X, Y)``, the pair contraction of
     one state or one chunk of rows; ``_row_terms``, the floats per row in
     the kernel's largest temporaries; the canonical ``_entries``, checked,
-    sorted and frozen; and ``_nnz``, their count, or None while only
-    assembling them would give it.  ``dense`` and ``operator`` are None
-    but in their own kind.  Everything else is defined once, here, on the
-    entries and the kernel, so no code asks which kind a form is.
+    sorted and frozen; and ``_nnz``, their count, or None until it is
+    first read.  ``dense`` and ``operator`` are None but in their own
+    kind.  Everything else is defined once, here, on the entries and the
+    kernel, so no code asks which kind a form is.
     Every constructor refuses a ``dim`` that is not an ``int`` (``bool``
     is not) of at least 1 with :class:`AlgebraFormatError`.  Every kind's
     contraction is *exactly* antisymmetric in its two arguments, and
@@ -500,10 +500,14 @@ class TripleForm:
         ``entries()`` returns the canonical ``(index, values)``, checked,
         sorted by (i, j, k) and frozen, as :func:`_canonical_entries` gives
         them; they are stored as they come.  It is called on the first
-        access to the entries (``index``, ``values``, ``nnz``,
-        ``entry_list``, ``to_dense``, ``max_abs``), and never for a
-        contraction or an evaluation of the form.  Two threads making that
-        first access together may each compute the same entries.
+        access to the entries (``index``, ``values``, ``entry_list``,
+        ``to_dense``), and never for a contraction or an evaluation of the
+        form.  ``nnz`` and ``max_abs`` are read together, on the first
+        read of either: from ``entries.summary()``, the optional attribute
+        that returns them as the entries would give them, bit for bit,
+        while the entries are not stored, else from the entries.  Two
+        threads making a first access together may each compute the same
+        values.
         """
         return _Spectral(dim, operator, entries)
 
@@ -586,8 +590,7 @@ class TripleForm:
 
     @property
     def nnz(self) -> int:
-        # a spectral form is counted by storing its entries
-        return self._nnz or int(self.values.size)
+        return self._nnz
 
     @cached_property
     def _max_abs(self) -> float:
@@ -793,10 +796,10 @@ class _Spectral(TripleForm):
     entries until they are first read."""
 
     kind = "spectral"
-    # the unscaled threshold, rather than building the entries to scale it
-    # (on the torus they are at most 1/sqrt(2) in any case)
+    # the unscaled threshold, so that building reads neither the entries
+    # nor max_abs() (on the torus they are at most 1/sqrt(2) in any case)
     _scale = 1.0
-    # no count until the entries are stored: counting would assemble them
+    # no count until it is first read, so that building reads nothing
     _nnz = None
 
     def __init__(self, dim: int, operator, entries):
@@ -814,6 +817,27 @@ class _Spectral(TripleForm):
             self._stored, self._entry_source = source(), None
             self._nnz = int(self._stored[1].size)
         return self._stored
+
+    @property
+    def nnz(self) -> int:
+        return self._counts[0]
+
+    @property
+    def _max_abs(self) -> float:
+        return self._counts[1]
+
+    @cached_property
+    def _counts(self):
+        # (nnz, max_abs()), from the source's summary while the entries
+        # are not stored, which assembles none of them
+        summary = getattr(self._entry_source, "summary", None)
+        if summary is None:
+            values = self.values
+            return (int(values.size),
+                    float(np.max(np.abs(values), initial=0.0)))
+        counts = summary()
+        self._nnz = counts[0]
+        return counts
 
 
 def _permutation_of(M: np.ndarray):

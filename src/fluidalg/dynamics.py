@@ -4,9 +4,12 @@ The evolution of a velocity state X is defined weakly by
 
     (dX/dt, Z) = {X, D X, Z}        for every Z,
 
-so the right-hand side is ``G^-1 c`` with ``c_m = sum_ij T[i,j,m] X_i (DX)_j``.
-Energy (X, X) and helicity (X, D X) are first integrals: pairing the RHS
-with X or D X lands in the alternating form with a repeated argument.
+so the right-hand side is ``G^-1 c`` with ``c_m = sum_ij T[i,j,m] X_i (DX)_j``:
+the bilinear Euler field ``G^-1 C(X, D Z)`` at Z = X.  At a probe Z the
+same field is the probe equation that :mod:`fluidalg.integrators`
+co-evolves.  Energy (X, X) and helicity (X, D X) are first integrals:
+pairing the RHS with X or D X lands in the alternating form with a
+repeated argument.
 
 The companion operators implemented here:
 
@@ -44,20 +47,25 @@ __all__ = [
 ]
 
 
+def _euler_field(alg: FluidAlgebra, X, Z) -> np.ndarray:
+    """The Euler field ``G^-1 C(X, D Z)``, with C the pair contraction.
+
+    At Z = X it is the Euler right-hand side; for a probe Z it is the
+    probe's dZ/dt = D' T(X, D Z), since T(X, W) = G^-1 D^T C(X, W) and
+    D' G^-1 D^T = G^-1.
+    """
+    return alg.solve_metric(alg.triple.contract_pair(X, curl(alg, Z)))
+
+
 def euler_rhs(alg: FluidAlgebra, X) -> np.ndarray:
     """Right-hand side of the Euler ODE: V with (V, Z) = {X, D X, Z}."""
-    DX = curl(alg, X)
-    c = alg.triple.contract_pair(X, DX)
-    return alg.solve_metric(c)
+    return _euler_field(alg, X, X)
 
 
 def vorticity_rhs(alg: FluidAlgebra, Y) -> np.ndarray:
-    """Evolution of a vorticity state: W with (W, Z) = {D'Y, Y, D Z}."""
-    X = inverse_curl(alg, Y)
-    b = alg.triple.contract_pair(X, Y)
-    # {X, Y, D Z} = b . (D Z) = (D^T b) . Z, and G^-1 D^T = G^-1 L G^-1,
-    # which is curl applied after a metric solve.
-    return curl(alg, alg.solve_metric(b))
+    """Evolution of a vorticity state: W with (W, Z) = {D'Y, Y, D Z},
+    the transport of Y by its velocity D'Y."""
+    return transport(alg, inverse_curl(alg, Y), Y)
 
 
 def transport(alg: FluidAlgebra, X, Z) -> np.ndarray:
@@ -99,7 +107,6 @@ def circulation_defect(alg: FluidAlgebra, F, X) -> np.ndarray:
     """
     F = _as_state(alg.dim, F, "F", block=True)
     X = _as_state(alg.dim, X, "X", like=F)
-    DX = curl(alg, X)
-    c = alg.triple.contract_pair(X, DX)
-    # (F, D Z) = (L F) . Z  since D^T G = L;  {X, DX, D Z} = (L G^-1 c) . Z
-    return alg.apply_linking(F) - alg.apply_linking(alg.solve_metric(c))
+    # (F, D Z) = (L F) . Z  since D^T G = L;  {X, DX, D Z} = (L V) . Z
+    # with V the Euler RHS
+    return alg.apply_linking(F) - alg.apply_linking(euler_rhs(alg, X))

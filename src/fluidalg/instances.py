@@ -363,6 +363,36 @@ def _representative_triples(basis: TorusBasis):
     return [np.concatenate(parts) for parts in zip(*found)]
 
 
+def _torus_slots(basis: TorusBasis):
+    """The (triple, local slot) pairs that may hold a torus entry.
+
+    Returns the representative triples and signs of
+    :func:`_representative_triples`; the 8 polarization dets of each
+    triple, which cover all of its local slots; the (3, 32) local slots
+    (l1, l2, l3) that hold an even count of sines (local slots 1 and 3
+    are sines); the column of each slot's det; and the (triples, 32) mask
+    of the allowed pairs, in which repeated representatives take strictly
+    increasing local slots.
+    """
+    triples = r1, r2, r3, _, _ = _representative_triples(basis)
+    pol = np.stack([basis.e1, basis.e2], axis=1)
+    choice = np.indices((2, 2, 2)).reshape(3, -1)
+    dets = np.linalg.det(np.stack(
+        [pol[r[:, None], a] for r, a in zip((r1, r2, r3), choice)], axis=-1
+    ))
+    slots = np.indices((4, 4, 4)).reshape(3, -1)
+    slots = slots[:, (slots & 1).sum(axis=0) % 2 == 0]
+    l1, l2, l3 = slots
+    column = 4 * (l1 >> 1) + 2 * (l2 >> 1) + (l3 >> 1)
+    allowed = (((r1 != r2)[:, None] | (l2 > l1))
+               & ((r2 != r3)[:, None] | (l3 > l2)))
+    return triples, dets, slots, column, allowed
+
+
+# (sqrt 2)^3 from the field normalization
+_AMPLITUDE = 2.0 * np.sqrt(2.0)
+
+
 def _torus_entries(basis: TorusBasis):
     """Canonical ``(index, values)`` of the torus triple form, in closed
     form from the selection rule k1 +- k2 +- k3 = 0.
@@ -374,33 +404,29 @@ def _torus_entries(basis: TorusBasis):
     of sine factors; with none it is 1/4, and with sines in slots a and b
     it is -s_a s_b / 4.
     """
-    r1, r2, r3, sign2, sign3 = _representative_triples(basis)
-    # the 8 polarization dets of each triple cover all of its local slots
-    pol = np.stack([basis.e1, basis.e2], axis=1)
-    choice = np.indices((2, 2, 2)).reshape(3, -1)
-    dets = np.linalg.det(np.stack(
-        [pol[r[:, None], a] for r, a in zip((r1, r2, r3), choice)], axis=-1
-    ))
-
-    # local slots 1 and 3 are sines; keep the slots with an even count
-    slots = np.indices((4, 4, 4)).reshape(3, -1)
-    slots = slots[:, (slots & 1).sum(axis=0) % 2 == 0]
-    l1, l2, l3 = slots
-    # repeated representatives take strictly increasing local slots
-    allowed = (((r1 != r2)[:, None] | (l2 > l1))
-               & ((r2 != r3)[:, None] | (l3 > l2)))
+    (r1, r2, r3, sign2, sign3), dets, slots, column, allowed = (
+        _torus_slots(basis))
     t, slot = np.nonzero(allowed)
     l1, l2, l3 = slots[:, slot]
     sign_product = (np.where(l2 & 1, sign2[t], 1)
                     * np.where(l3 & 1, sign3[t], 1))
     tri = np.where((l1 | l2 | l3) & 1, -0.25 * sign_product, 0.25)
-    det = dets[t, 4 * (l1 >> 1) + 2 * (l2 >> 1) + (l3 >> 1)]
-
-    amplitude = 2.0 * np.sqrt(2.0)  # (sqrt 2)^3 from the field normalization
+    det = dets[t, column[slot]]
     keep = np.abs(det) > _DET_NOISE
     index = np.stack([4 * r1[t] + l1, 4 * r2[t] + l2, 4 * r3[t] + l3],
                      axis=1)[keep]
-    return index, (amplitude * det * tri)[keep]
+    return index, (_AMPLITUDE * det * tri)[keep]
+
+
+def _torus_summary(basis: TorusBasis):
+    """``(nnz, max_abs)`` of the canonical torus entries, bit for bit,
+    from the dets and the allowed slots alone: no index is built or
+    sorted.  Every entry is nonzero, and ``|amplitude * det * tri|`` is
+    ``|amplitude * det| * 0.25`` exactly, tri being +-1/4."""
+    _, dets, _, column, allowed = _torus_slots(basis)
+    det = np.abs(dets[:, column][allowed])
+    size = _AMPLITUDE * det[det > _DET_NOISE]
+    return int(size.size), float(np.max(size, initial=0.0)) * 0.25
 
 
 def _frozen(array: np.ndarray) -> np.ndarray:
@@ -657,6 +683,7 @@ def build_torus_algebra(K: int, max_dim: int = TORUS_MAX_DIM):
     def entries():
         return _canonical_entries(dim, *_torus_entries(basis))
 
+    entries.summary = lambda: _torus_summary(basis)
     tf = TripleForm.spectral(dim, _SpectralContraction(basis), entries)
     alg = FluidAlgebra(
         dim, tf, basis.linking(), None, meta={"kind": "torus", "K": K}

@@ -16,11 +16,15 @@ truncation order even where that drift is below one ulp of their values.
 
 A probe field Z can be co-evolved with dZ/dt = D' T(X, D Z), using the same
 RK4 stages and stage-consistent X values, to measure the invariance of the
-probe linking <X, Z> numerically.  There is one step, :func:`_rk4`; with
-a probe it advances the (2, n) stack of X over Z through the same stages
-and update.  A run records copies of the carried states and evaluates the
-float64 invariants of all records at its end (:func:`_trace_records`);
-their low words are evaluated on first read, for all records at once.
+probe linking <X, Z> numerically.  That equation is the Euler field
+``G^-1 C(X, D Z)`` of :mod:`fluidalg.dynamics` at the probe, the field
+whose value at Z = X is the Euler right-hand side; this module defines no
+right-hand side of its own, only the stepping.  There is one step,
+:func:`_rk4`; with a probe it advances the (2, n) stack of X over Z
+through the same stages and update.  A run records copies of the carried
+states and evaluates the float64 invariants of all records at its end
+(:func:`_trace_records`); their low words are evaluated on first read,
+for all records at once.
 
 The operators return non-finite values unjudged; here a non-finite stage
 or step result raises :class:`NumericalFailure`, and a non-finite Newton
@@ -52,7 +56,7 @@ from .core import (
     linking,
     two_sum,
 )
-from .dynamics import euler_rhs
+from .dynamics import _euler_field, euler_rhs
 
 __all__ = [
     "ProjectionSettings",
@@ -176,13 +180,6 @@ def _zero_low(X: np.ndarray) -> np.ndarray:
     return np.full(X.shape, -0.0)
 
 
-def _probe_rhs(alg: FluidAlgebra, X, Z) -> np.ndarray:
-    # dZ/dt = D' T(X, D Z); since T(X, W) = G^-1 D^T contract(X, W) and
-    # D' D = id, this collapses to a single metric solve.
-    b = alg.triple.contract_pair(X, curl(alg, Z))
-    return alg.solve_metric(b)
-
-
 def _rhs(alg: FluidAlgebra, X, probe: bool, label: str, t: float):
     """The stage derivative at ``X``: the Euler right-hand side, or with
     ``probe``, that of the velocity ``X[0]`` stacked over that of its probe
@@ -191,7 +188,7 @@ def _rhs(alg: FluidAlgebra, X, probe: bool, label: str, t: float):
     dV = euler_rhs(alg, V)
     _check_finite(dV, label, t)
     # np.array, not np.stack, which costs 4x as much on small states
-    return np.array((dV, _probe_rhs(alg, V, X[1]))) if probe else dV
+    return np.array((dV, _euler_field(alg, V, X[1]))) if probe else dV
 
 
 def _rk4(alg: FluidAlgebra, X, X_lo, dt: float, t0: float,
@@ -235,7 +232,8 @@ def rk4_step(alg: FluidAlgebra, X, dt: float, t0: float = 0.0) -> np.ndarray:
 @_quiet
 def co_evolve_probe(alg: FluidAlgebra, X, Z, dt: float,
                     t0: float = 0.0) -> np.ndarray:
-    """Advance the probe by one RK4 step of dZ/dt = D' T(X, D Z).
+    """Advance the probe by one RK4 step of dZ/dt = D' T(X, D Z), the
+    Euler field ``G^-1 C(X, D Z)`` at the probe.
 
     X is advanced internally along its own Euler stages so the probe sees
     stage-consistent velocity values; only the new probe is returned.

@@ -288,6 +288,16 @@ def test_circulation_defect_zero_at_euler_rhs(random_n6):
         assert g_dual_norm(random_n6, r) <= 1e-11 * scale
 
 
+def test_circulation_defect_is_exactly_zero_at_euler_rhs(kind_algebra):
+    # the defect reads euler_rhs itself, so the two pairings cancel exactly,
+    # for single states and for a block
+    X = make_rng(47).standard_normal((3, kind_algebra.dim))
+    for state in (X[0], X):
+        r = circulation_defect(kind_algebra, euler_rhs(kind_algebra, state),
+                               state)
+        assert r.shape == state.shape and not np.any(r)
+
+
 def test_circulation_defect_detects_perturbations(random_n6):
     rng = make_rng(44)
     for _ in range(20):

@@ -171,7 +171,7 @@ def test_step_result_failures_are_named(torus, monkeypatch):
     assert _failure(torus, X, dt=1.0) == (
         "non-finite value in step result at t=1.5", 1.5)
     monkeypatch.undo()
-    monkeypatch.setattr(integrators, "_probe_rhs",
+    monkeypatch.setattr(integrators, "_euler_field",
                         lambda alg, V, Z: np.full(Z.shape, np.nan))
     S = make_rng(3).standard_normal((2, torus.dim))
     assert _failure(torus, S, probe=True) == (

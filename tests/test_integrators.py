@@ -502,17 +502,41 @@ def test_co_evolve_probe_matches_integrate(random_n6):
     )
 
 
+def _unit_state(alg, seed):
+    X = make_rng(seed).standard_normal(alg.dim)
+    return X / g_norm(alg, X)
+
+
+def test_a_probe_equal_to_the_state_steps_as_the_state(kind_algebra):
+    # the probe equation is the Euler field at the probe, so a probe equal
+    # to the velocity takes the velocity's own RK4 step, bit for bit
+    X = _unit_state(kind_algebra, 74)
+    dt = 1e-3
+    assert np.array_equal(co_evolve_probe(kind_algebra, X, X, dt),
+                          rk4_step(kind_algebra, X, dt))
+
+
+def test_a_probe_equal_to_the_state_links_as_the_helicity(kind_algebra):
+    X0 = _unit_state(kind_algebra, 75)
+    spec = IntegratorSpec(method="rk4", dt=1e-3, t_end=3e-3)
+    res = integrate(kind_algebra, X0, spec, probe=X0)
+    assert not res.failed and len(res.records) == 4
+    for rec in res.records:
+        assert rec.probe_linking == rec.helicity
+        assert rec.probe_linking.lo == rec.helicity.lo
+
+
 def test_probe_rhs_matches_literal_composition(random_n6):
     # dZ/dt = D' T(X, D Z): the fused evaluation agrees with the literal
     # inverse_curl(transport(...)) chain to solver round-off
     from fluidalg import inverse_curl, transport
-    from fluidalg.integrators import _probe_rhs
+    from fluidalg.dynamics import _euler_field
 
     rng = make_rng(73)
     for _ in range(10):
         X = rng.standard_normal(6)
         Z = rng.standard_normal(6)
-        fused = _probe_rhs(random_n6, X, Z)
+        fused = _euler_field(random_n6, X, Z)
         literal = inverse_curl(
             random_n6, transport(random_n6, X, curl(random_n6, Z))
         )

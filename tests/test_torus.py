@@ -721,11 +721,14 @@ def test_simulate_k3_never_assembles_the_entries(tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
-def test_building_and_stepping_any_level_assembles_no_entry(monkeypatch):
-    def refuse(*args):
-        raise AssertionError("the torus entries were assembled")
+def _refuse(*args):
+    raise AssertionError("the torus entries were assembled")
 
-    monkeypatch.setattr(instances, "_torus_entries", refuse)
+
+def test_building_and_stepping_any_level_assembles_no_entry(monkeypatch):
+    monkeypatch.setattr(instances, "_torus_entries", _refuse)
+    # nor are their count and largest |entry| read
+    monkeypatch.setattr(instances, "_torus_summary", _refuse)
     spec = IntegratorSpec(method="rk4", dt=1e-3, t_end=0.005)
     for K in (1, 2, 3):
         alg = build_torus_algebra(K, max_dim=684)[0]
@@ -735,6 +738,43 @@ def test_building_and_stepping_any_level_assembles_no_entry(monkeypatch):
             X, Z = rng.standard_normal((2, alg.dim))
             res = integrate(alg, X, spec, probe=Z)
             assert res.steps == 5 and not res.failed
+
+
+@pytest.mark.parametrize("K", [1, 2, 3, 4])
+def test_nnz_and_max_abs_are_those_of_the_assembled_entries(K, monkeypatch):
+    assembled = build_torus_algebra(K, max_dim=1456)[0].triple
+    values = assembled.values
+    expected = (values.size, float(np.max(np.abs(values))))
+    assert (assembled.nnz, assembled.max_abs()) == expected
+    monkeypatch.setattr(instances, "_torus_entries", _refuse)
+    form = build_torus_algebra(K, max_dim=1456)[0].triple
+    counts = form.nnz, form.max_abs()
+    assert type(counts[0]) is int
+    assert counts[0] == expected[0]
+    assert counts[1].hex() == expected[1].hex()
+    assert form._entry_source is not None
+
+
+def test_diagnose_reads_the_torus_counts_without_the_entries(
+        tmp_path, monkeypatch):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"instance": {"name": "torus", "K": 2}}))
+
+    def from_entries(basis):
+        # the count and largest |entry| of the assembled entries
+        values = _canonical_entries(basis.dim, *_torus_entries(basis))[1]
+        return values.size, float(np.max(np.abs(values)))
+
+    outputs = []
+    for name, patch in (("_torus_summary", from_entries),
+                        ("_torus_entries", _refuse)):
+        with monkeypatch.context() as m:
+            m.setattr(instances, name, patch)
+            out = tmp_path / name
+            assert main(["diagnose", "--config", str(cfg), "--output",
+                         str(out)]) == 0
+        outputs.append((out / "diagnostics.json").read_bytes())
+    assert outputs[0] == outputs[1]
 
 
 def _loop_contraction(op, X, Y):

@@ -27,14 +27,15 @@ K=8 tori, the best of ``--repeat`` passes over ``--pool`` distinct
 (state, probe) pairs.  A third gives the milliseconds of
 ``run_identity_suite`` with 200 states and 200 triples, the compute of
 the benchmark's ``diagnose-random32`` workload, on random n=32, the K=1
-torus beside the dense form of its entries, and the K=2 torus: the best
-of ``--repeat`` calls, after one untimed call in which the torus
-assembles its entries.  A fourth gives the microseconds
-of ``project_to_invariants`` on the rigid body and random n=32: for a
-state on its targets, which returns after one evaluation of the
-invariants, and for one whose energy is 1e-6 relative off, which takes
-the Newton path; the best of ``--repeat`` passes over ``--pool`` states,
-each projected onto its own energy and helicity.  A fifth gives the
+torus beside the dense form of its entries, and the K=2 and K=3 tori:
+the first call on the freshly built algebra, in which a torus reads its
+form's entry count and largest |entry| without assembling the entries,
+and the best of ``--repeat`` calls after it.  A fourth gives the
+microseconds of ``project_to_invariants`` on the rigid body and random
+n=32: for a state on its targets, which returns after one evaluation of
+the invariants, and for one whose energy is 1e-6 relative off, which
+takes the Newton path; the best of ``--repeat`` passes over ``--pool``
+states, each projected onto its own energy and helicity.  A fifth gives the
 microseconds per row of ``dd_values``, the low words of the recorded
 invariants, for the metric and the linking form on random n=32 and the
 K=3 torus: the best of ``--repeat`` calls on a ``--pool``-row block of
@@ -133,6 +134,7 @@ SUITES = {
     "torus K=1, n=52": lambda: build_torus_algebra(1)[0],
     "torus K=1 entries, n=52": lambda: _entries_torus(1),
     "torus K=2, n=248": lambda: build_torus_algebra(2)[0],
+    "torus K=3, n=684": lambda: build_torus_algebra(3, max_dim=684)[0],
 }
 SUITE_SAMPLE = 200  # states, and Jacobiator triples
 
@@ -206,17 +208,18 @@ def main(argv=None) -> None:
                         pool, args.repeat)
         print(f"| {name} | {plain:.1f} | {probe:.1f} |")
     print()
-    print("| algebra | run_identity_suite (ms) |")
-    print("|---|---:|")
+    print("| algebra | run_identity_suite first call (ms) | best (ms) |")
+    print("|---|---:|---:|")
     for name, build in SUITES.items():
         alg = build()
 
         def suite(X, Y):
             run_identity_suite(alg, SUITE_SAMPLE, num_triples=SUITE_SAMPLE)
 
-        suite(None, None)  # the torus assembles its entries in this call
+        # the first call reads the torus form's count and largest |entry|
+        first = best_us(suite, [(None, None)], 1) / 1e3
         best = best_us(suite, [(None, None)], args.repeat) / 1e3
-        print(f"| {name} | {best:.2f} |")
+        print(f"| {name} | {first:.2f} | {best:.2f} |")
     print()
     print("| algebra | project_to_invariants on targets (µs) "
           "| 1e-6 off (µs) |")
